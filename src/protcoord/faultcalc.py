@@ -13,7 +13,7 @@ solve_fault. The two share nothing but the per-unit conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .netmodel import Network, PuNetwork, to_per_unit
 
 __all__ = [
     "FaultSpec", "FaultResult", "OracleSolution",
-    "build_ybus", "injection_vector", "steady_state", "solve_fault",
+    "build_ybus", "steady_state", "solve_fault",
     "thevenin_at", "oracle_solve",
 ]
 
@@ -73,36 +73,36 @@ def _tie_branch_id(net: Network) -> str | None:
     return ties[0] if ties else None
 
 
-def _source_z_pu(pu: PuNetwork, induction_z_mult: float) -> dict[str, complex]:
-    out = {}
-    for s in pu.net.sources:
-        z = pu.source_z_pu[s.id]
-        if s.kind == "induction_dg":
-            z = z * induction_z_mult
-        out[s.id] = z
-    return out
+@dataclass(frozen=True)
+class _Nodal:
+    """One operating state: the limiter resistance and the induction
+    multiplier applied, with the bus index, the effective branch
+    impedances, Y and the Norton source injections, all in per-unit."""
+
+    pu: PuNetwork
+    index: dict[str, int]
+    branch_z: dict[str, complex]
+    ybus: np.ndarray
+    injection: np.ndarray
 
 
-def build_ybus(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
-               induction_z_mult: float = INDUCTION_Z_MULT,
-               ) -> tuple[np.ndarray, dict[str, int]]:
-    """Assemble the nodal admittance matrix (sources as shunt admittances).
-
-    ufcl_state_ohm is added in series with the tie branch, converted to
-    per-unit in the tie's voltage zone. Returns (Y, bus index map).
-    """
+def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
+           induction_z_mult: float = INDUCTION_Z_MULT) -> _Nodal:
     index = {b.id: i for i, b in enumerate(pu.net.buses)}
     n = len(index)
     ybus = np.zeros((n, n), dtype=complex)
+    injection = np.zeros(n, dtype=complex)
 
     tie = _tie_branch_id(pu.net)
     if ufcl_state_ohm != 0.0 and tie is None:
         raise ValueError("no tie branch to carry the limiter resistance")
 
+    branch_z = {}
     for br in pu.net.branches:
         z = pu.branch_z_pu[br.id]
         if br.id == tie and ufcl_state_ohm != 0.0:
             z = z + ufcl_state_ohm / pu.z_base(br.from_bus)
+        branch_z[br.id] = z
         y = 1.0 / z
         f, t = index[br.from_bus], index[br.to_bus]
         ybus[f, f] += y
@@ -114,33 +114,54 @@ def build_ybus(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
         z = pu.source_z_pu[s.id]
         if s.kind == "induction_dg":
             z = z * induction_z_mult
-        ybus[index[s.bus], index[s.bus]] += 1.0 / z
+        k = index[s.bus]
+        ybus[k, k] += 1.0 / z
+        injection[k] += s.emf_pu / z
 
     for l in pu.net.loads:
         ybus[index[l.bus], index[l.bus]] += 1.0 / pu.load_z_pu[l.id]
 
-    return ybus, index
+    return _Nodal(pu, index, branch_z, ybus, injection)
 
 
-def injection_vector(pu: PuNetwork, index: dict[str, int],
-                     induction_z_mult: float = INDUCTION_Z_MULT,
-                     ) -> np.ndarray:
-    """Norton injections of all sources (emf over internal impedance)."""
-    inj = np.zeros(len(index), dtype=complex)
-    z_eff = _source_z_pu(pu, induction_z_mult)
-    for s in pu.net.sources:
-        inj[index[s.bus]] += s.emf_pu / z_eff[s.id]
-    return inj
+def build_ybus(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
+               induction_z_mult: float = INDUCTION_Z_MULT,
+               ) -> tuple[np.ndarray, dict[str, int]]:
+    """Assemble the nodal admittance matrix (sources as shunt admittances).
+
+    ufcl_state_ohm is added in series with the tie branch, converted to
+    per-unit in the tie's voltage zone. Returns (Y, bus index map).
+    """
+    nodal = _nodal(pu, ufcl_state_ohm, induction_z_mult)
+    return nodal.ybus, nodal.index
 
 
-def _branch_currents_a(pu: PuNetwork, index: dict[str, int],
-                       v: np.ndarray, ufcl_state_ohm: float,
-                       tie: str | None) -> dict[str, complex]:
+def _post_fault(nodal: _Nodal,
+                fault: FaultSpec) -> tuple[complex, np.ndarray]:
+    """Fault current and post-fault bus voltages, both in per-unit.
+
+    The prefault profile and the Thevenin column come from one solve on a
+    two-column right-hand side, so Y is factorised once per fault.
+    """
+    if fault.bus not in nodal.index:
+        raise ValueError(f"unknown fault bus {fault.bus!r}")
+    k = nodal.index[fault.bus]
+    rhs = np.zeros((len(nodal.index), 2), dtype=complex)
+    rhs[:, 0] = nodal.injection
+    rhs[k, 1] = 1.0
+    sol = np.linalg.solve(nodal.ybus, rhs)
+    v_pre, z_col = sol[:, 0], sol[:, 1]
+
+    zf_pu = fault.fault_impedance / nodal.pu.z_base(fault.bus)
+    i_f = v_pre[k] / (z_col[k] + zf_pu)
+    return i_f, v_pre - i_f * z_col
+
+
+def _branch_currents_a(nodal: _Nodal, v: np.ndarray) -> dict[str, complex]:
+    pu, index = nodal.pu, nodal.index
     out = {}
     for br in pu.net.branches:
-        z = pu.branch_z_pu[br.id]
-        if br.id == tie and ufcl_state_ohm != 0.0:
-            z = z + ufcl_state_ohm / pu.z_base(br.from_bus)
+        z = nodal.branch_z[br.id]
         i_pu = (v[index[br.from_bus]] - v[index[br.to_bus]]) / z
         out[br.id] = complex(i_pu * pu.i_base(br.from_bus))
     return out
@@ -157,11 +178,9 @@ def steady_state(net: Network, ufcl_state_ohm: float = 0.0,
                  induction_z_mult: float = INDUCTION_Z_MULT,
                  ) -> dict[str, complex]:
     """Branch currents (complex amps, from-side base) with no fault applied."""
-    pu = to_per_unit(net)
-    ybus, index = build_ybus(pu, ufcl_state_ohm, induction_z_mult)
-    v = np.linalg.solve(ybus, injection_vector(pu, index, induction_z_mult))
-    return _branch_currents_a(pu, index, v, ufcl_state_ohm,
-                              _tie_branch_id(net))
+    nodal = _nodal(to_per_unit(net), ufcl_state_ohm, induction_z_mult)
+    return _branch_currents_a(nodal,
+                              np.linalg.solve(nodal.ybus, nodal.injection))
 
 
 def solve_fault(net: Network, fault: FaultSpec, ufcl_state_ohm: float = 0.0,
@@ -176,24 +195,10 @@ def solve_fault(net: Network, fault: FaultSpec, ufcl_state_ohm: float = 0.0,
         raise ValueError(f"only three_phase faults are supported, "
                          f"not {fault.type!r}")
     pu = to_per_unit(net)
-    ybus, index = build_ybus(pu, ufcl_state_ohm, induction_z_mult)
-    if fault.bus not in index:
-        raise ValueError(f"unknown fault bus {fault.bus!r}")
-    k = index[fault.bus]
+    nodal = _nodal(pu, ufcl_state_ohm, induction_z_mult)
+    i_f, v_post = _post_fault(nodal, fault)
 
-    v_pre = np.linalg.solve(ybus, injection_vector(pu, index,
-                                                   induction_z_mult))
-    unit = np.zeros(len(index), dtype=complex)
-    unit[k] = 1.0
-    z_col = np.linalg.solve(ybus, unit)
-
-    zf_pu = fault.fault_impedance / pu.z_base(fault.bus)
-    i_f = v_pre[k] / (z_col[k] + zf_pu)
-    v_post = v_pre - i_f * z_col
-
-    tie = _tie_branch_id(net)
-    branch_currents = _branch_currents_a(pu, index, v_post, ufcl_state_ohm,
-                                         tie)
+    branch_currents = _branch_currents_a(nodal, v_post)
     i_f_amps = complex(i_f * pu.i_base(fault.bus))
     return FaultResult(
         fault_bus=fault.bus,
@@ -206,12 +211,13 @@ def solve_fault(net: Network, fault: FaultSpec, ufcl_state_ohm: float = 0.0,
 def thevenin_at(pu: PuNetwork, bus: str, ufcl_state_ohm: float = 0.0,
                 induction_z_mult: float = INDUCTION_Z_MULT) -> complex:
     """Driving-point impedance at a bus in per-unit (EMFs shorted)."""
-    ybus, index = build_ybus(pu, ufcl_state_ohm, induction_z_mult)
-    if bus not in index:
+    nodal = _nodal(pu, ufcl_state_ohm, induction_z_mult)
+    if bus not in nodal.index:
         raise ValueError(f"unknown bus {bus!r}")
-    unit = np.zeros(len(index), dtype=complex)
-    unit[index[bus]] = 1.0
-    return complex(np.linalg.solve(ybus, unit)[index[bus]])
+    k = nodal.index[bus]
+    unit = np.zeros(len(nodal.index), dtype=complex)
+    unit[k] = 1.0
+    return complex(np.linalg.solve(nodal.ybus, unit)[k])
 
 
 def oracle_solve(net: Network, fault: FaultSpec | None,

@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .relaycurve import CurveConstants, curve_family
 
 __all__ = [
     "Bus", "Branch", "Source", "ShuntLoad", "RelaySpec", "CoordinationPair",
     "UfclSpec", "Network", "PuNetwork", "Violation", "NetworkFormatError",
-    "load_network", "validate", "to_per_unit", "from_per_unit",
-    "partition_by_tie",
+    "load_network", "validate", "to_per_unit", "partition_by_tie",
 ]
 
 BRANCH_KINDS = ("line", "transformer", "tie")
@@ -330,6 +329,18 @@ def _check_references(net: Network) -> None:
 # validation
 
 
+def _reachable(adj: dict[str, set[str]], start: str) -> frozenset:
+    """Buses reachable from start by a depth-first walk of adj."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(seen)
+
+
 def validate(net: Network) -> list[Violation]:
     """Check every type invariant; violations are data, not exceptions."""
     out: list[Violation] = []
@@ -431,13 +442,7 @@ def validate(net: Network) -> list[Violation]:
             if br.from_bus in adj and br.to_bus in adj:
                 adj[br.from_bus].add(br.to_bus)
                 adj[br.to_bus].add(br.from_bus)
-        seen = {net.buses[0].id}
-        stack = [net.buses[0].id]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+        seen = _reachable(adj, net.buses[0].id)
         for b in sorted(bus_ids - seen):
             bad("graph connected", b, "bus unreachable from first bus")
 
@@ -506,28 +511,6 @@ def to_per_unit(net: Network) -> PuNetwork:
                      load_z_pu=load_z)
 
 
-def from_per_unit(pu: PuNetwork) -> Network:
-    """Inverse of to_per_unit; reproduces the ohmic network."""
-    def z_base(bus_id: str) -> float:
-        v = pu.v_base[bus_id]
-        return v * v / pu.s_base_va
-
-    branches = []
-    for br in pu.net.branches:
-        if br.kind == "transformer":
-            ref_bus = br.from_bus if br.referred_side == "from" else br.to_bus
-        else:
-            ref_bus = br.from_bus
-        branches.append(replace(
-            br, impedance=pu.branch_z_pu[br.id] * z_base(ref_bus)))
-    sources = [replace(s, internal_impedance=pu.source_z_pu[s.id]
-                       * z_base(s.bus)) for s in pu.net.sources]
-    loads = [replace(l, impedance=pu.load_z_pu[l.id] * z_base(l.bus))
-             for l in pu.net.loads]
-    return replace(pu.net, branches=tuple(branches), sources=tuple(sources),
-                   loads=tuple(loads))
-
-
 # ---------------------------------------------------------------------------
 # tie partition
 
@@ -554,21 +537,11 @@ def partition_by_tie(net: Network, tie: str) -> tuple[frozenset, frozenset]:
         adj[br.from_bus].add(br.to_bus)
         adj[br.to_bus].add(br.from_bus)
 
-    def component(start: str) -> frozenset:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
-
-    side_a = component(tie_branch.from_bus)
+    side_a = _reachable(adj, tie_branch.from_bus)
     if tie_branch.to_bus in side_a:
         raise ValueError(
             f"tie removal does not disconnect: {tie!r} is inside a loop")
-    side_b = component(tie_branch.to_bus)
+    side_b = _reachable(adj, tie_branch.to_bus)
     if side_a | side_b != set(b.id for b in net.buses):
         raise ValueError(
             f"tie removal leaves more than two components around {tie!r}")

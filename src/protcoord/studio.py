@@ -23,12 +23,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import bundled_dataset_path
 from .coordination import (CoordinationReport, check_pairs, format_number,
                            report_to_csv)
-from .faultcalc import (FaultSpec, build_ybus, injection_vector, solve_fault)
+from .faultcalc import FaultSpec, _nodal, _post_fault, build_ybus, solve_fault
 from .netmodel import (Network, NetworkFormatError, load_network, to_per_unit,
                        validate)
 from .relaycurve import operate_time
@@ -143,6 +142,15 @@ def _reading_order(net: Network, fault_bus: str) -> list[str]:
     return order
 
 
+def _sizing_target(net: Network, bus: str) -> float:
+    """The recorded pre-DG fault level, else the bare-grid level at bus."""
+    if net.ufcl is not None and net.ufcl.sizing_reference_a is not None:
+        return net.ufcl.sizing_reference_a
+    bare = replace(net, sources=tuple(
+        s for s in net.sources if s.kind == "infinite_grid"))
+    return solve_fault(bare, FaultSpec(bus)).fault_current_a
+
+
 def _resolve_states(snet: Network, scenario: Scenario,
                     buses: list[str]) -> tuple[SizingResult | None,
                                                dict[str, float]]:
@@ -161,14 +169,7 @@ def _resolve_states(snet: Network, scenario: Scenario,
                                 f"bus to size the limiter against")
         sizing_bus = upstream[0]
 
-    target = u.sizing_reference_a
-    if target is None:
-        # pre-DG short-circuit level at the sizing bus
-        bare = replace(snet, sources=tuple(
-            s for s in snet.sources if s.kind == "infinite_grid"))
-        target = solve_fault(bare, FaultSpec(sizing_bus)).fault_current_a
-
-    sizing = size_ufcl(snet, sizing_bus, target)
+    sizing = size_ufcl(snet, sizing_bus, _sizing_target(snet, sizing_bus))
     for bus in buses:
         side = classify_fault_side(snet, u, bus)
         states[bus] = sizing.r_star if side == UPSTREAM else u.r_normal
@@ -271,12 +272,16 @@ def _fail(message: str):
     sys.exit(1)
 
 
-def _load_net(path: str | None) -> Network:
+def _read_net(path: str | None) -> tuple[Path, Network]:
     file = Path(path) if path else bundled_dataset_path()
     try:
-        net = load_network(file.read_text())
+        return file, load_network(file.read_text())
     except (OSError, NetworkFormatError) as exc:
         _fail(f"{file}: {exc}")
+
+
+def _load_net(path: str | None) -> Network:
+    file, net = _read_net(path)
     problems = validate(net)
     if problems:
         for v in problems:
@@ -293,21 +298,16 @@ def _debug_dump(snet: Network, buses: list[str],
     number k (1-based, order as run) appears as rows (i, -k, re, im).
     """
     pu = to_per_unit(snet)
-    ybus, index = build_ybus(pu)
+    ybus, _ = build_ybus(pu)
     out = ["row,col,re,im"]
-    n = len(index)
+    n = len(ybus)
     for i in range(n):
         for j in range(n):
             y = complex(ybus[i, j])
             if y != 0:
                 out.append(f"{i},{j},{y.real!r},{y.imag!r}")
     for k, bus in enumerate(buses, start=1):
-        ymat, _ = build_ybus(pu, states[bus])
-        v_pre = np.linalg.solve(ymat, injection_vector(pu, index))
-        unit = np.zeros(n, dtype=complex)
-        unit[index[bus]] = 1.0
-        z_col = np.linalg.solve(ymat, unit)
-        v_post = v_pre - (v_pre[index[bus]] / z_col[index[bus]]) * z_col
+        _, v_post = _post_fault(_nodal(pu, states[bus]), FaultSpec(bus))
         for i in range(n):
             v = complex(v_post[i])
             out.append(f"{i},{-k},{v.real!r},{v.imag!r}")
@@ -388,12 +388,8 @@ def size_cmd(network_path, fault_bus, tol):
     """Size the limiter to restore the pre-DG fault level at one bus."""
     net = _load_net(network_path)
     try:
-        target = net.ufcl.sizing_reference_a if net.ufcl else None
-        if target is None:
-            bare = replace(net, sources=tuple(
-                s for s in net.sources if s.kind == "infinite_grid"))
-            target = solve_fault(bare, FaultSpec(fault_bus)).fault_current_a
-        result = size_ufcl(net, fault_bus, target, tol=tol)
+        result = size_ufcl(net, fault_bus, _sizing_target(net, fault_bus),
+                           tol=tol)
     except (ValueError, RuntimeError) as exc:
         _fail(str(exc))
     click.echo(f"r_star_ohm = {result.r_star!r}")
@@ -440,11 +436,7 @@ def check_cmd(network_path, times_path, full_precision):
               help="Network JSON (defaults to the bundled study grid).")
 def validate_cmd(network_path):
     """Load a network file and report every invariant violation."""
-    file = Path(network_path) if network_path else bundled_dataset_path()
-    try:
-        net = load_network(file.read_text())
-    except (OSError, NetworkFormatError) as exc:
-        _fail(f"{file}: {exc}")
+    _, net = _read_net(network_path)
     problems = validate(net)
     for v in problems:
         click.echo(str(v))

@@ -21,7 +21,7 @@ from .netmodel import Network, UfclSpec, partition_by_tie
 __all__ = [
     "UfclSpec", "SizingResult", "SizingError",
     "UPSTREAM", "DOWNSTREAM",
-    "classify_fault_side", "effective_resistance", "size_ufcl",
+    "classify_fault_side", "size_ufcl",
 ]
 
 UPSTREAM = "upstream"
@@ -53,14 +53,6 @@ def classify_fault_side(net: Network, ufcl: UfclSpec, fault_bus: str) -> str:
     if fault_bus not in side_a and fault_bus not in side_b:
         raise ValueError(f"unknown fault bus {fault_bus!r}")
     return DOWNSTREAM if fault_bus in down else UPSTREAM
-
-
-def effective_resistance(ufcl: UfclSpec, side: str) -> float:
-    if side == UPSTREAM:
-        return ufcl.r_limit
-    if side == DOWNSTREAM:
-        return ufcl.r_normal
-    raise ValueError(f"unknown fault side {side!r}")
 
 
 def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,

@@ -157,15 +157,20 @@ def brute_force(net, pairs, res, band, tds_min, tds_step, tds_max):
     while tds_min + k * tds_step <= tds_max + 1e-12:
         grid.append(tds_min + k * tds_step)
         k += 1
+    # operate time of each pair's relays at every grid value, computed once
+    table = {}
+    for i, p in enumerate(pairs):
+        cur = res[p.fault_bus].relay_currents
+        for rid in (p.main, p.backup):
+            table[i, rid] = {t: _time(net, rid, t, cur[rid]) for t in grid}
     ids = [r.id for r in net.relays]
     best = None
     for combo in itertools.product(grid, repeat=len(ids)):
         tds = dict(zip(ids, combo))
         ok = True
-        for p in pairs:
-            cur = res[p.fault_bus].relay_currents
-            tm = _time(net, p.main, tds[p.main], cur[p.main])
-            tb = _time(net, p.backup, tds[p.backup], cur[p.backup])
+        for i, p in enumerate(pairs):
+            tm = table[i, p.main][tds[p.main]]
+            tb = table[i, p.backup][tds[p.backup]]
             if tm is None:
                 continue
             if tb is None or tb - tm < band.lo:

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport, CtiBand
+from protcoord.faultcalc import FaultSpec, build_ybus, oracle_solve
+from protcoord.netmodel import to_per_unit
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
                               emit_report, run_scenario)
@@ -178,6 +180,37 @@ def test_cli_run_debug_csv(tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0] == "row,col,re,im"
     assert len(lines) > 10
+
+
+def test_cli_run_debug_csv_values(tmp_path, bundled_net):
+    dump = tmp_path / "dump.csv"
+    result = CliRunner().invoke(
+        cli, ["run", "--scenario", "s2_dg1_ufcl", "--debug-csv", str(dump)])
+    assert result.exit_code in (0, 2)
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "row,col,re,im"
+    rows = [tuple(float(cell) for cell in ln.split(",")) for ln in lines[1:]]
+
+    snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
+    ybus, _ = build_ybus(to_per_unit(snet))
+    matrix = {(int(i), int(j)): complex(re, im)
+              for i, j, re, im in rows if j >= 0}
+    assert matrix == {(i, j): ybus[i, j] for i in range(len(ybus))
+                      for j in range(len(ybus)) if ybus[i, j] != 0}
+
+    report = run_scenario(bundled_net, SCENARIOS["s2_dg1_ufcl"])
+    states = [(t.fault_bus, t.ufcl_state_ohm) for t in report.fault_tables]
+    assert states == [("bus3", 200.0), ("bus4", 200.0), ("bus6", 0.0),
+                      ("dgbus", 0.0)]
+    for k, (bus, r_ohm) in enumerate(states, start=1):
+        got = {int(i): complex(re, im)
+               for i, j, re, im in rows if j == -k}
+        want = oracle_solve(snet, FaultSpec(bus),
+                            ufcl_state_ohm=r_ohm).bus_voltages_pu
+        assert sorted(got) == list(range(len(snet.buses)))
+        for i, b in enumerate(snet.buses):
+            assert abs(got[i] - want[b.id]) <= 1e-9, (bus, b.id)
+    assert len(rows) == len(matrix) + len(states) * len(snet.buses)
 
 
 def test_cli_check_reproduces_verdicts(tmp_path, bundled_net):

@@ -5,8 +5,7 @@ from protcoord.faultcalc import build_ybus, solve_fault
 from protcoord.netmodel import to_per_unit
 from protcoord.studio import SCENARIOS, build_scenario_net
 from protcoord.ufcl import (DOWNSTREAM, UPSTREAM, SizingError,
-                            classify_fault_side, effective_resistance,
-                            size_ufcl)
+                            classify_fault_side, size_ufcl)
 
 
 def test_classify_bundled_sides(bundled_net):
@@ -15,14 +14,6 @@ def test_classify_bundled_sides(bundled_net):
         assert classify_fault_side(bundled_net, u, bus) == UPSTREAM
     for bus in ("bus5", "bus6", "dgbus"):
         assert classify_fault_side(bundled_net, u, bus) == DOWNSTREAM
-
-
-def test_effective_resistance(bundled_net):
-    u = bundled_net.ufcl
-    assert effective_resistance(u, UPSTREAM) == 200.0
-    assert effective_resistance(u, DOWNSTREAM) == 0.0
-    with pytest.raises(ValueError):
-        effective_resistance(u, "sideways")
 
 
 @pytest.mark.parametrize("sid", ["s2_dg1_ufcl", "s4_dg1_dg2_ufcl",
