@@ -21,12 +21,12 @@ from .netmodel import Network, PuNetwork, to_per_unit
 
 __all__ = [
     "FaultSpec", "FaultResult", "OracleSolution",
-    "build_ybus", "steady_state", "solve_fault",
+    "build_ybus", "steady_state", "solve_fault", "solve_faults",
     "thevenin_at", "oracle_solve",
 ]
 
 # induction machines present a slightly larger transient impedance than an
-# equally rated synchronous unit; the multiplier is configurable per call
+# equally rated synchronous unit; read at call time by both solution routes
 INDUCTION_Z_MULT = 1.05
 
 ORACLE_BUS_LIMIT = 12
@@ -64,15 +64,6 @@ class OracleSolution:
     branch_currents: dict[str, complex]
 
 
-def _tie_branch_id(net: Network) -> str | None:
-    if net.ufcl is not None:
-        return net.ufcl.tie_branch
-    ties = [br.id for br in net.branches if br.kind == "tie"]
-    if len(ties) > 1:
-        raise ValueError("several tie branches; declare ufcl.tie_branch")
-    return ties[0] if ties else None
-
-
 @dataclass(frozen=True)
 class _Nodal:
     """One operating state: the limiter resistance and the induction
@@ -86,14 +77,13 @@ class _Nodal:
     injection: np.ndarray
 
 
-def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
-           induction_z_mult: float = INDUCTION_Z_MULT) -> _Nodal:
+def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0) -> _Nodal:
     index = {b.id: i for i, b in enumerate(pu.net.buses)}
     n = len(index)
     ybus = np.zeros((n, n), dtype=complex)
     injection = np.zeros(n, dtype=complex)
 
-    tie = _tie_branch_id(pu.net)
+    tie = None if pu.net.ufcl is None else pu.net.ufcl.tie_branch
     if ufcl_state_ohm != 0.0 and tie is None:
         raise ValueError("no tie branch to carry the limiter resistance")
 
@@ -113,7 +103,7 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
     for s in pu.net.sources:
         z = pu.source_z_pu[s.id]
         if s.kind == "induction_dg":
-            z = z * induction_z_mult
+            z = z * INDUCTION_Z_MULT
         k = index[s.bus]
         ybus[k, k] += 1.0 / z
         injection[k] += s.emf_pu / z
@@ -125,36 +115,44 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
 
 
 def build_ybus(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
-               induction_z_mult: float = INDUCTION_Z_MULT,
                ) -> tuple[np.ndarray, dict[str, int]]:
     """Assemble the nodal admittance matrix (sources as shunt admittances).
 
-    ufcl_state_ohm is added in series with the tie branch, converted to
-    per-unit in the tie's voltage zone. Returns (Y, bus index map).
+    ufcl_state_ohm is added in series with the limiter's tie branch,
+    converted to per-unit in the tie's voltage zone. Returns (Y, bus index
+    map).
     """
-    nodal = _nodal(pu, ufcl_state_ohm, induction_z_mult)
+    nodal = _nodal(pu, ufcl_state_ohm)
     return nodal.ybus, nodal.index
 
 
-def _post_fault(nodal: _Nodal,
-                fault: FaultSpec) -> tuple[complex, np.ndarray]:
-    """Fault current and post-fault bus voltages, both in per-unit.
+def _solve(nodal: _Nodal, buses: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Prefault voltages and the Thevenin column of each bus, in per-unit.
 
-    The prefault profile and the Thevenin column come from one solve on a
-    two-column right-hand side, so Y is factorised once per fault.
+    One solve of Y against [injections | a unit column per bus], so every
+    fault of one operating state shares a single factorisation.
     """
-    if fault.bus not in nodal.index:
-        raise ValueError(f"unknown fault bus {fault.bus!r}")
-    k = nodal.index[fault.bus]
-    rhs = np.zeros((len(nodal.index), 2), dtype=complex)
+    for bus in buses:
+        if bus not in nodal.index:
+            raise ValueError(f"unknown fault bus {bus!r}")
+    rhs = np.zeros((len(nodal.index), 1 + len(buses)), dtype=complex)
     rhs[:, 0] = nodal.injection
-    rhs[k, 1] = 1.0
+    for j, bus in enumerate(buses, start=1):
+        rhs[nodal.index[bus], j] = 1.0
     sol = np.linalg.solve(nodal.ybus, rhs)
-    v_pre, z_col = sol[:, 0], sol[:, 1]
+    return sol[:, 0], sol[:, 1:]
 
-    zf_pu = fault.fault_impedance / nodal.pu.z_base(fault.bus)
-    i_f = v_pre[k] / (z_col[k] + zf_pu)
-    return i_f, v_pre - i_f * z_col
+
+def _post_fault(nodal: _Nodal, faults: list[FaultSpec]) -> list[tuple]:
+    """(fault current, post-fault bus voltages) per fault, in per-unit."""
+    v_pre, z_cols = _solve(nodal, [f.bus for f in faults])
+    out = []
+    for f, z_col in zip(faults, z_cols.T):
+        k = nodal.index[f.bus]
+        zf_pu = f.fault_impedance / nodal.pu.z_base(f.bus)
+        i_f = v_pre[k] / (z_col[k] + zf_pu)
+        out.append((i_f, v_pre - i_f * z_col))
+    return out
 
 
 def _branch_currents_a(nodal: _Nodal, v: np.ndarray) -> dict[str, complex]:
@@ -167,63 +165,60 @@ def _branch_currents_a(nodal: _Nodal, v: np.ndarray) -> dict[str, complex]:
     return out
 
 
-def _relay_currents(net: Network,
-                    branch_currents: dict[str, complex]) -> dict[str, float]:
-    # orientation marks the tripping direction; overcurrent elements act on
-    # the magnitude regardless
-    return {r.id: float(abs(branch_currents[r.branch])) for r in net.relays}
-
-
-def steady_state(net: Network, ufcl_state_ohm: float = 0.0,
-                 induction_z_mult: float = INDUCTION_Z_MULT,
-                 ) -> dict[str, complex]:
+def steady_state(net: Network,
+                 ufcl_state_ohm: float = 0.0) -> dict[str, complex]:
     """Branch currents (complex amps, from-side base) with no fault applied."""
-    nodal = _nodal(to_per_unit(net), ufcl_state_ohm, induction_z_mult)
-    return _branch_currents_a(nodal,
-                              np.linalg.solve(nodal.ybus, nodal.injection))
+    nodal = _nodal(to_per_unit(net), ufcl_state_ohm)
+    return _branch_currents_a(nodal, _solve(nodal, [])[0])
 
 
-def solve_fault(net: Network, fault: FaultSpec, ufcl_state_ohm: float = 0.0,
-                induction_z_mult: float = INDUCTION_Z_MULT) -> FaultResult:
-    """Solve one bolted or impedance fault by Thevenin superposition.
+def solve_faults(net: Network, faults: list[FaultSpec],
+                 ufcl_state_ohm: float = 0.0) -> list[FaultResult]:
+    """Solve bolted or impedance faults by Thevenin superposition.
 
-    The prefault profile and the Thevenin column come from the same nodal
-    matrix, so load and DG contributions are inherently superposed; the
-    post-fault voltages feed every reported current.
+    All faults share one operating state (the limiter at ufcl_state_ohm)
+    and so one factorisation of Y: the prefault profile and each fault
+    bus's Thevenin column come from the same solve, so load and DG
+    contributions are inherently superposed, and the post-fault voltages
+    feed every reported current. Results are in the order of faults.
     """
-    if fault.type != "three_phase":
-        raise ValueError(f"only three_phase faults are supported, "
-                         f"not {fault.type!r}")
+    for fault in faults:
+        if fault.type != "three_phase":
+            raise ValueError(f"only three_phase faults are supported, "
+                             f"not {fault.type!r}")
     pu = to_per_unit(net)
-    nodal = _nodal(pu, ufcl_state_ohm, induction_z_mult)
-    i_f, v_post = _post_fault(nodal, fault)
+    nodal = _nodal(pu, ufcl_state_ohm)
+    results = []
+    for fault, (i_f, v_post) in zip(faults, _post_fault(nodal, faults)):
+        branch_currents = _branch_currents_a(nodal, v_post)
+        i_f_amps = complex(i_f * pu.i_base(fault.bus))
+        # orientation marks the tripping direction; overcurrent elements
+        # act on the magnitude regardless
+        results.append(FaultResult(
+            fault_bus=fault.bus,
+            fault_current_a=abs(i_f_amps),
+            relay_currents={r.id: float(abs(branch_currents[r.branch]))
+                            for r in net.relays},
+            branch_currents=branch_currents,
+            fault_current_c=i_f_amps))
+    return results
 
-    branch_currents = _branch_currents_a(nodal, v_post)
-    i_f_amps = complex(i_f * pu.i_base(fault.bus))
-    return FaultResult(
-        fault_bus=fault.bus,
-        fault_current_a=abs(i_f_amps),
-        relay_currents=_relay_currents(net, branch_currents),
-        branch_currents=branch_currents,
-        fault_current_c=i_f_amps)
+
+def solve_fault(net: Network, fault: FaultSpec,
+                ufcl_state_ohm: float = 0.0) -> FaultResult:
+    """Solve one fault: the one-fault case of solve_faults."""
+    return solve_faults(net, [fault], ufcl_state_ohm)[0]
 
 
-def thevenin_at(pu: PuNetwork, bus: str, ufcl_state_ohm: float = 0.0,
-                induction_z_mult: float = INDUCTION_Z_MULT) -> complex:
+def thevenin_at(pu: PuNetwork, bus: str,
+                ufcl_state_ohm: float = 0.0) -> complex:
     """Driving-point impedance at a bus in per-unit (EMFs shorted)."""
-    nodal = _nodal(pu, ufcl_state_ohm, induction_z_mult)
-    if bus not in nodal.index:
-        raise ValueError(f"unknown bus {bus!r}")
-    k = nodal.index[bus]
-    unit = np.zeros(len(nodal.index), dtype=complex)
-    unit[k] = 1.0
-    return complex(np.linalg.solve(nodal.ybus, unit)[k])
+    nodal = _nodal(pu, ufcl_state_ohm)
+    return complex(_solve(nodal, [bus])[1][nodal.index[bus], 0])
 
 
 def oracle_solve(net: Network, fault: FaultSpec | None,
-                 ufcl_state_ohm: float = 0.0,
-                 induction_z_mult: float = INDUCTION_Z_MULT,
-                 ) -> OracleSolution:
+                 ufcl_state_ohm: float = 0.0) -> OracleSolution:
     """Second, independent solution route for small networks.
 
     Formulates the circuit with an explicit EMF node per source and the
@@ -252,7 +247,7 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     a = np.zeros((dim, dim), dtype=complex)
     rhs = np.zeros(dim, dtype=complex)
 
-    tie = _tie_branch_id(net)
+    tie = None if net.ufcl is None else net.ufcl.tie_branch
 
     def stamp(i: int, j: int, y: complex) -> None:
         a[i, i] += y
@@ -275,7 +270,7 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     for si, s in enumerate(net.sources):
         z = pu.source_z_pu[s.id]
         if s.kind == "induction_dg":
-            z = z * induction_z_mult
+            z = z * INDUCTION_Z_MULT
         node = n_bus + si
         stamp(node, bus_ix[s.bus], 1.0 / z)
         # ideal EMF between the internal node and ground; its current is

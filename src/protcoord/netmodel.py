@@ -150,13 +150,24 @@ def _impedance(obj, where: str) -> complex:
     if not isinstance(obj, dict) or "r" not in obj or "x" not in obj:
         raise NetworkFormatError(
             f"{where}: impedance must be an object with 'r' and 'x' fields")
-    return complex(float(obj["r"]), float(obj["x"]))
+    return complex(_number(obj, "r", where), _number(obj, "x", where))
 
 
 def _require(record: dict, name: str, where: str):
     if name not in record:
         raise NetworkFormatError(f"{where}: missing field {name!r}")
     return record[name]
+
+
+def _number(record: dict, name: str, where: str, default=None) -> float:
+    """Field name as a float; required unless a default is given."""
+    value = (_require(record, name, where) if default is None
+             else record.get(name, default))
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise NetworkFormatError(
+            f"{where}: {name} must be a number, not {value!r}") from None
 
 
 def _curve(spec, where: str) -> CurveConstants:
@@ -171,8 +182,8 @@ def _curve(spec, where: str) -> CurveConstants:
         for f in ("a", "b", "c"):
             if f not in spec:
                 raise NetworkFormatError(f"{where}: curve missing field {f!r}")
-        return CurveConstants(float(spec["a"]), float(spec["b"]),
-                              float(spec["c"]))
+        return CurveConstants(*(_number(spec, f, where)
+                                for f in ("a", "b", "c")))
     raise NetworkFormatError(
         f"{where}: curve must be a family name or an a/b/c object")
 
@@ -197,6 +208,9 @@ def load_network(text: str) -> Network:
         arr = doc.get(name, [])
         if not isinstance(arr, list):
             raise NetworkFormatError(f"{name}: must be an array")
+        for i, rec in enumerate(arr):
+            if not isinstance(rec, dict):
+                raise NetworkFormatError(f"{name}[{i}]: must be an object")
         return arr
 
     buses = []
@@ -204,7 +218,7 @@ def load_network(text: str) -> Network:
         w = f"buses[{i}]"
         buses.append(Bus(
             id=str(_require(rec, "id", w)),
-            nominal_voltage=float(_require(rec, "nominal_voltage", w))))
+            nominal_voltage=_number(rec, "nominal_voltage", w)))
 
     branches = []
     for i, rec in enumerate(records("branches")):
@@ -235,7 +249,7 @@ def load_network(text: str) -> Network:
             kind=kind,
             internal_impedance=_impedance(
                 _require(rec, "internal_impedance", w), w),
-            emf_pu=float(rec.get("emf_pu", 1.0))))
+            emf_pu=_number(rec, "emf_pu", w, 1.0)))
 
     loads = []
     for i, rec in enumerate(records("loads")):
@@ -255,8 +269,8 @@ def load_network(text: str) -> Network:
             id=str(_require(rec, "id", w)),
             branch=str(_require(rec, "branch", w)),
             orientation=orientation,
-            pickup_a=float(_require(rec, "pickup_a", w)),
-            tds=float(_require(rec, "tds", w)),
+            pickup_a=_number(rec, "pickup_a", w),
+            tds=_number(rec, "tds", w),
             curve=_curve(_require(rec, "curve", w), w)))
 
     pairs = []
@@ -271,19 +285,21 @@ def load_network(text: str) -> Network:
     if "ufcl" in doc and doc["ufcl"] is not None:
         rec = doc["ufcl"]
         w = "ufcl"
-        ref = rec.get("sizing_reference_a")
+        if not isinstance(rec, dict):
+            raise NetworkFormatError(f"{w}: must be an object")
         ufcl = UfclSpec(
             tie_branch=str(_require(rec, "tie_branch", w)),
-            r_limit=float(_require(rec, "r_limit", w)),
-            r_normal=float(rec.get("r_normal", 0.0)),
+            r_limit=_number(rec, "r_limit", w),
+            r_normal=_number(rec, "r_normal", w, 0.0),
             downstream_end=str(_require(rec, "downstream_end", w)),
             sizing_fault_bus=rec.get("sizing_fault_bus"),
-            sizing_reference_a=None if ref is None else float(ref))
+            sizing_reference_a=None if rec.get("sizing_reference_a") is None
+            else _number(rec, "sizing_reference_a", w))
 
     net = Network(
         buses=tuple(buses), branches=tuple(branches), sources=tuple(sources),
         loads=tuple(loads), relays=tuple(relays), pairs=tuple(pairs),
-        ufcl=ufcl, s_base_va=float(doc.get("s_base_va", 10e6)))
+        ufcl=ufcl, s_base_va=_number(doc, "s_base_va", "document", 10e6))
 
     _check_references(net)
     return net
@@ -388,6 +404,8 @@ def validate(net: Network) -> list[Violation]:
             bad("referential integrity", s.id, f"unknown bus {s.bus!r}")
 
     for l in net.loads:
+        if not abs(l.impedance) > 0:
+            bad("|impedance| > 0", l.id, "zero load impedance")
         if l.impedance.real < 0:
             bad("Re(impedance) >= 0", l.id, "negative load resistance")
         if l.bus not in bus_ids:

@@ -27,11 +27,12 @@ import click
 from . import bundled_dataset_path
 from .coordination import (CoordinationReport, check_pairs, format_number,
                            report_to_csv)
-from .faultcalc import FaultSpec, _nodal, _post_fault, build_ybus, solve_fault
+from .faultcalc import (FaultSpec, _nodal, _post_fault, solve_fault,
+                        solve_faults)
 from .netmodel import (Network, NetworkFormatError, load_network, to_per_unit,
                        validate)
 from .relaycurve import operate_time
-from .ufcl import UPSTREAM, SizingResult, classify_fault_side, size_ufcl
+from .ufcl import SizingResult, downstream_buses, size_ufcl
 
 __all__ = [
     "Scenario", "SCENARIOS", "RelayReading", "FaultTable", "StudyReport",
@@ -155,25 +156,29 @@ def _resolve_states(snet: Network, scenario: Scenario,
                     buses: list[str]) -> tuple[SizingResult | None,
                                                dict[str, float]]:
     """Size the limiter if enabled and map each fault bus to its ohms."""
-    states = {bus: 0.0 for bus in buses}
     if not scenario.ufcl_enabled:
-        return None, states
+        return None, {bus: 0.0 for bus in buses}
 
-    u = snet.ufcl
-    sizing_bus = u.sizing_fault_bus
+    down = downstream_buses(snet, snet.ufcl)
+    sizing_bus = snet.ufcl.sizing_fault_bus
     if sizing_bus is None:
-        upstream = [b for b in buses
-                    if classify_fault_side(snet, u, b) == UPSTREAM]
+        upstream = [b for b in buses if b not in down]
         if not upstream:
             raise ScenarioError(f"scenario {scenario.id}: no upstream fault "
                                 f"bus to size the limiter against")
         sizing_bus = upstream[0]
 
     sizing = size_ufcl(snet, sizing_bus, _sizing_target(snet, sizing_bus))
-    for bus in buses:
-        side = classify_fault_side(snet, u, bus)
-        states[bus] = sizing.r_star if side == UPSTREAM else u.r_normal
-    return sizing, states
+    return sizing, {bus: snet.ufcl.r_normal if bus in down else sizing.r_star
+                    for bus in buses}
+
+
+def _by_state(states: dict[str, float]) -> dict[float, list[FaultSpec]]:
+    """Faults grouped by limiter ohms: one operating state, one solve each."""
+    groups: dict[float, list[FaultSpec]] = {}
+    for bus, r_ohm in states.items():
+        groups.setdefault(r_ohm, []).append(FaultSpec(bus))
+    return groups
 
 
 def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
@@ -183,12 +188,14 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
                                or default_fault_buses(net)))
     try:
         sizing, states = _resolve_states(snet, scenario, buses)
+        results = {}
+        for r_ohm, faults in _by_state(states).items():
+            for res in solve_faults(snet, faults, ufcl_state_ohm=r_ohm):
+                results[res.fault_bus] = res
 
         tables = []
-        results = {}
         for bus in buses:
-            res = solve_fault(snet, FaultSpec(bus),
-                              ufcl_state_ohm=states[bus])
+            res = results[bus]
             readings = tuple(
                 RelayReading(rid, res.relay_currents[rid],
                              operate_time(snet.relay_by_id(rid),
@@ -196,7 +203,6 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
                 for rid in _reading_order(snet, bus))
             tables.append(FaultTable(bus, res.fault_current_a, states[bus],
                                      readings))
-            results[bus] = res
 
         graded = tuple(p for p in snet.pairs if p.fault_bus in results)
         coordination = check_pairs(replace(snet, pairs=graded), results)
@@ -290,15 +296,14 @@ def _load_net(path: str | None) -> Network:
     return net
 
 
-def _debug_dump(snet: Network, buses: list[str],
-                states: dict[str, float]) -> str:
+def _debug_dump(snet: Network, states: dict[str, float]) -> str:
     """Ybus entries and post-fault voltages as row,col,re,im.
 
     Matrix entries use their bus indices; the voltage profile of fault bus
     number k (1-based, order as run) appears as rows (i, -k, re, im).
     """
     pu = to_per_unit(snet)
-    ybus, _ = build_ybus(pu)
+    ybus = _nodal(pu).ybus
     out = ["row,col,re,im"]
     n = len(ybus)
     for i in range(n):
@@ -306,10 +311,13 @@ def _debug_dump(snet: Network, buses: list[str],
             y = complex(ybus[i, j])
             if y != 0:
                 out.append(f"{i},{j},{y.real!r},{y.imag!r}")
-    for k, bus in enumerate(buses, start=1):
-        _, v_post = _post_fault(_nodal(pu, states[bus]), FaultSpec(bus))
+    v_post = {}
+    for r_ohm, faults in _by_state(states).items():
+        for f, (_, v) in zip(faults, _post_fault(_nodal(pu, r_ohm), faults)):
+            v_post[f.bus] = v
+    for k, bus in enumerate(states, start=1):
         for i in range(n):
-            v = complex(v_post[i])
+            v = complex(v_post[bus][i])
             out.append(f"{i},{-k},{v.real!r},{v.imag!r}")
     return "\n".join(out) + "\n"
 
@@ -363,11 +371,10 @@ def run_cmd(network_path, scenario_id, fault_buses, fmt, out_path,
     try:
         report = run_scenario(net, scenario)
         if debug_path:
-            snet = build_scenario_net(net, scenario)
-            buses = [t.fault_bus for t in report.fault_tables]
             states = {t.fault_bus: t.ufcl_state_ohm
                       for t in report.fault_tables}
-            Path(debug_path).write_text(_debug_dump(snet, buses, states))
+            Path(debug_path).write_text(
+                _debug_dump(build_scenario_net(net, scenario), states))
         text = emit_report(report, fmt, full_precision)
         if out_path:
             Path(out_path).write_text(text)

@@ -21,13 +21,14 @@ from .netmodel import Network, UfclSpec, partition_by_tie
 __all__ = [
     "UfclSpec", "SizingResult", "SizingError",
     "UPSTREAM", "DOWNSTREAM",
-    "classify_fault_side", "size_ufcl",
+    "downstream_buses", "classify_fault_side", "size_ufcl",
 ]
 
 UPSTREAM = "upstream"
 DOWNSTREAM = "downstream"
 
 EVALUATION_CAP = 200
+R_HI_SEED = 10.0  # ohms: first resistance of the doubling bracket
 
 
 class SizingError(RuntimeError):
@@ -42,25 +43,31 @@ class SizingResult:
     iterations: int  # fault solutions spent
 
 
-def classify_fault_side(net: Network, ufcl: UfclSpec, fault_bus: str) -> str:
-    """UPSTREAM or DOWNSTREAM relative to the limiter's declared orientation."""
+def downstream_buses(net: Network, ufcl: UfclSpec) -> frozenset:
+    """Buses on the limiter's downstream side of its tie branch."""
     side_a, side_b = partition_by_tie(net, ufcl.tie_branch)
     down = side_a if ufcl.downstream_end in side_a else side_b
     if ufcl.downstream_end not in down:
         raise ValueError(
             f"downstream_end {ufcl.downstream_end!r} is not in either "
             f"partition of {ufcl.tie_branch!r}")
-    if fault_bus not in side_a and fault_bus not in side_b:
+    return down
+
+
+def classify_fault_side(net: Network, ufcl: UfclSpec, fault_bus: str) -> str:
+    """UPSTREAM or DOWNSTREAM relative to the limiter's declared orientation."""
+    down = downstream_buses(net, ufcl)
+    if fault_bus not in net.bus_ids():
         raise ValueError(f"unknown fault bus {fault_bus!r}")
     return DOWNSTREAM if fault_bus in down else UPSTREAM
 
 
 def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,
-              tol: float = 0.005, r_hi_seed: float = 10.0) -> SizingResult:
+              tol: float = 0.005) -> SizingResult:
     """Resistance restoring the upstream fault level to target_a.
 
     Evaluates |fault current| with the DG network and the limiter at R,
-    first at R=0, then doubling R from the seed until the current drops to
+    first at R=0, then doubling R from R_HI_SEED until the current drops to
     the target, then bisecting. Relative current error <= tol terminates.
     Raises SizingError when the R=0 current is already below the target
     (no resistance can raise a current) or when the evaluation budget of
@@ -100,7 +107,7 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,
             f"({target_a:.6g} A); added resistance cannot raise it")
 
     # current exceeds target: grow the bracket until it falls to tol range
-    r_hi = r_hi_seed
+    r_hi = R_HI_SEED
     e_hi, amps_hi = err(r_hi)
     while e_hi > tol:
         r_hi *= 2.0

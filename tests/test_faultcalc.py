@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_net, random_radial_net
+from conftest import random_connected_net, random_radial_net, random_tie_net
+from protcoord import faultcalc
 from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
-                                 solve_fault, steady_state, thevenin_at)
+                                 solve_fault, solve_faults, steady_state,
+                                 thevenin_at)
 from protcoord.netmodel import (Branch, Bus, Network, ShuntLoad, Source,
-                                to_per_unit)
+                                to_per_unit, validate)
 from protcoord.studio import SCENARIOS, build_scenario_net
+from protcoord.ufcl import size_ufcl
 
 
 def close(a, b, rel=1e-9, floor=1.0):
@@ -61,6 +64,27 @@ def test_ufcl_state_without_tie_rejected():
     net = two_bus(20j, with_source=True)
     with pytest.raises(ValueError, match="tie"):
         solve_fault(net, FaultSpec("b"), ufcl_state_ohm=10.0)
+
+
+def test_two_tie_branches_without_ufcl_solve_at_zero_limiter():
+    # the limiter sits on the ufcl block's tie only, so a network with
+    # several tie-kind branches and no ufcl block is an ordinary network
+    net = Network(
+        buses=tuple(Bus(b, 20000.0) for b in ("g", "a", "b", "c")),
+        branches=(Branch("ga", "g", "a", "line", 1 + 2j),
+                  Branch("t1", "a", "b", "tie", 0.5 + 1j),
+                  Branch("t2", "b", "c", "tie", 0.7 + 1.5j)),
+        sources=(Source("grid", "g", "infinite_grid", 1 + 4j),
+                 Source("dg", "c", "sync_dg", 3 + 20j)),
+        loads=(ShuntLoad("lb", "b", 300 + 40j),))
+    assert validate(net) == []
+    for bus in net.bus_ids():
+        got = solve_fault(net, FaultSpec(bus))
+        ref = oracle_solve(net, FaultSpec(bus))
+        assert close(got.fault_current_a, ref.fault_current_a), bus
+        for br in net.branches:
+            assert close(got.branch_currents[br.id],
+                         ref.branch_currents[br.id]), (bus, br.id)
 
 
 # --- steady state -----------------------------------------------------------
@@ -157,14 +181,62 @@ def test_dg_never_decreases_fault_current(seed):
         assert boosted >= base * (1 - 1e-12)
 
 
-def test_induction_multiplier_one_equals_sync(bundled_net):
+def test_induction_multiplier_one_equals_sync(bundled_net, monkeypatch):
     s5 = build_scenario_net(bundled_net, SCENARIOS["s5_induction_dg1"])
     s1 = build_scenario_net(bundled_net, SCENARIOS["s1_dg1"])
-    at_unity = solve_fault(s5, FaultSpec("bus3"), induction_z_mult=1.0)
+    with monkeypatch.context() as m:
+        m.setattr(faultcalc, "INDUCTION_Z_MULT", 1.0)
+        at_unity = solve_fault(s5, FaultSpec("bus3"))
     sync = solve_fault(s1, FaultSpec("bus3"))
     assert close(at_unity.fault_current_a, sync.fault_current_a, rel=1e-12)
     default = solve_fault(s5, FaultSpec("bus3"))
     assert default.fault_current_a < sync.fault_current_a
+
+
+# --- batches of faults -----------------------------------------------------
+
+
+FAULT_IMPEDANCES = (0j, 5 + 2j, 20 + 0j, 1 + 8j)
+
+
+def assert_batch_matches(net, r_ohm):
+    faults = [FaultSpec(b.id, FAULT_IMPEDANCES[i % len(FAULT_IMPEDANCES)])
+              for i, b in enumerate(net.buses)]
+    batch = solve_faults(net, faults, ufcl_state_ohm=r_ohm)
+    assert [res.fault_bus for res in batch] == [f.bus for f in faults]
+    for fault, res in zip(faults, batch):
+        one = solve_fault(net, fault, ufcl_state_ohm=r_ohm)
+        ref = oracle_solve(net, fault, ufcl_state_ohm=r_ohm)
+        for other in (one, ref):
+            assert close(res.fault_current_c, other.fault_current_c), fault
+            for br in net.branches:
+                assert close(res.branch_currents[br.id],
+                             other.branch_currents[br.id]), (fault, br.id)
+        assert res.relay_currents == one.relay_currents
+
+
+def test_batch_equals_single_and_oracle_on_tie_networks():
+    for seed in range(100):
+        net, bus = random_tie_net(seed)
+        assert_batch_matches(net, 0.0)
+        bare = replace(net, sources=tuple(
+            s for s in net.sources if s.kind == "infinite_grid"))
+        sized = size_ufcl(net, bus, solve_fault(bare, FaultSpec(bus))
+                          .fault_current_a)
+        assert sized.r_star > 0
+        assert_batch_matches(net, sized.r_star)
+
+
+def test_batch_equals_single_and_oracle_on_connected_networks():
+    for seed in range(100):
+        assert_batch_matches(random_connected_net(seed), 0.0)
+
+
+def test_batch_edges(bundled_net):
+    assert solve_faults(bundled_net, []) == []
+    with pytest.raises(ValueError, match="bus99"):
+        solve_faults(bundled_net, [FaultSpec("bus3"), FaultSpec("bus99"),
+                                   FaultSpec("bus4")])
 
 
 # --- thevenin ---------------------------------------------------------------

@@ -60,6 +60,33 @@ def test_missing_field_carries_locus():
         load_network(json.dumps(doc))
 
 
+@pytest.mark.parametrize("records, locus", [
+    ({"buses": [3]}, r"buses\[0\]: must be an object"),
+    ({"loads": ["id"]}, r"loads\[0\]: must be an object"),
+    ({"ufcl": [1]}, r"ufcl: must be an object"),
+])
+def test_non_object_record_carries_locus(records, locus):
+    doc = dict(json.loads(MINIMAL), **records)
+    with pytest.raises(NetworkFormatError, match=locus):
+        load_network(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, locus", [
+    (("buses", 0, "nominal_voltage"), r"buses\[0\]: nominal_voltage"),
+    (("sources", 0, "emf_pu"), r"sources\[0\]: emf_pu"),
+    (("sources", 0, "internal_impedance", "x"), r"sources\[0\]: x"),
+])
+def test_non_numeric_field_carries_locus(path, locus):
+    doc = json.loads(MINIMAL)
+    *parents, name = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[name] = "x"
+    with pytest.raises(NetworkFormatError, match=locus):
+        load_network(json.dumps(doc))
+
+
 def test_dangling_bus_reference_is_named():
     doc = json.loads(MINIMAL)
     doc["branches"] = [{"id": "b", "from_bus": "a", "to_bus": "bus9",

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
+from protcoord import bundled_dataset_path
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport, CtiBand
 from protcoord.faultcalc import FaultSpec, build_ybus, oracle_solve
 from protcoord.netmodel import to_per_unit
@@ -269,6 +270,37 @@ def test_cli_bad_network_file_exits_one(tmp_path):
     result = CliRunner().invoke(cli, ["run", "--network", str(missing),
                                       "--scenario", "s0_no_dg"])
     assert result.exit_code == 1
+
+
+def _zero_load_grid():
+    doc = json.loads(bundled_dataset_path().read_text())
+    doc["loads"][0]["impedance"] = {"r": 0, "x": 0}
+    return doc
+
+
+def _text_voltage_grid():
+    doc = json.loads(bundled_dataset_path().read_text())
+    doc["buses"][0]["nominal_voltage"] = "x"
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [lambda: {"buses": [3]},
+                                      _text_voltage_grid, _zero_load_grid],
+                         ids=["record_not_object", "text_number",
+                              "zero_load"])
+@pytest.mark.parametrize("command", [["validate"],
+                                     ["run", "--scenario", "s1_dg1"]],
+                         ids=["validate", "run"])
+def test_cli_bad_network_is_one_error_line(tmp_path, make_doc, command):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(make_doc()))
+    result = CliRunner().invoke(cli, [*command, "--network", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [ln for ln in result.output.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1, result.output
 
 
 def test_cli_usage_errors_exit_one():
