@@ -10,7 +10,7 @@ Modules:
     faultcalc    nodal fault solution plus an independent dense oracle
     relaycurve   inverse-time characteristic evaluation
     coordination CTI checking, pickup selection, TDS optimization
-    ufcl         limiter side classification and resistance sizing
+    ufcl         limiter downstream side and resistance sizing
     studio       scenario runner, report emission, CLI
 """
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
+from graphlib import CycleError, TopologicalSorter
 from typing import Mapping, Union
 
 from .faultcalc import FaultResult
@@ -22,7 +23,7 @@ from .relaycurve import operate_time
 __all__ = [
     "CtiBand", "CoordinationRow", "CoordinationReport", "TdsInfeasibleError",
     "compute_cti", "check_pairs", "set_pickups", "optimize_tds",
-    "report_to_csv", "format_number", "CSV_COLUMNS",
+    "report_to_csv", "row_cells", "format_number", "CSV_COLUMNS",
 ]
 
 CSV_COLUMNS = ("fault_bus", "main", "backup", "i_main_a", "i_backup_a",
@@ -178,22 +179,13 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
         k += 1
 
     # downstream-first order: every pair's main before its backup
-    indeg = {r.id: 0 for r in net.relays}
-    for p in pairs:
-        indeg[p.backup] += 1
-    order = []
-    ready = [r.id for r in net.relays if indeg[r.id] == 0]
-    while ready:
-        rid = ready.pop(0)
-        order.append(rid)
-        for p in pairs:
-            if p.main == rid:
-                indeg[p.backup] -= 1
-                if indeg[p.backup] == 0:
-                    ready.append(p.backup)
-    if len(order) != len(net.relays):
+    mains = {r.id: {p.main for p in pairs if p.backup == r.id}
+             for r in net.relays}
+    try:
+        order = list(TopologicalSorter(mains).static_order())
+    except CycleError:
         raise ValueError("coordination pairs are not radial "
-                         "(cycle of main/backup relations)")
+                         "(cycle of main/backup relations)") from None
 
     assigned: dict[str, float] = {}
     for rid in order:
@@ -249,19 +241,20 @@ def format_number(x: float | None, full_precision: bool = False) -> str:
     return f"{x:.4g}"
 
 
+def row_cells(row: CoordinationRow, full_precision: bool = False) -> list[str]:
+    """The CSV_COLUMNS cells of one row, as every report format prints them."""
+    return [row.fault_bus, row.main, row.backup,
+            format_number(row.i_main_a, full_precision),
+            format_number(row.i_backup_a, full_precision),
+            format_number(row.t_main_s, full_precision),
+            format_number(row.t_backup_s, full_precision),
+            format_number(row.cti_s, full_precision), row.verdict]
+
+
 def report_to_csv(report: CoordinationReport,
                   full_precision: bool = False) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in report.rows:
-        writer.writerow([
-            r.fault_bus, r.main, r.backup,
-            format_number(r.i_main_a, full_precision),
-            format_number(r.i_backup_a, full_precision),
-            format_number(r.t_main_s, full_precision),
-            format_number(r.t_backup_s, full_precision),
-            format_number(r.cti_s, full_precision),
-            r.verdict,
-        ])
+    writer.writerows(row_cells(r, full_precision) for r in report.rows)
     return out.getvalue()

@@ -10,6 +10,7 @@ Network file format (JSON):
     top-level arrays  buses, branches, sources, loads, relays, pairs
     optional object   ufcl
     impedances        {"r": ohms, "x": ohms}
+    numbers           finite (NaN and infinities are rejected)
     optional fields   emf_pu (default 1.0), referred_side (default "from"),
                       ufcl.sizing_fault_bus, ufcl.sizing_reference_a
 Relay curves are either an explicit {"a":, "b":, "c":} object or the name
@@ -160,14 +161,17 @@ def _require(record: dict, name: str, where: str):
 
 
 def _number(record: dict, name: str, where: str, default=None) -> float:
-    """Field name as a float; required unless a default is given."""
+    """Field name as a finite float; required unless a default is given."""
     value = (_require(record, name, where) if default is None
              else record.get(name, default))
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
         raise NetworkFormatError(
-            f"{where}: {name} must be a number, not {value!r}") from None
+            f"{where}: {name} must be a finite number, not {value!r}")
+    return number
 
 
 def _curve(spec, where: str) -> CurveConstants:
@@ -301,48 +305,53 @@ def load_network(text: str) -> Network:
         loads=tuple(loads), relays=tuple(relays), pairs=tuple(pairs),
         ufcl=ufcl, s_base_va=_number(doc, "s_base_va", "document", 10e6))
 
-    _check_references(net)
+    dangling = _dangling_references(net)
+    if dangling:
+        raise NetworkFormatError(str(dangling[0]))
     return net
 
 
-def _check_references(net: Network) -> None:
-    bus_ids = set(net.bus_ids())
-    branch_ids = {br.id for br in net.branches}
-    relay_ids = {r.id for r in net.relays}
-
-    def need_bus(bus_id: str, where: str):
-        if bus_id not in bus_ids:
-            raise NetworkFormatError(
-                f"{where} references undefined bus {bus_id!r}")
-
+def _dangling_references(net: Network) -> list[Violation]:
+    """Every reference to an undefined bus, branch or relay, in file order."""
+    known = {"bus": set(net.bus_ids()),
+             "branch": {br.id for br in net.branches},
+             "relay": {r.id for r in net.relays}}
+    refs = []  # (referring record, kind of the referenced id, id)
     for br in net.branches:
-        need_bus(br.from_bus, f"branch {br.id!r}")
-        need_bus(br.to_bus, f"branch {br.id!r}")
-    for src in net.sources:
-        need_bus(src.bus, f"source {src.id!r}")
-    for ld in net.loads:
-        need_bus(ld.bus, f"load {ld.id!r}")
-    for r in net.relays:
-        if r.branch not in branch_ids:
-            raise NetworkFormatError(
-                f"relay {r.id!r} references undefined branch {r.branch!r}")
+        refs += [(br.id, "bus", br.from_bus), (br.id, "bus", br.to_bus)]
+    refs += [(s.id, "bus", s.bus) for s in net.sources]
+    refs += [(l.id, "bus", l.bus) for l in net.loads]
+    refs += [(r.id, "branch", r.branch) for r in net.relays]
     for p in net.pairs:
-        for rid in (p.main, p.backup):
-            if rid not in relay_ids:
-                raise NetworkFormatError(
-                    f"pair references undefined relay {rid!r}")
-        need_bus(p.fault_bus, "pair")
+        subject = f"{p.main}/{p.backup}"
+        refs += [(subject, "relay", p.main), (subject, "relay", p.backup),
+                 (subject, "bus", p.fault_bus)]
     if net.ufcl is not None:
-        if net.ufcl.tie_branch not in branch_ids:
-            raise NetworkFormatError(
-                f"ufcl references undefined branch {net.ufcl.tie_branch!r}")
-        need_bus(net.ufcl.downstream_end, "ufcl")
-        if net.ufcl.sizing_fault_bus is not None:
-            need_bus(net.ufcl.sizing_fault_bus, "ufcl")
+        u = net.ufcl
+        refs += [("ufcl", "branch", u.tie_branch),
+                 ("ufcl", "bus", u.downstream_end)]
+        if u.sizing_fault_bus is not None:
+            refs.append(("ufcl", "bus", u.sizing_fault_bus))
+    return [Violation("referential integrity", subject,
+                      f"unknown {kind} {ref!r}")
+            for subject, kind, ref in refs if ref not in known[kind]]
 
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+def _adjacency(net: Network, skip: str | None = None) -> dict[str, set[str]]:
+    """Neighbours of each bus over the branches, leaving out branch skip.
+
+    Branches with an undefined end are left out as well.
+    """
+    adj: dict[str, set[str]] = {b.id: set() for b in net.buses}
+    for br in net.branches:
+        if br.id != skip and br.from_bus in adj and br.to_bus in adj:
+            adj[br.from_bus].add(br.to_bus)
+            adj[br.to_bus].add(br.from_bus)
+    return adj
 
 
 def _reachable(adj: dict[str, set[str]], start: str) -> frozenset:
@@ -377,10 +386,6 @@ def validate(net: Network) -> list[Violation]:
     unique([l.id for l in net.loads], "load")
     unique([r.id for r in net.relays], "relay")
 
-    bus_ids = set(net.bus_ids())
-    branch_ids = {br.id for br in net.branches}
-    relay_ids = {r.id for r in net.relays}
-
     for b in net.buses:
         if not b.nominal_voltage > 0:
             bad("nominal_voltage > 0", b.id,
@@ -391,25 +396,18 @@ def validate(net: Network) -> list[Violation]:
             bad("|impedance| > 0", br.id, "zero branch impedance")
         if br.from_bus == br.to_bus:
             bad("from_bus != to_bus", br.id, "branch loops on one bus")
-        for bref in (br.from_bus, br.to_bus):
-            if bref not in bus_ids:
-                bad("referential integrity", br.id, f"unknown bus {bref!r}")
 
     for s in net.sources:
         if not abs(s.internal_impedance) > 0:
             bad("|internal_impedance| > 0", s.id, "zero source impedance")
         if not (0.8 < s.emf_pu <= 1.2):
             bad("emf_pu in (0.8, 1.2]", s.id, f"emf_pu = {s.emf_pu}")
-        if s.bus not in bus_ids:
-            bad("referential integrity", s.id, f"unknown bus {s.bus!r}")
 
     for l in net.loads:
         if not abs(l.impedance) > 0:
             bad("|impedance| > 0", l.id, "zero load impedance")
         if l.impedance.real < 0:
             bad("Re(impedance) >= 0", l.id, "negative load resistance")
-        if l.bus not in bus_ids:
-            bad("referential integrity", l.id, f"unknown bus {l.bus!r}")
 
     for r in net.relays:
         if not r.pickup_a > 0:
@@ -422,29 +420,18 @@ def validate(net: Network) -> list[Violation]:
             bad("c > 0", r.id, f"curve c = {r.curve.c}")
         if r.curve.b < 0:
             bad("b >= 0", r.id, f"curve b = {r.curve.b}")
-        if r.branch not in branch_ids:
-            bad("referential integrity", r.id, f"unknown branch {r.branch!r}")
 
     for p in net.pairs:
-        subject = f"{p.main}/{p.backup}"
         if p.main == p.backup:
-            bad("main != backup", subject, "pair relays identical")
-        for rid in (p.main, p.backup):
-            if rid not in relay_ids:
-                bad("referential integrity", subject,
-                    f"unknown relay {rid!r}")
-        if p.fault_bus not in bus_ids:
-            bad("referential integrity", subject,
-                f"unknown bus {p.fault_bus!r}")
+            bad("main != backup", f"{p.main}/{p.backup}",
+                "pair relays identical")
 
     if net.ufcl is not None:
         u = net.ufcl
         if not (u.r_limit > u.r_normal >= 0):
             bad("r_limit > r_normal >= 0", u.tie_branch,
                 f"r_limit = {u.r_limit}, r_normal = {u.r_normal}")
-        if u.tie_branch not in branch_ids:
-            bad("referential integrity", u.tie_branch, "unknown tie branch")
-        else:
+        if u.tie_branch in {br.id for br in net.branches}:
             tie = net.branch_by_id(u.tie_branch)
             if u.downstream_end not in (tie.from_bus, tie.to_bus):
                 bad("downstream_end endpoint of tie_branch", u.downstream_end,
@@ -452,16 +439,15 @@ def validate(net: Network) -> list[Violation]:
 
     if not any(s.kind == "infinite_grid" for s in net.sources):
         bad("infinite_grid present", "network", "no infinite_grid source")
+    if not net.s_base_va > 0:
+        bad("s_base_va > 0", "network", f"s_base_va = {net.s_base_va}")
+
+    out += _dangling_references(net)
 
     # connectivity over the branch graph
     if net.buses:
-        adj: dict[str, set[str]] = {b: set() for b in bus_ids}
-        for br in net.branches:
-            if br.from_bus in adj and br.to_bus in adj:
-                adj[br.from_bus].add(br.to_bus)
-                adj[br.to_bus].add(br.from_bus)
-        seen = _reachable(adj, net.buses[0].id)
-        for b in sorted(bus_ids - seen):
+        seen = _reachable(_adjacency(net), net.buses[0].id)
+        for b in sorted(set(net.bus_ids()) - seen):
             bad("graph connected", b, "bus unreachable from first bus")
 
     return out
@@ -540,20 +526,11 @@ def partition_by_tie(net: Network, tie: str) -> tuple[frozenset, frozenset]:
     the infinite-grid source. Raises if the tie id is unknown or if its
     removal does not split the graph in exactly two.
     """
-    tie_branch = None
-    for br in net.branches:
-        if br.id == tie:
-            tie_branch = br
-            break
-    if tie_branch is None:
-        raise ValueError(f"unknown tie branch {tie!r}")
-
-    adj: dict[str, set[str]] = {b.id: set() for b in net.buses}
-    for br in net.branches:
-        if br.id == tie:
-            continue
-        adj[br.from_bus].add(br.to_bus)
-        adj[br.to_bus].add(br.from_bus)
+    try:
+        tie_branch = net.branch_by_id(tie)
+    except KeyError:
+        raise ValueError(f"unknown tie branch {tie!r}") from None
+    adj = _adjacency(net, skip=tie)
 
     side_a = _reachable(adj, tie_branch.from_bus)
     if tie_branch.to_bus in side_a:

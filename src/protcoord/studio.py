@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,8 +26,8 @@ from pathlib import Path
 import click
 
 from . import bundled_dataset_path
-from .coordination import (CoordinationReport, check_pairs, format_number,
-                           report_to_csv)
+from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
+                           format_number, report_to_csv, row_cells)
 from .faultcalc import (FaultSpec, _nodal, _post_fault, solve_fault,
                         solve_faults)
 from .netmodel import (Network, NetworkFormatError, load_network, to_per_unit,
@@ -220,18 +221,9 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
 
 
 def _coordination_md(report: CoordinationReport, full: bool) -> list[str]:
-    lines = ["| fault_bus | main | backup | i_main_a | i_backup_a "
-             "| t_main_s | t_backup_s | cti_s | verdict |",
-             "| --- | --- | --- | --- | --- | --- | --- | --- | --- |"]
-    for r in report.rows:
-        cells = [r.fault_bus, r.main, r.backup,
-                 format_number(r.i_main_a, full),
-                 format_number(r.i_backup_a, full),
-                 format_number(r.t_main_s, full),
-                 format_number(r.t_backup_s, full),
-                 format_number(r.cti_s, full), r.verdict]
-        lines.append("| " + " | ".join(cells) + " |")
-    return lines
+    rows = [CSV_COLUMNS, ["---"] * len(CSV_COLUMNS)]
+    rows += [row_cells(r, full) for r in report.rows]
+    return ["| " + " | ".join(cells) + " |" for cells in rows]
 
 
 def emit_report(report: StudyReport, format: str = "md",
@@ -239,7 +231,7 @@ def emit_report(report: StudyReport, format: str = "md",
     """Render a study report; md for reading, csv for machine hand-off."""
     if format == "csv":
         return report_to_csv(report.coordination, full_precision)
-    if format not in ("md", "markdown"):
+    if format != "md":
         raise ValueError(f"unknown report format {format!r}")
 
     full = full_precision
@@ -414,6 +406,9 @@ def _parse_times_csv(text: str) -> dict[str, dict[str, float | None]]:
     for row in reader:
         raw = (row["t_s"] or "").strip()
         t = None if raw in ("", "none", "no_trip") else float(raw)
+        if t is not None and not 0 <= t < math.inf:
+            raise ValueError(f"times csv: t_s must be a finite number >= 0, "
+                             f"not {raw!r}")
         out.setdefault(row["fault_bus"].strip(), {})[row["relay"].strip()] = t
     return out
 

@@ -20,12 +20,8 @@ from .netmodel import Network, UfclSpec, partition_by_tie
 
 __all__ = [
     "UfclSpec", "SizingResult", "SizingError",
-    "UPSTREAM", "DOWNSTREAM",
-    "downstream_buses", "classify_fault_side", "size_ufcl",
+    "downstream_buses", "size_ufcl",
 ]
-
-UPSTREAM = "upstream"
-DOWNSTREAM = "downstream"
 
 EVALUATION_CAP = 200
 R_HI_SEED = 10.0  # ohms: first resistance of the doubling bracket
@@ -54,14 +50,6 @@ def downstream_buses(net: Network, ufcl: UfclSpec) -> frozenset:
     return down
 
 
-def classify_fault_side(net: Network, ufcl: UfclSpec, fault_bus: str) -> str:
-    """UPSTREAM or DOWNSTREAM relative to the limiter's declared orientation."""
-    down = downstream_buses(net, ufcl)
-    if fault_bus not in net.bus_ids():
-        raise ValueError(f"unknown fault bus {fault_bus!r}")
-    return DOWNSTREAM if fault_bus in down else UPSTREAM
-
-
 def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,
               tol: float = 0.005) -> SizingResult:
     """Resistance restoring the upstream fault level to target_a.
@@ -73,12 +61,11 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,
     (no resistance can raise a current) or when the evaluation budget of
     200 fault solutions runs out.
     """
-    if net_with_dg.ufcl is not None:
-        side = classify_fault_side(net_with_dg, net_with_dg.ufcl, fault_bus)
-        if side != UPSTREAM:
-            raise ValueError(
-                f"fault bus {fault_bus!r} is downstream of the limiter; "
-                f"sizing needs an upstream bus")
+    if (net_with_dg.ufcl is not None
+            and fault_bus in downstream_buses(net_with_dg, net_with_dg.ufcl)):
+        raise ValueError(
+            f"fault bus {fault_bus!r} is downstream of the limiter; "
+            f"sizing needs an upstream bus")
     if not target_a > 0:
         raise ValueError(f"target must be positive, got {target_a}")
 

@@ -19,7 +19,7 @@ from protcoord.netmodel import Branch, Bus, CoordinationPair, Network, \
     RelaySpec
 from protcoord.relaycurve import CurveConstants, operate_time
 from protcoord.studio import SCENARIOS, build_scenario_net
-from protcoord.ufcl import UPSTREAM, classify_fault_side, size_ufcl
+from protcoord.ufcl import downstream_buses, size_ufcl
 
 from conftest import random_connected_net, random_tie_net
 
@@ -106,8 +106,8 @@ def _oracle_states(snet, scenario, buses):
     if not scenario.ufcl_enabled:
         return {b: 0.0 for b in buses}
     u = snet.ufcl
-    return {b: (u.r_limit if classify_fault_side(snet, u, b) == UPSTREAM
-                else u.r_normal) for b in buses}
+    down = downstream_buses(snet, u)
+    return {b: (u.r_normal if b in down else u.r_limit) for b in buses}
 
 
 def _routes_agree(net, fault_bus, state=0.0):

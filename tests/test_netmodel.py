@@ -87,12 +87,80 @@ def test_non_numeric_field_carries_locus(path, locus):
         load_network(json.dumps(doc))
 
 
-def test_dangling_bus_reference_is_named():
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", math.inf, math.nan],
+                         ids=["text_inf", "text_minus_inf", "text_nan",
+                              "json_infinity", "json_nan"])
+def test_non_finite_field_carries_locus(value):
     doc = json.loads(MINIMAL)
-    doc["branches"] = [{"id": "b", "from_bus": "a", "to_bus": "bus9",
-                        "impedance": {"r": 1.0, "x": 1.0}}]
-    with pytest.raises(NetworkFormatError, match="bus9"):
+    doc["sources"][0]["internal_impedance"]["r"] = value
+    with pytest.raises(NetworkFormatError,
+                       match=r"sources\[0\]: r must be a finite number"):
         load_network(json.dumps(doc))
+
+
+def _referring_doc():
+    """MINIMAL plus one record of every kind that refers to another id."""
+    doc = json.loads(MINIMAL)
+    doc["buses"].append({"id": "b", "nominal_voltage": 20000.0})
+    doc["branches"] = [{"id": "ab", "from_bus": "a", "to_bus": "b",
+                        "kind": "tie", "impedance": {"r": 1.0, "x": 1.0}}]
+    doc["loads"] = [{"id": "ld", "bus": "b",
+                     "impedance": {"r": 100.0, "x": 10.0}}]
+    relay = {"branch": "ab", "pickup_a": 100.0, "tds": 1.0,
+             "curve": "iec_standard_inverse"}
+    doc["relays"] = [dict(relay, id="r1"), dict(relay, id="r2")]
+    doc["pairs"] = [{"main": "r1", "backup": "r2", "fault_bus": "b"}]
+    doc["ufcl"] = {"tie_branch": "ab", "r_limit": 5.0, "downstream_end": "b",
+                   "sizing_fault_bus": "a"}
+    return doc
+
+
+@pytest.mark.parametrize("path, record", [
+    (("branches", 0, "to_bus"), "ab"),
+    (("sources", 0, "bus"), "g"),
+    (("loads", 0, "bus"), "ld"),
+    (("relays", 0, "branch"), "r1"),
+    (("pairs", 0, "backup"), "r1/"),
+    (("pairs", 0, "fault_bus"), "r1/r2"),
+    (("ufcl", "tie_branch"), "ufcl"),
+    (("ufcl", "downstream_end"), "ufcl"),
+    (("ufcl", "sizing_fault_bus"), "ufcl"),
+], ids=["branch_end", "source_bus", "load_bus", "relay_branch", "pair_relay",
+        "pair_fault_bus", "ufcl_tie", "ufcl_downstream_end",
+        "ufcl_sizing_bus"])
+def test_dangling_bus_reference_is_named(path, record):
+    doc = _referring_doc()
+    assert validate(load_network(json.dumps(doc))) == []
+    *parents, name = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[name] = "gone9"
+    with pytest.raises(NetworkFormatError,
+                       match=f"{re.escape(record)}.*'gone9'"):
+        load_network(json.dumps(doc))
+
+
+def test_validate_lists_every_dangling_reference():
+    from protcoord.netmodel import CoordinationPair, RelaySpec
+    from protcoord.relaycurve import CurveConstants
+
+    net = Network(
+        buses=(Bus("a", 20000.0),),
+        branches=(Branch("ab", "a", "b9", "tie", 1 + 1j),),
+        sources=(Source("g", "s9", "infinite_grid", 1 + 4j),),
+        loads=(ShuntLoad("ld", "l9", 100 + 10j),),
+        relays=(RelaySpec("r", "br9", "from_to", 1.0, 1.0,
+                          CurveConstants(1.0, 0.0, 1.0)),),
+        pairs=(CoordinationPair("r", "rel9", "p9"),),
+        ufcl=UfclSpec("tie9", r_limit=5.0, downstream_end="d9",
+                      sizing_fault_bus="z9"))
+    dangling = [v.message for v in validate(net)
+                if v.rule == "referential integrity"]
+    assert dangling == [
+        "unknown bus 'b9'", "unknown bus 's9'", "unknown bus 'l9'",
+        "unknown branch 'br9'", "unknown relay 'rel9'", "unknown bus 'p9'",
+        "unknown branch 'tie9'", "unknown bus 'd9'", "unknown bus 'z9'"]
 
 
 def test_curve_forms():
@@ -170,6 +238,12 @@ def test_validate_rule_strings():
 
     assert "referential integrity" in rules(grid_net(
         loads=(ShuntLoad("l", "zz", 100 + 10j),)))
+
+    assert "referential integrity" in rules(grid_net(
+        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b",
+                      sizing_fault_bus="zz")))
+
+    assert "s_base_va > 0" in rules(grid_net(s_base_va=0.0))
 
     assert "r_limit > r_normal >= 0" in rules(grid_net(
         ufcl=UfclSpec("ab", r_limit=1.0, r_normal=2.0, downstream_end="b")))

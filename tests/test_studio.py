@@ -272,26 +272,40 @@ def test_cli_bad_network_file_exits_one(tmp_path):
     assert result.exit_code == 1
 
 
-def _zero_load_grid():
-    doc = json.loads(bundled_dataset_path().read_text())
-    doc["loads"][0]["impedance"] = {"r": 0, "x": 0}
-    return doc
+def _edited_grid(*path, value):
+    """The bundled grid document with the field at path set to value."""
+    def make():
+        doc = json.loads(bundled_dataset_path().read_text())
+        *parents, name = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[name] = value
+        return doc
+    return make
 
 
-def _text_voltage_grid():
-    doc = json.loads(bundled_dataset_path().read_text())
-    doc["buses"][0]["nominal_voltage"] = "x"
-    return doc
-
-
-@pytest.mark.parametrize("make_doc", [lambda: {"buses": [3]},
-                                      _text_voltage_grid, _zero_load_grid],
-                         ids=["record_not_object", "text_number",
-                              "zero_load"])
+@pytest.mark.parametrize("make_doc, shown", [
+    (lambda: {"buses": [3]}, "buses[0]: must be an object"),
+    (_edited_grid("buses", 0, "nominal_voltage", value="x"),
+     "buses[0]: nominal_voltage"),
+    (_edited_grid("loads", 0, "impedance", value={"r": 0, "x": 0}),
+     "zero load impedance"),
+    (_edited_grid("s_base_va", value=0), "s_base_va > 0"),
+    (_edited_grid("s_base_va", value=-1e6), "s_base_va > 0"),
+    (_edited_grid("relays", 0, "pickup_a", value="inf"),
+     "relays[0]: pickup_a"),
+    (_edited_grid("loads", 0, "impedance", value={"r": "nan", "x": 1}),
+     "loads[0]: r"),
+    (_edited_grid("branches", 0, "impedance", value={"r": "inf", "x": 0}),
+     "branches[0]: r"),
+], ids=["record_not_object", "text_number", "zero_load", "zero_s_base",
+        "negative_s_base", "inf_pickup", "nan_load", "inf_branch"])
 @pytest.mark.parametrize("command", [["validate"],
                                      ["run", "--scenario", "s1_dg1"]],
                          ids=["validate", "run"])
-def test_cli_bad_network_is_one_error_line(tmp_path, make_doc, command):
+def test_cli_bad_network_is_one_error_line(tmp_path, make_doc, shown,
+                                           command):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(make_doc()))
     result = CliRunner().invoke(cli, [*command, "--network", str(path)])
@@ -301,6 +315,23 @@ def test_cli_bad_network_is_one_error_line(tmp_path, make_doc, command):
     errors = [ln for ln in result.output.splitlines()
               if ln.startswith("error:")]
     assert len(errors) == 1, result.output
+    assert shown in result.output
+
+
+@pytest.mark.parametrize("t_s", ["nan", "inf", "-inf", "-0.49"])
+def test_cli_check_rejects_bad_time(tmp_path, t_s):
+    times = tmp_path / "times.csv"
+    times.write_text("fault_bus,relay,t_s\n"
+                     f"bus3,relay2,0.39\nbus3,relay1,{t_s}\n"
+                     "bus4,relay3,0.21\nbus4,relay2,0.49\n"
+                     "bus6,relay6,0.029\nbus6,relay4,0.342\n"
+                     "dgbus,relay5,0.4521\ndgbus,relay4,0.083\n")
+    result = CliRunner().invoke(cli, ["check", "--times", str(times)])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    errors = [ln for ln in result.output.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1 and t_s in errors[0], result.output
 
 
 def test_cli_usage_errors_exit_one():

@@ -4,16 +4,12 @@ import pytest
 from protcoord.faultcalc import build_ybus, solve_fault
 from protcoord.netmodel import to_per_unit
 from protcoord.studio import SCENARIOS, build_scenario_net
-from protcoord.ufcl import (DOWNSTREAM, UPSTREAM, SizingError,
-                            classify_fault_side, size_ufcl)
+from protcoord.ufcl import SizingError, downstream_buses, size_ufcl
 
 
 def test_classify_bundled_sides(bundled_net):
-    u = bundled_net.ufcl
-    for bus in ("bus1", "bus2", "bus3", "bus4"):
-        assert classify_fault_side(bundled_net, u, bus) == UPSTREAM
-    for bus in ("bus5", "bus6", "dgbus"):
-        assert classify_fault_side(bundled_net, u, bus) == DOWNSTREAM
+    assert downstream_buses(bundled_net, bundled_net.ufcl) == {
+        "bus5", "bus6", "dgbus"}
 
 
 @pytest.mark.parametrize("sid", ["s2_dg1_ufcl", "s4_dg1_dg2_ufcl",
