@@ -11,6 +11,7 @@ families are available by name, and arbitrary constants via "custom".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -35,7 +36,9 @@ class CurveConstants:
 class TripDecision:
     """Outcome of evaluating one relay against one current.
 
-    time_s is None exactly when the relay does not trip (M <= 1).
+    time_s is None when the relay does not trip: at or below pickup
+    (M <= 1), and where the characteristic's time lies beyond the float
+    range.
     """
 
     time_s: float | None
@@ -86,7 +89,9 @@ def operate_time(relay, current_a: float) -> TripDecision:
     -------
     TripDecision
         NoTrip (time_s None) when M = current/pickup <= 1, including
-        exactly at pickup where the characteristic is singular.
+        exactly at pickup where the characteristic is singular, and when
+        the time is too large for a float. Never raises for M > 1 and
+        finite settings.
     """
     if current_a < 0:
         raise ValueError(f"current must be >= 0, got {current_a}")
@@ -94,5 +99,10 @@ def operate_time(relay, current_a: float) -> TripDecision:
     if m <= 1.0:
         return TripDecision(time_s=None, multiple_m=m)
     cv = relay.curve
-    t = relay.tds * (cv.b + cv.a / (m**cv.c - 1.0))
-    return TripDecision(time_s=t, multiple_m=m)
+    try:
+        # just above pickup M**c rounds to 1, and expm1 keeps the digits
+        rise = m**cv.c - 1.0 or math.expm1(cv.c * math.log(m))
+    except OverflowError:  # M**c beyond the float range: the a-term is 0
+        rise = math.inf
+    t = relay.tds * (cv.b + cv.a / rise) if rise else math.inf
+    return TripDecision(time_s=t if math.isfinite(t) else None, multiple_m=m)

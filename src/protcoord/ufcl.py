@@ -13,6 +13,7 @@ bisection always lands, and the whole search is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .faultcalc import FaultSpec, solve_fault
@@ -59,8 +60,11 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,
     the target, then bisecting. Relative current error <= tol terminates.
     Raises SizingError when the R=0 current is already below the target
     (no resistance can raise a current) or when the evaluation budget of
-    200 fault solutions runs out.
+    200 fault solutions runs out, and ValueError unless tol is a finite
+    number >= 0.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     if (net_with_dg.ufcl is not None
             and fault_bus in downstream_buses(net_with_dg, net_with_dg.ufcl)):
         raise ValueError(

@@ -82,9 +82,10 @@ def test_non_numeric_field_carries_locus(path, locus):
     target = doc
     for key in parents:
         target = target[key]
-    target[name] = "x"
-    with pytest.raises(NetworkFormatError, match=locus):
-        load_network(json.dumps(doc))
+    for value in ("x", True):  # booleans are not numbers
+        target[name] = value
+        with pytest.raises(NetworkFormatError, match=locus):
+            load_network(json.dumps(doc))
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", math.inf, math.nan],
@@ -250,6 +251,12 @@ def test_validate_rule_strings():
 
     assert "downstream_end endpoint of tie_branch" in rules(grid_net(
         ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="a2")))
+
+    assert "|z_pu| >= 1e-6" in rules(grid_net(
+        branches=(Branch("ab", "a", "b", "line", 1e-5 + 1e-5j),)))
+
+    assert "per-unit bases" in rules(grid_net(
+        buses=(Bus("a", 20000.0), Bus("b", 400.0))))
 
 
 def test_validate_is_pure(bundled_net):

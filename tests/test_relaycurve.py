@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,9 +85,20 @@ def test_time_strictly_decreases_with_current(a, b, c, tds, m, up):
 @given(a=curve_a, b=curve_b, c=curve_c, tds=tds_st)
 def test_time_diverges_at_pickup(a, b, c, tds):
     r = relay(a, b, c, tds, pickup=100.0)
-    near = operate_time(r, 100.0 * (1.0 + 1e-9)).time_s
     at_two = operate_time(r, 200.0).time_s
-    assert near > 1e3 * at_two
+    for current in (100.0 * (1.0 + 1e-9), math.nextafter(100.0, math.inf)):
+        assert operate_time(r, current).time_s > 1e3 * at_two
+
+
+@pytest.mark.parametrize("cv, pickup, time_s", [
+    (curve_family("ieee_very_inverse"), 1e-300, 0.491),  # M**c overflows
+    (CurveConstants(0.14, 0.0, 1e-300), 100.0,  # M**c rounds to 1
+     0.14 / math.expm1(1e-300 * math.log(10.0))),
+    (CurveConstants(1e300, 0.0, 1e-300), 100.0, None),  # beyond float range
+], ids=["power_overflows", "power_rounds_to_one", "time_overflows"])
+def test_time_at_float_extremes(cv, pickup, time_s):
+    r = relay(cv.a, cv.b, cv.c, pickup=pickup)
+    assert operate_time(r, 1000.0).time_s == time_s
 
 
 @given(a=curve_a, b=curve_b, c=curve_c, tds=tds_st,

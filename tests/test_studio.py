@@ -299,8 +299,14 @@ def _edited_grid(*path, value):
      "loads[0]: r"),
     (_edited_grid("branches", 0, "impedance", value={"r": "inf", "x": 0}),
      "branches[0]: r"),
+    (_edited_grid("branches", 0, "impedance", value={"r": 1e-12, "x": 1e-12}),
+     "b12: |z_pu| >= 1e-6"),
+    (_edited_grid("s_base_va", value=1e-300), "network: per-unit bases"),
+    (_edited_grid("buses", 2, "nominal_voltage", value=400.0),
+     "inconsistent voltage zones across branch 'b23'"),
 ], ids=["record_not_object", "text_number", "zero_load", "zero_s_base",
-        "negative_s_base", "inf_pickup", "nan_load", "inf_branch"])
+        "negative_s_base", "inf_pickup", "nan_load", "inf_branch",
+        "tiny_branch", "tiny_s_base", "line_across_zones"])
 @pytest.mark.parametrize("command", [["validate"],
                                      ["run", "--scenario", "s1_dg1"]],
                          ids=["validate", "run"])
@@ -316,6 +322,17 @@ def test_cli_bad_network_is_one_error_line(tmp_path, make_doc, shown,
               if ln.startswith("error:")]
     assert len(errors) == 1, result.output
     assert shown in result.output
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_size_ufcl_rejects_bad_tol(tol):
+    result = CliRunner().invoke(cli, ["size-ufcl", "--fault-bus", "bus3",
+                                      "--tol", tol])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    errors = [ln for ln in result.output.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1 and "tol must" in errors[0], result.output
 
 
 @pytest.mark.parametrize("t_s", ["nan", "inf", "-inf", "-0.49"])
