@@ -22,7 +22,7 @@ from .relaycurve import operate_time
 
 __all__ = [
     "CtiBand", "CoordinationRow", "CoordinationReport", "TdsInfeasibleError",
-    "compute_cti", "check_pairs", "set_pickups", "optimize_tds",
+    "check_pairs", "set_pickups", "optimize_tds",
     "report_to_csv", "row_cells", "format_number", "CSV_COLUMNS",
 ]
 
@@ -67,21 +67,13 @@ class CoordinationReport:
     def all_ok(self) -> bool:
         return all(r.verdict == "ok" for r in self.rows)
 
-    def violations(self) -> list[CoordinationRow]:
-        return [r for r in self.rows if r.verdict != "ok"]
-
-
-def compute_cti(t_main: float, t_backup: float) -> float:
-    """Coordination time interval; negative means the backup won the race."""
-    return t_backup - t_main
-
 
 def _verdict(t_main: float | None, t_backup: float | None,
              band: CtiBand) -> tuple[float | None, str]:
     if t_main is None or t_backup is None:
         return None, "no_trip"
-    cti = compute_cti(t_main, t_backup)
-    if cti < 0:
+    cti = t_backup - t_main
+    if cti < 0:  # negative: the backup won the race
         return cti, "backup_first"
     if cti < band.lo:
         return cti, "too_fast"
@@ -110,9 +102,8 @@ def check_pairs(net: Network, results: Mapping[str, FaultInput],
         if isinstance(res, FaultResult):
             i_main = res.relay_currents[pair.main]
             i_backup = res.relay_currents[pair.backup]
-            t_main = operate_time(net.relay_by_id(pair.main), i_main).time_s
-            t_backup = operate_time(net.relay_by_id(pair.backup),
-                                    i_backup).time_s
+            t_main = operate_time(net.relay_by_id(pair.main), i_main)
+            t_backup = operate_time(net.relay_by_id(pair.backup), i_backup)
         else:
             for rid in (pair.main, pair.backup):
                 if rid not in res:
@@ -146,10 +137,6 @@ def set_pickups(load_currents: Mapping[str, float],
                   else overload_factor)
         pickups[rid] = int(round(amps * factor))
     return pickups
-
-
-def _trip_time(relay, current_a: float, tds: float) -> float | None:
-    return operate_time(replace(relay, tds=tds), current_a).time_s
 
 
 def optimize_tds(net: Network, pairs: list[CoordinationPair],
@@ -195,9 +182,9 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
             if p.backup != rid:
                 continue
             res = fault_results[p.fault_bus]
-            t_main = _trip_time(net.relay_by_id(p.main),
-                                res.relay_currents[p.main],
-                                assigned[p.main])
+            t_main = operate_time(
+                replace(net.relay_by_id(p.main), tds=assigned[p.main]),
+                res.relay_currents[p.main])
             if t_main is None:
                 continue  # main never trips: no CTI to maintain
             floors.append((p, res.relay_currents[rid], t_main + band.lo))
@@ -205,7 +192,7 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
         choice = None
         for tds in grid:
             if all(
-                (t := _trip_time(relay, amps, tds)) is not None
+                (t := operate_time(replace(relay, tds=tds), amps)) is not None
                 and t >= floor
                 for _, amps, floor in floors
             ):

@@ -36,7 +36,6 @@ ORACLE_BUS_LIMIT = 12
 class FaultSpec:
     bus: str
     fault_impedance: complex = 0j  # ohms
-    type: str = "three_phase"
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0) -> _Nodal:
     for br in pu.net.branches:
         z = pu.branch_z_pu[br.id]
         if br.id == tie and ufcl_state_ohm != 0.0:
-            z = z + ufcl_state_ohm / pu.z_base(br.from_bus)
+            z = z + ufcl_state_ohm / pu.z_base[br.from_bus]
         branch_z[br.id] = z
         y = 1.0 / z
         f, t = index[br.from_bus], index[br.to_bus]
@@ -149,7 +148,7 @@ def _post_fault(nodal: _Nodal, faults: list[FaultSpec]) -> list[tuple]:
     out = []
     for f, z_col in zip(faults, z_cols.T):
         k = nodal.index[f.bus]
-        zf_pu = f.fault_impedance / nodal.pu.z_base(f.bus)
+        zf_pu = f.fault_impedance / nodal.pu.z_base[f.bus]
         i_f = v_pre[k] / (z_col[k] + zf_pu)
         out.append((i_f, v_pre - i_f * z_col))
     return out
@@ -161,7 +160,7 @@ def _branch_currents_a(nodal: _Nodal, v: np.ndarray) -> dict[str, complex]:
     for br in pu.net.branches:
         z = nodal.branch_z[br.id]
         i_pu = (v[index[br.from_bus]] - v[index[br.to_bus]]) / z
-        out[br.id] = complex(i_pu * pu.i_base(br.from_bus))
+        out[br.id] = complex(i_pu * pu.i_base[br.from_bus])
     return out
 
 
@@ -182,18 +181,12 @@ def solve_faults(net: Network, faults: list[FaultSpec],
     contributions are inherently superposed, and the post-fault voltages
     feed every reported current. Results are in the order of faults.
     """
-    for fault in faults:
-        if fault.type != "three_phase":
-            raise ValueError(f"only three_phase faults are supported, "
-                             f"not {fault.type!r}")
     pu = to_per_unit(net)
     nodal = _nodal(pu, ufcl_state_ohm)
     results = []
     for fault, (i_f, v_post) in zip(faults, _post_fault(nodal, faults)):
         branch_currents = _branch_currents_a(nodal, v_post)
-        i_f_amps = complex(i_f * pu.i_base(fault.bus))
-        # orientation marks the tripping direction; overcurrent elements
-        # act on the magnitude regardless
+        i_f_amps = complex(i_f * pu.i_base[fault.bus])
         results.append(FaultResult(
             fault_bus=fault.bus,
             fault_current_a=abs(i_f_amps),
@@ -230,9 +223,6 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     if len(net.buses) > ORACLE_BUS_LIMIT:
         raise ValueError(
             f"oracle_solve handles at most {ORACLE_BUS_LIMIT} buses")
-    if fault is not None and fault.type != "three_phase":
-        raise ValueError(f"only three_phase faults are supported, "
-                         f"not {fault.type!r}")
 
     pu = to_per_unit(net)
     bus_ix = {b.id: i for i, b in enumerate(net.buses)}
@@ -261,7 +251,7 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     for br in net.branches:
         z = pu.branch_z_pu[br.id]
         if br.id == tie and ufcl_state_ohm != 0.0:
-            z = z + ufcl_state_ohm / pu.z_base(br.from_bus)
+            z = z + ufcl_state_ohm / pu.z_base[br.from_bus]
         stamp(bus_ix[br.from_bus], bus_ix[br.to_bus], 1.0 / z)
 
     for l in net.loads:
@@ -285,7 +275,7 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
 
     i_fault_pu = 0j
     if fault is not None and not bolted:
-        zf = fault.fault_impedance / pu.z_base(fault.bus)
+        zf = fault.fault_impedance / pu.z_base[fault.bus]
         stamp_shunt(bus_ix[fault.bus], 1.0 / zf)
     if bolted:
         k = bus_ix[fault.bus]
@@ -299,7 +289,7 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     if bolted:
         i_fault_pu = x[dim - 1]
     elif fault is not None:
-        zf = fault.fault_impedance / pu.z_base(fault.bus)
+        zf = fault.fault_impedance / pu.z_base[fault.bus]
         i_fault_pu = x[bus_ix[fault.bus]] / zf
 
     voltages = {b.id: complex(x[bus_ix[b.id]]) for b in net.buses}
@@ -307,13 +297,13 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     for br in net.branches:
         z = pu.branch_z_pu[br.id]
         if br.id == tie and ufcl_state_ohm != 0.0:
-            z = z + ufcl_state_ohm / pu.z_base(br.from_bus)
+            z = z + ufcl_state_ohm / pu.z_base[br.from_bus]
         i_pu = (x[bus_ix[br.from_bus]] - x[bus_ix[br.to_bus]]) / z
-        branch_currents[br.id] = complex(i_pu * pu.i_base(br.from_bus))
+        branch_currents[br.id] = complex(i_pu * pu.i_base[br.from_bus])
 
     i_fault_a = 0j
     if fault is not None:
-        i_fault_a = complex(i_fault_pu * pu.i_base(fault.bus))
+        i_fault_a = complex(i_fault_pu * pu.i_base[fault.bus])
     return OracleSolution(
         fault_bus=None if fault is None else fault.bus,
         fault_current_a=abs(i_fault_a),

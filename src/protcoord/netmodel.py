@@ -12,11 +12,10 @@ Network file format (JSON):
     impedances        {"r": ohms, "x": ohms}
     numbers           finite (NaN, infinities and booleans are rejected)
     optional fields   branch kind (default "line"), referred_side (default
-                      "from"), emf_pu (default 1.0), relay orientation
-                      (default "from_to"), ufcl.r_normal (default 0.0),
-                      ufcl.sizing_fault_bus, ufcl.sizing_reference_a
+                      "from"), emf_pu (default 1.0), ufcl.r_normal (default
+                      0.0), ufcl.sizing_fault_bus, ufcl.sizing_reference_a
 The record dataclasses below are the schema: load_network builds each
-record from its class's fields (see _record).
+record from its class's fields (see _record) and ignores any other key.
 Relay curves are either an explicit {"a":, "b":, "c":} object or the name
 of a published family (see relaycurve.curve_family).
 """
@@ -75,7 +74,6 @@ class ShuntLoad:
 class RelaySpec:
     id: str
     branch: str
-    orientation: str  # from_to | to_from
     pickup_a: float
     tds: float
     curve: CurveConstants
@@ -92,7 +90,9 @@ class CoordinationPair:
 class UfclSpec:
     """Unidirectional fault current limiter on a tie branch.
 
-    r_limit applies for upstream faults, r_normal (usually 0) otherwise.
+    Upstream faults see the limiter's resistance, downstream faults see
+    r_normal (usually 0). A study applies the resistance R* sized by
+    ufcl.size_ufcl, not r_limit; validate only checks r_limit > r_normal.
     sizing_fault_bus / sizing_reference_a optionally record the study's
     designated sizing bus and the pre-DG fault level to restore; when
     absent the sizing target is computed from the network itself.
@@ -147,7 +147,7 @@ class Violation:
 # loading
 
 # file defaults for fields the dataclasses leave required
-_DEFAULTS = {(Branch, "kind"): "line", (RelaySpec, "orientation"): "from_to"}
+_DEFAULTS = {(Branch, "kind"): "line"}
 
 # allowed values of a text field, and the message printed for any other
 _CHOICES = {
@@ -157,8 +157,6 @@ _CHOICES = {
                                 "referred_side must be from|to"),
     (Source, "kind"): (("infinite_grid", "sync_dg", "induction_dg"),
                        "unknown source kind {!r}"),
-    (RelaySpec, "orientation"): (("from_to", "to_from"),
-                                 "orientation must be from_to|to_from"),
 }
 
 # top-level arrays and the record each entry holds
@@ -247,7 +245,8 @@ def load_network(text: str) -> Network:
 
     Each record is built from its dataclass's fields (see _record). Parse
     problems raise NetworkFormatError carrying the line or the array/field
-    locus; references to undefined ids raise NetworkFormatError naming the
+    locus, and a document nested too deeply to parse raises it too;
+    references to undefined ids raise NetworkFormatError naming the
     dangling id.
     """
     try:
@@ -255,6 +254,8 @@ def load_network(text: str) -> Network:
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise NetworkFormatError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("document root must be an object")
 
@@ -335,8 +336,10 @@ def _reachable(adj: dict[str, set[str]], start: str) -> frozenset:
 def validate(net: Network) -> list[Violation]:
     """Check every type invariant; violations are data, not exceptions.
 
-    The per-unit rules (voltage zones and bases, the smallest per-unit
-    branch impedance) run only once every other rule holds.
+    The limiter-side rules (the tie splits the grid from a downstream side
+    that holds downstream_end) and the per-unit rules (voltage zones and
+    bases, the smallest per-unit branch impedance) run only once every
+    other rule holds.
     """
     out: list[Violation] = []
 
@@ -420,20 +423,29 @@ def validate(net: Network) -> list[Violation]:
         for b in sorted(set(net.bus_ids()) - seen):
             bad("graph connected", b, "bus unreachable from first bus")
 
-    # the per-unit rules need every rule above to hold
+    # the limiter-side and per-unit rules need every rule above to hold
     if out:
         return out
+    if net.ufcl is not None:
+        u = net.ufcl
+        try:
+            if u.downstream_end not in partition_by_tie(net, u.tie_branch)[1]:
+                bad("downstream_end away from the grid", u.downstream_end,
+                    f"on the grid side of {u.tie_branch!r}")
+        except ValueError as exc:
+            bad("tie splits the network in two", u.tie_branch, str(exc))
     try:
         pu = to_per_unit(net)
     except ValueError as exc:
-        return [Violation("per-unit bases", "network", str(exc))]
+        return out + [Violation("per-unit bases", "network", str(exc))]
     # against a 60-digit solve of the bundled grid (s1_dg1, every fault
     # bus), shrinking b12, the tie or b5d costs at most 1.6e-11 relative at
     # 1e-6 pu and passes 1e-9 at about 1e-8 pu; sources and loads keep
     # 1e-12 down to 1e-12 pu and need no bound
-    return [Violation("|z_pu| >= 1e-6", br_id,
-                      f"branch impedance {abs(z):.3g} pu")
-            for br_id, z in pu.branch_z_pu.items() if not abs(z) >= 1e-6]
+    return out + [Violation("|z_pu| >= 1e-6", br_id,
+                            f"branch impedance {abs(z):.3g} pu")
+                  for br_id, z in pu.branch_z_pu.items()
+                  if not abs(z) >= 1e-6]
 
 
 # ---------------------------------------------------------------------------
@@ -444,24 +456,18 @@ def validate(net: Network) -> list[Violation]:
 class PuNetwork:
     """A network with every impedance on the common power base.
 
-    v_base maps each bus to its zone voltage base (volts line-to-line);
-    the impedance maps are per-unit values keyed by element id. The source
-    Network is retained for ids, settings and topology.
+    z_base and i_base map each bus to its impedance base (ohms) and current
+    base (amps), from its zone voltage and s_base_va; the impedance maps
+    are per-unit values keyed by element id. The source Network is retained
+    for ids, settings and topology.
     """
 
     net: Network
-    s_base_va: float
-    v_base: dict[str, float]
+    z_base: dict[str, float]
+    i_base: dict[str, float]
     branch_z_pu: dict[str, complex]
     source_z_pu: dict[str, complex]
     load_z_pu: dict[str, complex]
-
-    def z_base(self, bus_id: str) -> float:
-        v = self.v_base[bus_id]
-        return v * v / self.s_base_va
-
-    def i_base(self, bus_id: str) -> float:
-        return self.s_base_va / (math.sqrt(3.0) * self.v_base[bus_id])
 
 
 def to_per_unit(net: Network) -> PuNetwork:
@@ -473,31 +479,31 @@ def to_per_unit(net: Network) -> PuNetwork:
     or when a bus's impedance base is not a positive float.
     """
     v_base = {b.id: b.nominal_voltage for b in net.buses}
-
-    def z_base(bus_id: str) -> float:
-        v = v_base[bus_id]
+    z_base, i_base = {}, {}
+    for bus_id, v in v_base.items():
         z = v * v / net.s_base_va
         if not 0.0 < z < math.inf:
             raise ValueError(f"bus {bus_id!r}: impedance base {z} ohm")
-        return z
+        z_base[bus_id] = z
+        i_base[bus_id] = net.s_base_va / (math.sqrt(3.0) * v)
 
     branch_z = {}
     for br in net.branches:
         if br.kind == "transformer":
             ref_bus = br.from_bus if br.referred_side == "from" else br.to_bus
-            branch_z[br.id] = br.impedance / z_base(ref_bus)
+            branch_z[br.id] = br.impedance / z_base[ref_bus]
         else:
             if v_base[br.from_bus] != v_base[br.to_bus]:
                 raise ValueError(
                     f"inconsistent voltage zones across branch {br.id!r}: "
                     f"{v_base[br.from_bus]} V vs {v_base[br.to_bus]} V")
-            branch_z[br.id] = br.impedance / z_base(br.from_bus)
+            branch_z[br.id] = br.impedance / z_base[br.from_bus]
 
-    source_z = {s.id: s.internal_impedance / z_base(s.bus)
+    source_z = {s.id: s.internal_impedance / z_base[s.bus]
                 for s in net.sources}
-    load_z = {l.id: l.impedance / z_base(l.bus) for l in net.loads}
+    load_z = {l.id: l.impedance / z_base[l.bus] for l in net.loads}
 
-    return PuNetwork(net=net, s_base_va=net.s_base_va, v_base=v_base,
+    return PuNetwork(net=net, z_base=z_base, i_base=i_base,
                      branch_z_pu=branch_z, source_z_pu=source_z,
                      load_z_pu=load_z)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "CurveConstants",
-    "TripDecision",
     "curve_family",
     "operate_time",
     "CURVE_FAMILIES",
@@ -30,23 +29,6 @@ class CurveConstants:
     a: float
     b: float
     c: float
-
-
-@dataclass(frozen=True)
-class TripDecision:
-    """Outcome of evaluating one relay against one current.
-
-    time_s is None when the relay does not trip: at or below pickup
-    (M <= 1), and where the characteristic's time lies beyond the float
-    range.
-    """
-
-    time_s: float | None
-    multiple_m: float
-
-    @property
-    def trips(self) -> bool:
-        return self.time_s is not None
 
 
 # Published constant triples. IEC 60255-151 and IEEE C37.112, cross-checked
@@ -75,7 +57,7 @@ def curve_family(name: str) -> CurveConstants:
         raise ValueError(f"unknown curve family {name!r}") from None
 
 
-def operate_time(relay, current_a: float) -> TripDecision:
+def operate_time(relay, current_a: float) -> float | None:
     """Evaluate a relay's operating time at the given RMS current.
 
     Parameters
@@ -87,17 +69,17 @@ def operate_time(relay, current_a: float) -> TripDecision:
 
     Returns
     -------
-    TripDecision
-        NoTrip (time_s None) when M = current/pickup <= 1, including
-        exactly at pickup where the characteristic is singular, and when
-        the time is too large for a float. Never raises for M > 1 and
-        finite settings.
+    float or None
+        The operate time in seconds; None (no trip) when M = current/pickup
+        <= 1, including exactly at pickup where the characteristic is
+        singular, and when the time is too large for a float. Never raises
+        for M > 1 and finite settings.
     """
     if current_a < 0:
         raise ValueError(f"current must be >= 0, got {current_a}")
     m = current_a / relay.pickup_a
     if m <= 1.0:
-        return TripDecision(time_s=None, multiple_m=m)
+        return None
     cv = relay.curve
     try:
         # just above pickup M**c rounds to 1, and expm1 keeps the digits
@@ -105,4 +87,4 @@ def operate_time(relay, current_a: float) -> TripDecision:
     except OverflowError:  # M**c beyond the float range: the a-term is 0
         rise = math.inf
     t = relay.tds * (cv.b + cv.a / rise) if rise else math.inf
-    return TripDecision(time_s=t if math.isfinite(t) else None, multiple_m=m)
+    return t if math.isfinite(t) else None

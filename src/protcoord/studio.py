@@ -30,8 +30,7 @@ from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
                            format_number, report_to_csv, row_cells)
 from .faultcalc import (FaultSpec, _nodal, _post_fault, solve_fault,
                         solve_faults)
-from .netmodel import (Network, NetworkFormatError, load_network, to_per_unit,
-                       validate)
+from .netmodel import Network, load_network, to_per_unit, validate
 from .relaycurve import operate_time
 from .ufcl import SizingResult, downstream_buses, size_ufcl
 
@@ -95,14 +94,8 @@ class StudyReport:
 
 
 def default_fault_buses(net: Network) -> list[str]:
-    """Study default: buses 3, 4, 6 and the first DG's bus."""
-    ids = set(net.bus_ids())
-    out = [b for b in ("bus3", "bus4", "bus6") if b in ids]
-    for s in net.sources:
-        if s.kind != "infinite_grid":
-            if s.bus not in out:
-                out.append(s.bus)
-            break
+    """Study default: the fault bus of each declared pair, in file order."""
+    out = list(dict.fromkeys(p.fault_bus for p in net.pairs))
     if not out:
         raise ValueError("network has no default fault buses; "
                          "list fault buses explicitly")
@@ -200,7 +193,7 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
             readings = tuple(
                 RelayReading(rid, res.relay_currents[rid],
                              operate_time(snet.relay_by_id(rid),
-                                          res.relay_currents[rid]).time_s)
+                                          res.relay_currents[rid]))
                 for rid in _reading_order(snet, bus))
             tables.append(FaultTable(bus, res.fault_current_a, states[bus],
                                      readings))
@@ -272,9 +265,10 @@ def _fail(message: str):
 
 def _read_net(path: str | None) -> tuple[Path, Network]:
     file = Path(path) if path else bundled_dataset_path()
+    # ValueError covers NetworkFormatError and a file that is not UTF-8
     try:
         return file, load_network(file.read_text())
-    except (OSError, NetworkFormatError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(f"{file}: {exc}")
 
 

@@ -1,9 +1,11 @@
 """Unidirectional fault current limiter: state resolution and sizing.
 
-The limiter sits on a tie branch and presents r_limit only to faults on
-the grid (upstream) side of the tie; downstream faults see r_normal,
-normally zero, so downstream protection is untouched. Which side a fault
-is on is purely topological here: switching detection is assumed ideal.
+The limiter sits on a tie branch and presents its resistance only to
+faults on the grid (upstream) side of the tie; downstream faults see
+r_normal, normally zero, so downstream protection is untouched. A study
+applies the sized resistance R* from size_ufcl, not the file's r_limit.
+Which side a fault is on is purely topological here: switching detection
+is assumed ideal.
 
 size_ufcl picks the resistance that restores the upstream short-circuit
 level to a target (usually the pre-DG level): the fault current at an
@@ -41,14 +43,11 @@ class SizingResult:
 
 
 def downstream_buses(net: Network, ufcl: UfclSpec) -> frozenset:
-    """Buses on the limiter's downstream side of its tie branch."""
-    side_a, side_b = partition_by_tie(net, ufcl.tie_branch)
-    down = side_a if ufcl.downstream_end in side_a else side_b
-    if ufcl.downstream_end not in down:
-        raise ValueError(
-            f"downstream_end {ufcl.downstream_end!r} is not in either "
-            f"partition of {ufcl.tie_branch!r}")
-    return down
+    """Buses on the limiter's downstream side: the side away from the grid.
+
+    validate checks that ufcl.downstream_end lies on this side.
+    """
+    return partition_by_tie(net, ufcl.tie_branch)[1]
 
 
 def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,

@@ -237,29 +237,29 @@ def test_criterion_6_curve_properties(announce):
             b = rng.uniform(0.0, 1.0)
             c = rng.uniform(1e-2, 2.0)
             tds = rng.uniform(0.05, 3.0)
-            relay = RelaySpec("r", "br", "from_to", 100.0, tds,
+            relay = RelaySpec("r", "br", 100.0, tds,
                               CurveConstants(a, b, c))
 
             # no operation at or below pickup
-            assert operate_time(relay, 100.0).time_s is None
-            assert operate_time(relay, rng.uniform(0.0, 100.0)).time_s is None
+            assert operate_time(relay, 100.0) is None
+            assert operate_time(relay, rng.uniform(0.0, 100.0)) is None
 
             # strictly slower closer to pickup
             m1, m2 = sorted((rng.uniform(1.01, 20.0),
                              rng.uniform(1.01, 20.0)))
             if m1 != m2:
-                t1 = operate_time(relay, 100.0 * m1).time_s
-                t2 = operate_time(relay, 100.0 * m2).time_s
+                t1 = operate_time(relay, 100.0 * m1)
+                t2 = operate_time(relay, 100.0 * m2)
                 assert t1 > t2
 
             # unbounded growth approaching pickup
-            near = operate_time(relay, 100.0 * (1.0 + 1e-9)).time_s
-            far = operate_time(relay, 200.0).time_s
+            near = operate_time(relay, 100.0 * (1.0 + 1e-9))
+            far = operate_time(relay, 200.0)
             assert near > 1e3 * far
 
             # dial scales exactly
-            t = operate_time(relay, 250.0).time_s
-            t2 = operate_time(replace(relay, tds=2.0 * tds), 250.0).time_s
+            t = operate_time(relay, 250.0)
+            t2 = operate_time(replace(relay, tds=2.0 * tds), 250.0)
             assert t2 == 2.0 * t
 
 
@@ -270,7 +270,7 @@ def _chain(n):
     buses = tuple(Bus(f"f{i}", 20000.0) for i in range(n))
     branches = tuple(Branch(f"b{i}", "f0", "f0", "line", 1j)
                      for i in range(n))
-    relays = tuple(RelaySpec(f"r{i}", f"b{i}", "from_to", 100.0, 1.0,
+    relays = tuple(RelaySpec(f"r{i}", f"b{i}", 100.0, 1.0,
                              CurveConstants(0.14, 0.0, 0.02))
                    for i in range(n))
     pairs = tuple(CoordinationPair(f"r{i}", f"r{i + 1}", f"f{i}")
@@ -299,9 +299,9 @@ def _feasible(net, res, tds, band):
     for p in net.pairs:
         cur = res[p.fault_bus].relay_currents
         tm = operate_time(replace(net.relay_by_id(p.main), tds=tds[p.main]),
-                          cur[p.main]).time_s
+                          cur[p.main])
         tb = operate_time(replace(net.relay_by_id(p.backup),
-                                  tds=tds[p.backup]), cur[p.backup]).time_s
+                                  tds=tds[p.backup]), cur[p.backup])
         if tm is None:
             continue
         if tb is None or tb - tm < band.lo:
@@ -332,9 +332,9 @@ def test_criterion_7_tds_optimization(announce):
             branches=(Branch("b0", "f0", "f0", "line", 1j),
                       Branch("b1", "f0", "f0", "line", 1j)),
             sources=(),
-            relays=(RelaySpec("r0", "b0", "from_to", 100.0, 1.0,
+            relays=(RelaySpec("r0", "b0", 100.0, 1.0,
                               CurveConstants(1.0, 0.0, 1.0)),
-                    RelaySpec("r1", "b1", "from_to", 100.0, 1.0,
+                    RelaySpec("r1", "b1", 100.0, 1.0,
                               CurveConstants(1.0, 0.0, 1.0))),
             pairs=(CoordinationPair("r0", "r1", "f0"),))
         res = _fed(two, {"r0": 200.0, "r1": 200.0})

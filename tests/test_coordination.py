@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from protcoord.coordination import (CSV_COLUMNS, CoordinationReport, CtiBand,
                                     TdsInfeasibleError, check_pairs,
-                                    compute_cti, format_number, optimize_tds,
+                                    format_number, optimize_tds,
                                     report_to_csv, set_pickups)
 from protcoord.faultcalc import FaultResult
 from protcoord.netmodel import (Branch, Bus, CoordinationPair, Network,
@@ -23,7 +23,7 @@ def chain_net(n_relays, pickups=None, curves=None):
     buses = tuple(Bus(f"f{i}", 20000.0) for i in range(max(1, n_relays - 1)))
     branches = tuple(Branch(f"b{i}", "f0", "f0", "line", 1j)
                      for i in range(n_relays))
-    relays = tuple(RelaySpec(f"r{i}", f"b{i}", "from_to", pickups[i], 1.0,
+    relays = tuple(RelaySpec(f"r{i}", f"b{i}", pickups[i], 1.0,
                              curves[i]) for i in range(n_relays))
     pairs = tuple(CoordinationPair(f"r{i}", f"r{i + 1}", f"f{i}")
                   for i in range(n_relays - 1))
@@ -37,10 +37,10 @@ def fresult(bus, currents):
 
 
 def test_compute_cti_published_rows():
-    assert compute_cti(0.39, 1.09) == pytest.approx(0.70)
-    assert compute_cti(0.46, 1.01) == pytest.approx(0.55)
-    assert compute_cti(0.5, 0.5) == 0.0
-    assert compute_cti(0.4521, 0.083) < 0
+    assert graded(0.39, 1.09).cti_s == pytest.approx(0.70)
+    assert graded(0.46, 1.01).cti_s == pytest.approx(0.55)
+    assert graded(0.5, 0.5).cti_s == 0.0
+    assert graded(0.4521, 0.083).cti_s < 0
 
 
 def test_band_requires_order():
@@ -107,12 +107,12 @@ def test_check_pairs_order_independent():
 @given(k=st.floats(min_value=1e-3, max_value=1e3),
        m=st.floats(min_value=0.2, max_value=20.0))
 def test_scaling_currents_and_pickup_together_is_invariant(k, m):
-    r1 = RelaySpec("r", "b", "from_to", 100.0, 0.7,
+    r1 = RelaySpec("r", "b", 100.0, 0.7,
                    CurveConstants(0.14, 0.0, 0.02))
-    rk = RelaySpec("r", "b", "from_to", 100.0 * k, 0.7,
+    rk = RelaySpec("r", "b", 100.0 * k, 0.7,
                    CurveConstants(0.14, 0.0, 0.02))
-    t1 = operate_time(r1, 100.0 * m).time_s
-    tk = operate_time(rk, 100.0 * k * m).time_s
+    t1 = operate_time(r1, 100.0 * m)
+    tk = operate_time(rk, 100.0 * k * m)
     if t1 is None:
         assert tk is None
     else:
@@ -183,7 +183,7 @@ def brute_force(net, pairs, res, band, tds_min, tds_step, tds_max):
 
 def _time(net, rid, tds, amps):
     from dataclasses import replace
-    return operate_time(replace(net.relay_by_id(rid), tds=tds), amps).time_s
+    return operate_time(replace(net.relay_by_id(rid), tds=tds), amps)
 
 
 def test_optimize_tds_matches_brute_force_on_random_chains():

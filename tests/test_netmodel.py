@@ -151,7 +151,7 @@ def test_validate_lists_every_dangling_reference():
         branches=(Branch("ab", "a", "b9", "tie", 1 + 1j),),
         sources=(Source("g", "s9", "infinite_grid", 1 + 4j),),
         loads=(ShuntLoad("ld", "l9", 100 + 10j),),
-        relays=(RelaySpec("r", "br9", "from_to", 1.0, 1.0,
+        relays=(RelaySpec("r", "br9", 1.0, 1.0,
                           CurveConstants(1.0, 0.0, 1.0)),),
         pairs=(CoordinationPair("r", "rel9", "p9"),),
         ufcl=UfclSpec("tie9", r_limit=5.0, downstream_end="d9",
@@ -214,7 +214,7 @@ def test_validate_rule_strings():
     from protcoord.netmodel import RelaySpec
     from protcoord.relaycurve import CurveConstants
 
-    bad_relay = RelaySpec("r", "ab", "from_to", 0.0, 1.0,
+    bad_relay = RelaySpec("r", "ab", 0.0, 1.0,
                           CurveConstants(1.0, 0.0, 1.0))
     assert "pickup_a > 0" in rules(grid_net(relays=(bad_relay,)))
 
@@ -252,6 +252,14 @@ def test_validate_rule_strings():
     assert "downstream_end endpoint of tie_branch" in rules(grid_net(
         ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="a2")))
 
+    assert "downstream_end away from the grid" in rules(grid_net(
+        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="a")))
+
+    assert "tie splits the network in two" in rules(grid_net(
+        branches=(Branch("ab", "a", "b", "tie", 1 + 1j),
+                  Branch("par", "a", "b", "line", 2 + 2j)),
+        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b")))
+
     assert "|z_pu| >= 1e-6" in rules(grid_net(
         branches=(Branch("ab", "a", "b", "line", 1e-5 + 1e-5j),)))
 
@@ -271,8 +279,8 @@ def test_per_unit_hand_example():
     net = grid_net(branches=(Branch("ab", "a", "b", "line", 9.4 + 3.48j),))
     pu = to_per_unit(net)
     assert pu.branch_z_pu["ab"] == pytest.approx(0.235 + 0.087j, rel=1e-15)
-    assert pu.z_base("a") == pytest.approx(40.0)
-    assert pu.i_base("a") == pytest.approx(10e6 / (math.sqrt(3.0) * 20e3))
+    assert pu.z_base["a"] == pytest.approx(40.0)
+    assert pu.i_base["a"] == pytest.approx(10e6 / (math.sqrt(3.0) * 20e3))
 
 
 def test_transformer_referred_side():

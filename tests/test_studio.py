@@ -53,6 +53,12 @@ def test_scenarios_match_recorded_study(bundled_net, expected, sid):
 def test_default_fault_buses(bundled_net):
     assert default_fault_buses(bundled_net) == ["bus3", "bus4", "bus6",
                                                 "dgbus"]
+    # the declared pairs' fault buses, in file order, each once
+    pairs = bundled_net.pairs
+    net = replace(bundled_net, pairs=(pairs[3], pairs[0], pairs[3]))
+    assert default_fault_buses(net) == ["dgbus", "bus3"]
+    with pytest.raises(ValueError, match="no default fault buses"):
+        default_fault_buses(replace(bundled_net, pairs=()))
 
 
 def test_build_scenario_net_drops_and_rewrites(bundled_net):
@@ -285,6 +291,14 @@ def _edited_grid(*path, value):
     return make
 
 
+def _looped_grid():
+    """The bundled grid with a bus1-bus6 line closing a loop over the tie."""
+    doc = json.loads(bundled_dataset_path().read_text())
+    doc["branches"].append({"id": "b16", "from_bus": "bus1", "to_bus": "bus6",
+                            "impedance": {"r": 5.0, "x": 2.0}})
+    return doc
+
+
 @pytest.mark.parametrize("make_doc, shown", [
     (lambda: {"buses": [3]}, "buses[0]: must be an object"),
     (_edited_grid("buses", 0, "nominal_voltage", value="x"),
@@ -304,16 +318,27 @@ def _edited_grid(*path, value):
     (_edited_grid("s_base_va", value=1e-300), "network: per-unit bases"),
     (_edited_grid("buses", 2, "nominal_voltage", value=400.0),
      "inconsistent voltage zones across branch 'b23'"),
+    (_edited_grid("ufcl", "downstream_end", value="bus2"),
+     "bus2: downstream_end away from the grid"),
+    (_looped_grid, "tie: tie splits the network in two"),
+    # raw file bytes rather than a document
+    (lambda: '{"buses": [{"id": "b\u00e9"}]}'.encode("latin-1"),
+     "can't decode byte 0xe9"),
+    (lambda: b"[" * 100_000, "document nested too deeply"),
 ], ids=["record_not_object", "text_number", "zero_load", "zero_s_base",
         "negative_s_base", "inf_pickup", "nan_load", "inf_branch",
-        "tiny_branch", "tiny_s_base", "line_across_zones"])
+        "tiny_branch", "tiny_s_base", "line_across_zones",
+        "grid_side_downstream_end", "tie_in_loop", "not_utf8",
+        "deeply_nested"])
 @pytest.mark.parametrize("command", [["validate"],
                                      ["run", "--scenario", "s1_dg1"]],
                          ids=["validate", "run"])
 def test_cli_bad_network_is_one_error_line(tmp_path, make_doc, shown,
                                            command):
     path = tmp_path / "net.json"
-    path.write_text(json.dumps(make_doc()))
+    doc = make_doc()
+    path.write_bytes(doc if isinstance(doc, bytes)
+                     else json.dumps(doc).encode())
     result = CliRunner().invoke(cli, [*command, "--network", str(path)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
