@@ -1,11 +1,11 @@
 """CTI checking, pickup selection, and minimal-TDS coordination.
 
 The coordination time interval (CTI) between a main relay and its backup
-must land inside a band, [0.3, 0.6] s by default, band endpoints included.
-check_pairs grades declared main/backup pairs against solved faults (or
-against externally supplied operate times) and returns one verdict row per
-pair; optimize_tds finds the smallest TDS per relay on a discrete grid by
-the classical downstream-first radial sweep.
+must land inside the fixed band [CTI_MIN, CTI_MAX] = [0.3, 0.6] s,
+endpoints included. check_pairs grades declared main/backup pairs against
+solved faults (or against externally supplied operate times) and returns
+one verdict row per pair; optimize_tds finds the smallest TDS per relay on
+a discrete grid by the classical downstream-first radial sweep.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from .netmodel import CoordinationPair, Network
 from .relaycurve import operate_time
 
 __all__ = [
-    "CtiBand", "CoordinationRow", "CoordinationReport", "TdsInfeasibleError",
-    "check_pairs", "set_pickups", "optimize_tds",
+    "CTI_MIN", "CTI_MAX", "CoordinationRow", "CoordinationReport",
+    "TdsInfeasibleError", "check_pairs", "set_pickups", "optimize_tds",
     "report_to_csv", "row_cells", "format_number", "CSV_COLUMNS",
 ]
+
+CTI_MIN, CTI_MAX = 0.3, 0.6  # seconds
 
 CSV_COLUMNS = ("fault_bus", "main", "backup", "i_main_a", "i_backup_a",
                "t_main_s", "t_backup_s", "cti_s", "verdict")
@@ -32,17 +34,6 @@ CSV_COLUMNS = ("fault_bus", "main", "backup", "i_main_a", "i_backup_a",
 
 class TdsInfeasibleError(ValueError):
     """No TDS on the grid satisfies the CTI floor for some relay."""
-
-
-@dataclass(frozen=True)
-class CtiBand:
-    lo: float = 0.3
-    hi: float = 0.6
-
-    def __post_init__(self):
-        if not 0 < self.lo < self.hi:
-            raise ValueError(f"band needs 0 < lo < hi, got "
-                             f"[{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -61,23 +52,22 @@ class CoordinationRow:
 @dataclass(frozen=True)
 class CoordinationReport:
     rows: tuple[CoordinationRow, ...]
-    band: CtiBand
 
     @property
     def all_ok(self) -> bool:
         return all(r.verdict == "ok" for r in self.rows)
 
 
-def _verdict(t_main: float | None, t_backup: float | None,
-             band: CtiBand) -> tuple[float | None, str]:
+def _verdict(t_main: float | None,
+             t_backup: float | None) -> tuple[float | None, str]:
     if t_main is None or t_backup is None:
         return None, "no_trip"
     cti = t_backup - t_main
     if cti < 0:  # negative: the backup won the race
         return cti, "backup_first"
-    if cti < band.lo:
+    if cti < CTI_MIN:
         return cti, "too_fast"
-    if cti <= band.hi:
+    if cti <= CTI_MAX:
         return cti, "ok"
     return cti, "too_slow"
 
@@ -85,8 +75,8 @@ def _verdict(t_main: float | None, t_backup: float | None,
 FaultInput = Union[FaultResult, Mapping[str, Union[float, None]]]
 
 
-def check_pairs(net: Network, results: Mapping[str, FaultInput],
-                band: CtiBand = CtiBand()) -> CoordinationReport:
+def check_pairs(net: Network,
+                results: Mapping[str, FaultInput]) -> CoordinationReport:
     """Grade every declared pair at its fault bus.
 
     results maps fault bus to either a solved FaultResult (times are then
@@ -113,13 +103,13 @@ def check_pairs(net: Network, results: Mapping[str, FaultInput],
             t_main = res[pair.main]
             t_backup = res[pair.backup]
 
-        cti, verdict = _verdict(t_main, t_backup, band)
+        cti, verdict = _verdict(t_main, t_backup)
         rows.append(CoordinationRow(
             fault_bus=pair.fault_bus, main=pair.main, backup=pair.backup,
             i_main_a=i_main, i_backup_a=i_backup,
             t_main_s=t_main, t_backup_s=t_backup,
             cti_s=cti, verdict=verdict))
-    return CoordinationReport(rows=tuple(rows), band=band)
+    return CoordinationReport(rows=tuple(rows))
 
 
 def set_pickups(load_currents: Mapping[str, float],
@@ -141,13 +131,12 @@ def set_pickups(load_currents: Mapping[str, float],
 
 def optimize_tds(net: Network, pairs: list[CoordinationPair],
                  fault_results: Mapping[str, FaultResult],
-                 band: CtiBand = CtiBand(), tds_min: float = 0.05,
-                 tds_step: float = 0.05, tds_max: float = 3.0,
-                 ) -> dict[str, float]:
+                 tds_min: float = 0.05, tds_step: float = 0.05,
+                 tds_max: float = 3.0) -> dict[str, float]:
     """Smallest grid TDS per relay meeting the CTI floor, downstream first.
 
     Mains take tds_min (smaller is always better for their own pairs);
-    each backup then takes the smallest grid value keeping CTI >= band.lo
+    each backup then takes the smallest grid value keeping CTI >= CTI_MIN
     against every already-assigned main. Pair chains must be radial. The
     assignment is re-checked through check_pairs before returning; a relay
     with no workable grid value raises TdsInfeasibleError.
@@ -187,7 +176,7 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
                 res.relay_currents[p.main])
             if t_main is None:
                 continue  # main never trips: no CTI to maintain
-            floors.append((p, res.relay_currents[rid], t_main + band.lo))
+            floors.append((p, res.relay_currents[rid], t_main + CTI_MIN))
 
         choice = None
         for tds in grid:
@@ -201,13 +190,13 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
         if choice is None:
             raise TdsInfeasibleError(
                 f"relay {rid!r}: no tds in [{tds_min}, {tds_max}] "
-                f"step {tds_step} keeps CTI >= {band.lo} for its pairs")
+                f"step {tds_step} keeps CTI >= {CTI_MIN} for its pairs")
         assigned[rid] = choice
 
     relays = tuple(replace(r, tds=assigned[r.id]) for r in net.relays)
     verification = check_pairs(replace(net, relays=relays,
                                        pairs=tuple(pairs)),
-                               fault_results, band)
+                               fault_results)
     bad = [r for r in verification.rows
            if r.verdict in ("too_fast", "backup_first")]
     if bad:

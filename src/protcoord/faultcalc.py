@@ -1,10 +1,13 @@
 """Balanced three-phase fault and steady-state solutions.
 
 Single-phase positive-sequence nodal model: every source is an EMF behind
-its internal impedance, loads are constant shunt impedances, and a bolted
-(or impedance) fault at a bus is solved by superposition on the nodal
-admittance matrix. Relay currents come straight out of the post-fault
-voltage profile; there is no separate load-flow overlay.
+its internal impedance, loads are constant shunt impedances, and a fault
+is a three-phase short circuit at a bus through zero fault impedance,
+solved by superposition on the nodal admittance matrix. Relay currents
+come straight out of the post-fault voltage profile; there is no separate
+load-flow overlay. The limiter resistance (ufcl_state_ohm) is an argument
+of the fault solvers only; steady_state and thevenin_at see the network
+without it.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
@@ -34,8 +37,9 @@ ORACLE_BUS_LIMIT = 12
 
 @dataclass(frozen=True)
 class FaultSpec:
+    """A three-phase short circuit at bus, through zero fault impedance."""
+
     bus: str
-    fault_impedance: complex = 0j  # ohms
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,7 @@ def _post_fault(nodal: _Nodal, faults: list[FaultSpec]) -> list[tuple]:
     out = []
     for f, z_col in zip(faults, z_cols.T):
         k = nodal.index[f.bus]
-        zf_pu = f.fault_impedance / nodal.pu.z_base[f.bus]
-        i_f = v_pre[k] / (z_col[k] + zf_pu)
+        i_f = v_pre[k] / z_col[k]
         out.append((i_f, v_pre - i_f * z_col))
     return out
 
@@ -164,16 +167,15 @@ def _branch_currents_a(nodal: _Nodal, v: np.ndarray) -> dict[str, complex]:
     return out
 
 
-def steady_state(net: Network,
-                 ufcl_state_ohm: float = 0.0) -> dict[str, complex]:
+def steady_state(net: Network) -> dict[str, complex]:
     """Branch currents (complex amps, from-side base) with no fault applied."""
-    nodal = _nodal(to_per_unit(net), ufcl_state_ohm)
+    nodal = _nodal(to_per_unit(net))
     return _branch_currents_a(nodal, _solve(nodal, [])[0])
 
 
 def solve_faults(net: Network, faults: list[FaultSpec],
                  ufcl_state_ohm: float = 0.0) -> list[FaultResult]:
-    """Solve bolted or impedance faults by Thevenin superposition.
+    """Solve faults by Thevenin superposition.
 
     All faults share one operating state (the limiter at ufcl_state_ohm)
     and so one factorisation of Y: the prefault profile and each fault
@@ -203,10 +205,9 @@ def solve_fault(net: Network, fault: FaultSpec,
     return solve_faults(net, [fault], ufcl_state_ohm)[0]
 
 
-def thevenin_at(pu: PuNetwork, bus: str,
-                ufcl_state_ohm: float = 0.0) -> complex:
+def thevenin_at(pu: PuNetwork, bus: str) -> complex:
     """Driving-point impedance at a bus in per-unit (EMFs shorted)."""
-    nodal = _nodal(pu, ufcl_state_ohm)
+    nodal = _nodal(pu)
     return complex(_solve(nodal, [bus])[1][nodal.index[bus], 0])
 
 
@@ -215,7 +216,7 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     """Second, independent solution route for small networks.
 
     Formulates the circuit with an explicit EMF node per source and the
-    source currents as unknowns; a bolted fault is a zero-volt constraint
+    source currents as unknowns; the fault is a zero-volt constraint
     row whose current unknown is the fault current. Solved by dense
     inversion. Kept small and slow on purpose: it exists to disagree with
     solve_fault if either route is wrong.
@@ -229,10 +230,9 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     n_bus = len(net.buses)
     n_src = len(net.sources)
     # unknowns: bus voltages, source internal-node voltages, source
-    # currents, then the fault current when a bolted row is appended
+    # currents, then the fault current when a fault row is appended
     n_node = n_bus + n_src
-    bolted = fault is not None and fault.fault_impedance == 0
-    dim = n_node + n_src + (1 if bolted else 0)
+    dim = n_node + n_src + (0 if fault is None else 1)
 
     a = np.zeros((dim, dim), dtype=complex)
     rhs = np.zeros(dim, dtype=complex)
@@ -245,9 +245,6 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
         a[i, j] -= y
         a[j, i] -= y
 
-    def stamp_shunt(i: int, y: complex) -> None:
-        a[i, i] += y
-
     for br in net.branches:
         z = pu.branch_z_pu[br.id]
         if br.id == tie and ufcl_state_ohm != 0.0:
@@ -255,7 +252,7 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
         stamp(bus_ix[br.from_bus], bus_ix[br.to_bus], 1.0 / z)
 
     for l in net.loads:
-        stamp_shunt(bus_ix[l.bus], 1.0 / pu.load_z_pu[l.id])
+        a[bus_ix[l.bus], bus_ix[l.bus]] += 1.0 / pu.load_z_pu[l.id]
 
     for si, s in enumerate(net.sources):
         z = pu.source_z_pu[s.id]
@@ -270,27 +267,15 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
         a[cur, node] += 1.0
         rhs[cur] = s.emf_pu
 
-    if fault is not None and fault.bus not in bus_ix:
-        raise ValueError(f"unknown fault bus {fault.bus!r}")
-
-    i_fault_pu = 0j
-    if fault is not None and not bolted:
-        zf = fault.fault_impedance / pu.z_base[fault.bus]
-        stamp_shunt(bus_ix[fault.bus], 1.0 / zf)
-    if bolted:
+    if fault is not None:
+        if fault.bus not in bus_ix:
+            raise ValueError(f"unknown fault bus {fault.bus!r}")
+        # V_k = 0; the row's unknown, number dim - 1, is the fault current
         k = bus_ix[fault.bus]
-        cur = dim - 1
-        a[k, cur] += 1.0
-        a[cur, k] += 1.0
-        rhs[cur] = 0.0
+        a[k, dim - 1] += 1.0
+        a[dim - 1, k] += 1.0
 
     x = np.linalg.inv(a) @ rhs
-
-    if bolted:
-        i_fault_pu = x[dim - 1]
-    elif fault is not None:
-        zf = fault.fault_impedance / pu.z_base[fault.bus]
-        i_fault_pu = x[bus_ix[fault.bus]] / zf
 
     voltages = {b.id: complex(x[bus_ix[b.id]]) for b in net.buses}
     branch_currents = {}
@@ -303,7 +288,7 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
 
     i_fault_a = 0j
     if fault is not None:
-        i_fault_a = complex(i_fault_pu * pu.i_base[fault.bus])
+        i_fault_a = complex(x[dim - 1] * pu.i_base[fault.bus])
     return OracleSolution(
         fault_bus=None if fault is None else fault.bus,
         fault_current_a=abs(i_fault_a),

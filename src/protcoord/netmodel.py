@@ -94,8 +94,10 @@ class UfclSpec:
     r_normal (usually 0). A study applies the resistance R* sized by
     ufcl.size_ufcl, not r_limit; validate only checks r_limit > r_normal.
     sizing_fault_bus / sizing_reference_a optionally record the study's
-    designated sizing bus and the pre-DG fault level to restore; when
-    absent the sizing target is computed from the network itself.
+    designated sizing bus (on the grid side) and the pre-DG fault level
+    to restore there; a recorded level needs its bus. Sizing at any other
+    bus, or without a recorded level, targets the bare-grid level computed
+    from the network itself.
     """
 
     tie_branch: str
@@ -337,9 +339,9 @@ def validate(net: Network) -> list[Violation]:
     """Check every type invariant; violations are data, not exceptions.
 
     The limiter-side rules (the tie splits the grid from a downstream side
-    that holds downstream_end) and the per-unit rules (voltage zones and
-    bases, the smallest per-unit branch impedance) run only once every
-    other rule holds.
+    that holds downstream_end and not sizing_fault_bus) and the per-unit
+    rules (voltage zones and bases, the smallest per-unit branch
+    impedance) run only once every other rule holds.
     """
     out: list[Violation] = []
 
@@ -409,6 +411,13 @@ def validate(net: Network) -> list[Violation]:
             if u.downstream_end not in (tie.from_bus, tie.to_bus):
                 bad("downstream_end endpoint of tie_branch", u.downstream_end,
                     f"not an endpoint of {u.tie_branch!r}")
+        if u.sizing_reference_a is not None:
+            if not u.sizing_reference_a > 0:
+                bad("sizing_reference_a > 0", "ufcl",
+                    f"sizing_reference_a = {u.sizing_reference_a}")
+            if u.sizing_fault_bus is None:
+                bad("sizing_reference_a needs sizing_fault_bus", "ufcl",
+                    "a recorded level without the bus it was recorded at")
 
     if not any(s.kind == "infinite_grid" for s in net.sources):
         bad("infinite_grid present", "network", "no infinite_grid source")
@@ -429,11 +438,16 @@ def validate(net: Network) -> list[Violation]:
     if net.ufcl is not None:
         u = net.ufcl
         try:
-            if u.downstream_end not in partition_by_tie(net, u.tie_branch)[1]:
-                bad("downstream_end away from the grid", u.downstream_end,
-                    f"on the grid side of {u.tie_branch!r}")
+            down = partition_by_tie(net, u.tie_branch)[1]
         except ValueError as exc:
             bad("tie splits the network in two", u.tie_branch, str(exc))
+        else:
+            if u.downstream_end not in down:
+                bad("downstream_end away from the grid", u.downstream_end,
+                    f"on the grid side of {u.tie_branch!r}")
+            if u.sizing_fault_bus in down:
+                bad("sizing_fault_bus on the grid side", u.sizing_fault_bus,
+                    f"on the downstream side of {u.tie_branch!r}")
     try:
         pu = to_per_unit(net)
     except ValueError as exc:

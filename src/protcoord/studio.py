@@ -1,15 +1,17 @@
 """Scenario runner and command line front end.
 
 A scenario selects which DG units are in service, whether the tie-line
-limiter is active, and which buses get a bolted three-phase fault. The
+limiter is active, and which buses get a three-phase fault. The
 seven canned scenarios (s0_no_dg through s6_induction_dg1_ufcl) mirror the
 bundled 20 kV study grid: grid only, one synchronous DG, the same plus the
 limiter, two DGs, two DGs plus limiter, and the induction-machine variants
 of the single-DG pair.
 
-For *_ufcl scenarios the limiter is sized first (restoring the recorded
-pre-DG fault level at the designated sizing bus) and the sized resistance
-is what upstream faults then see; downstream faults see r_normal.
+For *_ufcl scenarios the limiter is sized first and the sized resistance
+is what upstream faults then see; downstream faults see r_normal. Sizing
+runs at the designated sizing bus, else at the first upstream fault bus.
+Its target is the recorded pre-DG fault level at the designated bus, and
+the bare-grid level (infinite_grid sources only) at any other bus.
 
 Exit codes: 0 all pairs coordinate, 2 coordination violations, 1 error.
 """
@@ -138,9 +140,12 @@ def _reading_order(net: Network, fault_bus: str) -> list[str]:
 
 
 def _sizing_target(net: Network, bus: str) -> float:
-    """The recorded pre-DG fault level, else the bare-grid level at bus."""
-    if net.ufcl is not None and net.ufcl.sizing_reference_a is not None:
-        return net.ufcl.sizing_reference_a
+    """The recorded pre-DG fault level when bus is the designated sizing
+    bus, else the bare-grid level at bus."""
+    u = net.ufcl
+    if (u is not None and u.sizing_reference_a is not None
+            and bus == u.sizing_fault_bus):
+        return u.sizing_reference_a
     bare = replace(net, sources=tuple(
         s for s in net.sources if s.kind == "infinite_grid"))
     return solve_fault(bare, FaultSpec(bus)).fault_current_a
@@ -311,7 +316,9 @@ def _debug_dump(snet: Network, states: dict[str, float]) -> str:
 class _StudioGroup(click.Group):
     """Exit 2 is reserved for coordination verdicts, so command line
     mistakes (unknown flags, bad choices) must exit 1 instead of click's
-    default 2."""
+    default 2. This is also the commands' one error boundary: an OSError,
+    ValueError or RuntimeError from any of them ends in one error line and
+    exit 1."""
 
     def main(self, *args, **kwargs):
         kwargs.setdefault("standalone_mode", False)
@@ -324,6 +331,9 @@ class _StudioGroup(click.Group):
         except click.ClickException as exc:
             exc.show()
             sys.exit(1)
+        # after the click clauses: Exit and Abort are RuntimeErrors too
+        except (OSError, ValueError, RuntimeError) as exc:
+            _fail(str(exc))
 
 
 @click.group(cls=_StudioGroup)
@@ -354,20 +364,16 @@ def run_cmd(network_path, scenario_id, fault_buses, fmt, out_path,
     scenario = SCENARIOS[scenario_id]
     if fault_buses:
         scenario = replace(scenario, fault_buses=tuple(fault_buses))
-    try:
-        report = run_scenario(net, scenario)
-        if debug_path:
-            states = {t.fault_bus: t.ufcl_state_ohm
-                      for t in report.fault_tables}
-            Path(debug_path).write_text(
-                _debug_dump(build_scenario_net(net, scenario), states))
-        text = emit_report(report, fmt, full_precision)
-        if out_path:
-            Path(out_path).write_text(text)
-        else:
-            click.echo(text, nl=False)
-    except (ScenarioError, ValueError, OSError) as exc:
-        _fail(str(exc))
+    report = run_scenario(net, scenario)
+    if debug_path:
+        states = {t.fault_bus: t.ufcl_state_ohm for t in report.fault_tables}
+        Path(debug_path).write_text(
+            _debug_dump(build_scenario_net(net, scenario), states))
+    text = emit_report(report, fmt, full_precision)
+    if out_path:
+        Path(out_path).write_text(text)
+    else:
+        click.echo(text, nl=False)
     sys.exit(0 if report.coordination.all_ok else 2)
 
 
@@ -375,16 +381,10 @@ def run_cmd(network_path, scenario_id, fault_buses, fmt, out_path,
 @click.option("--network", "network_path", default=None,
               help="Network JSON (defaults to the bundled study grid).")
 @click.option("--fault-bus", "fault_bus", required=True)
-@click.option("--tol", type=float, default=0.005, show_default=True,
-              help="Relative current error at which sizing stops.")
-def size_cmd(network_path, fault_bus, tol):
+def size_cmd(network_path, fault_bus):
     """Size the limiter to restore the pre-DG fault level at one bus."""
     net = _load_net(network_path)
-    try:
-        result = size_ufcl(net, fault_bus, _sizing_target(net, fault_bus),
-                           tol=tol)
-    except (ValueError, RuntimeError) as exc:
-        _fail(str(exc))
+    result = size_ufcl(net, fault_bus, _sizing_target(net, fault_bus))
     click.echo(f"r_star_ohm = {result.r_star!r}")
     click.echo(f"achieved_a = {result.achieved_current_a!r}")
     click.echo(f"target_a = {result.target_current_a!r}")
@@ -398,7 +398,10 @@ def _parse_times_csv(text: str) -> dict[str, dict[str, float | None]]:
         raise ValueError("times csv needs columns: fault_bus, relay, t_s")
     out: dict[str, dict[str, float | None]] = {}
     for row in reader:
-        raw = (row["t_s"] or "").strip()
+        if any(row[col] is None for col in need):
+            raise ValueError(f"times csv line {reader.line_num}: fewer "
+                             f"fields than the header")
+        raw = row["t_s"].strip()
         t = None if raw in ("", "none", "no_trip") else float(raw)
         if t is not None and not 0 <= t < math.inf:
             raise ValueError(f"times csv: t_s must be a finite number >= 0, "
@@ -417,11 +420,7 @@ def _parse_times_csv(text: str) -> dict[str, dict[str, float | None]]:
 def check_cmd(network_path, times_path, full_precision):
     """Grade the declared pairs against externally supplied times."""
     net = _load_net(network_path)
-    try:
-        times = _parse_times_csv(Path(times_path).read_text())
-        report = check_pairs(net, times)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+    report = check_pairs(net, _parse_times_csv(Path(times_path).read_text()))
     for line in _coordination_md(report, full_precision):
         click.echo(line)
     sys.exit(0 if report.all_ok else 2)

@@ -8,14 +8,14 @@ Which side a fault is on is purely topological here: switching detection
 is assumed ideal.
 
 size_ufcl picks the resistance that restores the upstream short-circuit
-level to a target (usually the pre-DG level): the fault current at an
-upstream bus is monotone non-increasing in R, so a doubling bracket plus
-bisection always lands, and the whole search is deterministic.
+level to a target (usually the pre-DG level) within SIZING_TOL, 0.5 %
+relative: the fault current at an upstream bus is monotone non-increasing
+in R, so a doubling bracket plus bisection lands whenever the target lies
+above the tie-open level, and the whole search is deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .faultcalc import FaultSpec, solve_fault
@@ -28,6 +28,7 @@ __all__ = [
 
 EVALUATION_CAP = 200
 R_HI_SEED = 10.0  # ohms: first resistance of the doubling bracket
+SIZING_TOL = 0.005  # relative current error at which sizing stops
 
 
 class SizingError(RuntimeError):
@@ -50,20 +51,17 @@ def downstream_buses(net: Network, ufcl: UfclSpec) -> frozenset:
     return partition_by_tie(net, ufcl.tie_branch)[1]
 
 
-def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,
-              tol: float = 0.005) -> SizingResult:
+def size_ufcl(net_with_dg: Network, fault_bus: str,
+              target_a: float) -> SizingResult:
     """Resistance restoring the upstream fault level to target_a.
 
     Evaluates |fault current| with the DG network and the limiter at R,
     first at R=0, then doubling R from R_HI_SEED until the current drops to
-    the target, then bisecting. Relative current error <= tol terminates.
-    Raises SizingError when the R=0 current is already below the target
-    (no resistance can raise a current) or when the evaluation budget of
-    200 fault solutions runs out, and ValueError unless tol is a finite
-    number >= 0.
+    the target, then bisecting. Relative current error <= SIZING_TOL
+    terminates. Raises SizingError when the R=0 current is already below
+    the target (no resistance can raise a current) or when the evaluation
+    budget of 200 fault solutions runs out.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     if (net_with_dg.ufcl is not None
             and fault_bus in downstream_buses(net_with_dg, net_with_dg.ufcl)):
         raise ValueError(
@@ -80,7 +78,7 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,
         if evals > EVALUATION_CAP:
             raise SizingError(
                 f"no convergence within {EVALUATION_CAP} fault solutions "
-                f"(tol {tol})")
+                f"(tol {SIZING_TOL})")
         return solve_fault(net_with_dg, FaultSpec(fault_bus),
                            ufcl_state_ohm=r_ohm).fault_current_a
 
@@ -89,9 +87,9 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,
         return (amps - target_a) / target_a, amps
 
     e0, amps0 = err(0.0)
-    if abs(e0) <= tol:
+    if abs(e0) <= SIZING_TOL:
         return SizingResult(0.0, amps0, target_a, evals)
-    if e0 < -tol:
+    if e0 < -SIZING_TOL:
         raise SizingError(
             f"current at R=0 ({amps0:.6g} A) is below the target "
             f"({target_a:.6g} A); added resistance cannot raise it")
@@ -99,19 +97,19 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float,
     # current exceeds target: grow the bracket until it falls to tol range
     r_hi = R_HI_SEED
     e_hi, amps_hi = err(r_hi)
-    while e_hi > tol:
+    while e_hi > SIZING_TOL:
         r_hi *= 2.0
         e_hi, amps_hi = err(r_hi)
-    if e_hi >= -tol:
+    if e_hi >= -SIZING_TOL:
         return SizingResult(r_hi, amps_hi, target_a, evals)
 
     lo, hi = 0.0, r_hi
     while True:
         mid = 0.5 * (lo + hi)
         e_mid, amps_mid = err(mid)
-        if abs(e_mid) <= tol:
+        if abs(e_mid) <= SIZING_TOL:
             return SizingResult(mid, amps_mid, target_a, evals)
-        if e_mid > tol:
+        if e_mid > SIZING_TOL:
             lo = mid
         else:
             hi = mid

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from protcoord.coordination import CtiBand, check_pairs, optimize_tds
+from protcoord.coordination import check_pairs, optimize_tds
 from protcoord.faultcalc import FaultResult, FaultSpec, oracle_solve, \
     solve_fault
 from protcoord.netmodel import Branch, Bus, CoordinationPair, Network, \
@@ -295,7 +295,7 @@ def _grid(lo, step, hi):
     return out
 
 
-def _feasible(net, res, tds, band):
+def _feasible(net, res, tds):
     for p in net.pairs:
         cur = res[p.fault_bus].relay_currents
         tm = operate_time(replace(net.relay_by_id(p.main), tds=tds[p.main]),
@@ -304,17 +304,17 @@ def _feasible(net, res, tds, band):
                                   tds=tds[p.backup]), cur[p.backup])
         if tm is None:
             continue
-        if tb is None or tb - tm < band.lo:
+        if tb is None or tb - tm < 0.3:
             return False
     return True
 
 
-def _exhaustive(net, res, band, lo, step, hi):
+def _exhaustive(net, res, lo, step, hi):
     ids = [r.id for r in net.relays]
     best = None
     for combo in itertools.product(_grid(lo, step, hi), repeat=len(ids)):
         tds = dict(zip(ids, combo))
-        if _feasible(net, res, tds, band) and (
+        if _feasible(net, res, tds) and (
                 best is None or sum(combo) < sum(best.values())):
             best = tds
     return best
@@ -323,7 +323,6 @@ def _exhaustive(net, res, band, lo, step, hi):
 def test_criterion_7_tds_optimization(announce):
     with announce(7, "dial optimization matches exhaustive search"):
         t0 = time.perf_counter()
-        band = CtiBand()
 
         # worked two-relay example: identical curves, both see twice
         # pickup, minimum dial 0.1 in steps of 0.05
@@ -342,7 +341,7 @@ def test_criterion_7_tds_optimization(announce):
                            tds_min=0.1, tds_step=0.05)
         assert got["r0"] == pytest.approx(0.1)
         assert got["r1"] == pytest.approx(0.4)
-        want = _exhaustive(two, res, band, 0.1, 0.05, 3.0)
+        want = _exhaustive(two, res, 0.1, 0.05, 3.0)
         for rid in got:
             assert got[rid] == pytest.approx(want[rid])
 
@@ -351,7 +350,7 @@ def test_criterion_7_tds_optimization(announce):
         res3 = _fed(three, {"r0": 600.0, "r1": 450.0, "r2": 300.0})
         got3 = optimize_tds(three, list(three.pairs), res3,
                             tds_max=1.5)
-        want3 = _exhaustive(three, res3, band, 0.05, 0.05, 1.5)
+        want3 = _exhaustive(three, res3, 0.05, 0.05, 1.5)
         assert want3 is not None
         for rid in got3:
             assert got3[rid] == pytest.approx(want3[rid])
@@ -362,6 +361,6 @@ def test_criterion_7_tds_optimization(announce):
                 continue
             worse = dict(got3)
             worse[rid] = val - 0.05
-            assert not _feasible(three, res3, worse, band), rid
+            assert not _feasible(three, res3, worse), rid
 
         assert time.perf_counter() - t0 < 10.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from protcoord.coordination import (CSV_COLUMNS, CoordinationReport, CtiBand,
+from protcoord.coordination import (CSV_COLUMNS, CoordinationReport,
                                     TdsInfeasibleError, check_pairs,
                                     format_number, optimize_tds,
                                     report_to_csv, set_pickups)
@@ -43,17 +43,10 @@ def test_compute_cti_published_rows():
     assert graded(0.4521, 0.083).cti_s < 0
 
 
-def test_band_requires_order():
-    with pytest.raises(ValueError):
-        CtiBand(lo=0.6, hi=0.3)
-    with pytest.raises(ValueError):
-        CtiBand(lo=0.0, hi=0.5)
-
-
-def graded(t_main, t_backup, band=None):
+def graded(t_main, t_backup):
     net = chain_net(2)
     res = {"f0": {"r0": t_main, "r1": t_backup}}
-    report = check_pairs(net, res, band or CtiBand())
+    report = check_pairs(net, res)
     return report.rows[0]
 
 
@@ -151,7 +144,7 @@ def test_optimize_tds_lone_relay_gets_minimum():
     assert got == {"r0": 0.05}
 
 
-def brute_force(net, pairs, res, band, tds_min, tds_step, tds_max):
+def brute_force(net, pairs, res, tds_min, tds_step, tds_max):
     grid = []
     k = 0
     while tds_min + k * tds_step <= tds_max + 1e-12:
@@ -173,7 +166,7 @@ def brute_force(net, pairs, res, band, tds_min, tds_step, tds_max):
             tb = table[i, p.backup][tds[p.backup]]
             if tm is None:
                 continue
-            if tb is None or tb - tm < band.lo:
+            if tb is None or tb - tm < 0.3:
                 ok = False
                 break
         if ok and (best is None or sum(combo) < sum(best.values())):
@@ -197,8 +190,7 @@ def test_optimize_tds_matches_brute_force_on_random_chains():
         res = {f"f{i}": fresult(f"f{i}", {
             f"r{j}": pickups[j] * rng.uniform(2.0, 8.0) for j in range(n)})
             for i in range(n - 1)}
-        band = CtiBand()
-        args = (net, list(net.pairs), res, band, 0.05, 0.05, 3.0)
+        args = (net, list(net.pairs), res, 0.05, 0.05, 3.0)
         try:
             got = optimize_tds(*args)
         except TdsInfeasibleError:

@@ -156,16 +156,6 @@ def test_fault_result_covers_all_relays(bundled_net):
 
 @settings(deadline=None)
 @given(seed=st.integers(0, 5000))
-def test_fault_impedance_monotonicity(seed):
-    net = random_connected_net(seed)
-    bus = net.buses[seed % len(net.buses)].id
-    mags = [solve_fault(net, FaultSpec(bus, complex(rf, 0.0))).fault_current_a
-            for rf in (0.0, 2.0, 10.0, 50.0)]
-    assert all(m1 > m2 for m1, m2 in zip(mags, mags[1:]))
-
-
-@settings(deadline=None)
-@given(seed=st.integers(0, 5000))
 def test_dg_never_decreases_fault_current(seed):
     net = random_radial_net(seed, with_dg=False)
     dg = Source("dg", net.buses[-1].id, "sync_dg", 2 + 15j)
@@ -191,12 +181,8 @@ def test_induction_multiplier_one_equals_sync(bundled_net, monkeypatch):
 # --- batches of faults -----------------------------------------------------
 
 
-FAULT_IMPEDANCES = (0j, 5 + 2j, 20 + 0j, 1 + 8j)
-
-
 def assert_batch_matches(net, r_ohm):
-    faults = [FaultSpec(b.id, FAULT_IMPEDANCES[i % len(FAULT_IMPEDANCES)])
-              for i, b in enumerate(net.buses)]
+    faults = [FaultSpec(b.id) for b in net.buses]
     batch = solve_faults(net, faults, ufcl_state_ohm=r_ohm)
     assert [res.fault_bus for res in batch] == [f.bus for f in faults]
     for fault, res in zip(faults, batch):
@@ -366,10 +352,3 @@ def test_oracle_bus_limit():
                   sources=(Source("g", "n0", "infinite_grid", 1 + 4j),))
     with pytest.raises(ValueError, match="12"):
         oracle_solve(net, FaultSpec("n5"))
-
-
-def test_oracle_handles_fault_impedance(bundled_net):
-    spec = FaultSpec("bus4", fault_impedance=5 + 2j)
-    a = solve_fault(bundled_net, spec)
-    b = oracle_solve(bundled_net, spec)
-    assert close(a.fault_current_a, b.fault_current_a)

@@ -255,6 +255,18 @@ def test_validate_rule_strings():
     assert "downstream_end away from the grid" in rules(grid_net(
         ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="a")))
 
+    assert "sizing_fault_bus on the grid side" in rules(grid_net(
+        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b",
+                      sizing_fault_bus="b")))
+
+    assert "sizing_reference_a > 0" in rules(grid_net(
+        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b",
+                      sizing_fault_bus="a", sizing_reference_a=-5.0)))
+
+    assert "sizing_reference_a needs sizing_fault_bus" in rules(grid_net(
+        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b",
+                      sizing_reference_a=900.0)))
+
     assert "tie splits the network in two" in rules(grid_net(
         branches=(Branch("ab", "a", "b", "tie", 1 + 1j),
                   Branch("par", "a", "b", "line", 2 + 2j)),

@@ -4,13 +4,16 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
+from conftest import random_tie_net
 from protcoord import bundled_dataset_path
-from protcoord.coordination import CSV_COLUMNS, CoordinationReport, CtiBand
-from protcoord.faultcalc import FaultSpec, build_ybus, oracle_solve
-from protcoord.netmodel import to_per_unit
+from protcoord.coordination import CSV_COLUMNS, CoordinationReport
+from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
+                                 solve_fault)
+from protcoord.netmodel import partition_by_tie, to_per_unit
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
                               emit_report, run_scenario)
+from protcoord.ufcl import size_ufcl
 
 
 def close(a, b, rel=1e-9, floor=1.0):
@@ -99,6 +102,42 @@ def test_run_scenario_grades_only_requested_buses(bundled_net):
     assert report.coordination.all_ok
 
 
+def _undesignated(seed):
+    """A random tie network whose ufcl block names no sizing bus, and its
+    upstream and downstream buses."""
+    net, _ = random_tie_net(seed)
+    net = replace(net, ufcl=replace(net.ufcl, sizing_fault_bus=None))
+    up, down = partition_by_tie(net, "tie")
+    return (net, [b for b in net.bus_ids() if b in up],
+            [b for b in net.bus_ids() if b in down])
+
+
+def test_run_scenario_sizes_at_first_upstream_fault_bus():
+    for seed in range(100):
+        net, up, down = _undesignated(seed)
+        # a downstream bus leads, so the sizing bus is the second listed
+        buses = (down[0], *reversed(up))
+        report = run_scenario(net, Scenario("x", frozenset({"dg"}),
+                                            ufcl_enabled=True,
+                                            fault_buses=buses))
+        bare = replace(net, sources=tuple(
+            s for s in net.sources if s.kind == "infinite_grid"))
+        target = solve_fault(bare, FaultSpec(up[-1])).fault_current_a
+        assert report.sizing == size_ufcl(net, up[-1], target), seed
+        states = {t.fault_bus: t.ufcl_state_ohm for t in report.fault_tables}
+        assert states == {b: 0.0 if b in down else report.sizing.r_star
+                          for b in buses}, seed
+
+
+def test_run_scenario_needs_an_upstream_fault_bus():
+    for seed in range(100):
+        net, _, down = _undesignated(seed)
+        with pytest.raises(ScenarioError, match="no upstream fault bus"):
+            run_scenario(net, Scenario("x", frozenset({"dg"}),
+                                       ufcl_enabled=True,
+                                       fault_buses=tuple(down)))
+
+
 def test_md_report_structure(bundled_net):
     report = run_scenario(bundled_net, SCENARIOS["s2_dg1_ufcl"])
     text = emit_report(report)
@@ -135,7 +174,7 @@ def test_md_and_csv_agree_on_numbers(bundled_net):
 
 
 def test_emit_report_empty_tables():
-    report = StudyReport("empty", (), CoordinationReport((), CtiBand()))
+    report = StudyReport("empty", (), CoordinationReport(()))
     md = emit_report(report)
     assert "## Fault at" not in md
     assert md.splitlines()[0] == "# Scenario empty"
@@ -258,6 +297,20 @@ def test_cli_size_ufcl():
     assert float(lines["achieved_a"]) == pytest.approx(980.70, abs=0.01)
 
 
+def test_cli_size_ufcl_away_from_sizing_bus(bundled_net):
+    # the recorded 981.81 A belongs to bus3; bus2 sizes against its own
+    # bare-grid level
+    result = CliRunner().invoke(cli, ["size-ufcl", "--fault-bus", "bus2"])
+    assert result.exit_code == 0, result.output
+    lines = dict(ln.split(" = ") for ln in result.output.strip().splitlines())
+    assert lines["r_star_ohm"] == "1280.0"
+    assert lines["iterations"] == "9"
+    bare = replace(bundled_net, sources=tuple(
+        s for s in bundled_net.sources if s.kind == "infinite_grid"))
+    assert float(lines["target_a"]) == solve_fault(
+        bare, FaultSpec("bus2")).fault_current_a
+
+
 def test_cli_validate_ok():
     result = CliRunner().invoke(cli, ["validate"])
     assert result.exit_code == 0
@@ -321,6 +374,12 @@ def _looped_grid():
     (_edited_grid("ufcl", "downstream_end", value="bus2"),
      "bus2: downstream_end away from the grid"),
     (_looped_grid, "tie: tie splits the network in two"),
+    (_edited_grid("ufcl", "sizing_fault_bus", value="bus6"),
+     "bus6: sizing_fault_bus on the grid side"),
+    (_edited_grid("ufcl", "sizing_reference_a", value=-5),
+     "ufcl: sizing_reference_a > 0"),
+    (_edited_grid("ufcl", "sizing_fault_bus", value=None),
+     "ufcl: sizing_reference_a needs sizing_fault_bus"),
     # raw file bytes rather than a document
     (lambda: '{"buses": [{"id": "b\u00e9"}]}'.encode("latin-1"),
      "can't decode byte 0xe9"),
@@ -328,7 +387,8 @@ def _looped_grid():
 ], ids=["record_not_object", "text_number", "zero_load", "zero_s_base",
         "negative_s_base", "inf_pickup", "nan_load", "inf_branch",
         "tiny_branch", "tiny_s_base", "line_across_zones",
-        "grid_side_downstream_end", "tie_in_loop", "not_utf8",
+        "grid_side_downstream_end", "tie_in_loop", "downstream_sizing_bus",
+        "negative_sizing_reference", "reference_without_bus", "not_utf8",
         "deeply_nested"])
 @pytest.mark.parametrize("command", [["validate"],
                                      ["run", "--scenario", "s1_dg1"]],
@@ -349,15 +409,16 @@ def test_cli_bad_network_is_one_error_line(tmp_path, make_doc, shown,
     assert shown in result.output
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_cli_size_ufcl_rejects_bad_tol(tol):
-    result = CliRunner().invoke(cli, ["size-ufcl", "--fault-bus", "bus3",
-                                      "--tol", tol])
+def test_cli_check_rejects_short_row(tmp_path):
+    times = tmp_path / "times.csv"
+    times.write_text("fault_bus,relay,t_s\nbus3,relay2,0.39\nbus3\n")
+    result = CliRunner().invoke(cli, ["check", "--times", str(times)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     errors = [ln for ln in result.output.splitlines()
               if ln.startswith("error:")]
-    assert len(errors) == 1 and "tol must" in errors[0], result.output
+    assert errors == ["error: times csv line 3: fewer fields than the "
+                      "header"], result.output
 
 
 @pytest.mark.parametrize("t_s", ["nan", "inf", "-inf", "-0.49"])
