@@ -2,10 +2,12 @@
 
 The coordination time interval (CTI) between a main relay and its backup
 must land inside the fixed band [CTI_MIN, CTI_MAX] = [0.3, 0.6] s,
-endpoints included. check_pairs grades declared main/backup pairs against
-solved faults (or against externally supplied operate times) and returns
-one verdict row per pair; optimize_tds finds the smallest TDS per relay on
-a discrete grid by the classical downstream-first radial sweep.
+endpoints included. check_pairs grades declared main/backup pairs from
+their operate times per fault bus, whether a study evaluated them from the
+relay curves or they were supplied from outside, and returns one verdict
+row per pair; optimize_tds finds the smallest TDS per relay on a discrete
+grid from the fault currents each relay sees, by the classical
+downstream-first radial sweep.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from graphlib import CycleError, TopologicalSorter
-from typing import Mapping, Union
+from typing import Mapping
 
-from .faultcalc import FaultResult
 from .netmodel import CoordinationPair, Network
 from .relaycurve import operate_time
 
@@ -72,81 +73,62 @@ def _verdict(t_main: float | None,
     return cti, "too_slow"
 
 
-FaultInput = Union[FaultResult, Mapping[str, Union[float, None]]]
-
-
 def check_pairs(net: Network,
-                results: Mapping[str, FaultInput]) -> CoordinationReport:
+                times: Mapping[str, Mapping[str, float | None]],
+                currents: Mapping[str, Mapping[str, float]] | None = None,
+                ) -> CoordinationReport:
     """Grade every declared pair at its fault bus.
 
-    results maps fault bus to either a solved FaultResult (times are then
-    evaluated from the relay curves) or a plain relay→seconds mapping of
-    externally supplied operate times (None = relay does not trip).
+    times maps fault bus to relay to operate seconds (None: the relay does
+    not trip). currents, when given, maps fault bus to relay to amperes
+    and fills the rows' current columns; without it they stay empty.
     """
     rows = []
     for pair in net.pairs:
-        if pair.fault_bus not in results:
-            raise ValueError(f"no fault result for bus {pair.fault_bus!r}")
-        res = results[pair.fault_bus]
-
-        if isinstance(res, FaultResult):
-            i_main = res.relay_currents[pair.main]
-            i_backup = res.relay_currents[pair.backup]
-            t_main = operate_time(net.relay_by_id(pair.main), i_main)
-            t_backup = operate_time(net.relay_by_id(pair.backup), i_backup)
-        else:
-            for rid in (pair.main, pair.backup):
-                if rid not in res:
-                    raise ValueError(
-                        f"no operate time supplied for relay {rid!r}")
-            i_main = i_backup = None
-            t_main = res[pair.main]
-            t_backup = res[pair.backup]
-
+        if pair.fault_bus not in times:
+            raise ValueError(f"no operate times for bus {pair.fault_bus!r}")
+        bus_times = times[pair.fault_bus]
+        for rid in (pair.main, pair.backup):
+            if rid not in bus_times:
+                raise ValueError(
+                    f"no operate time supplied for relay {rid!r}")
+        amps = currents[pair.fault_bus] if currents is not None else {}
+        t_main, t_backup = bus_times[pair.main], bus_times[pair.backup]
         cti, verdict = _verdict(t_main, t_backup)
         rows.append(CoordinationRow(
             fault_bus=pair.fault_bus, main=pair.main, backup=pair.backup,
-            i_main_a=i_main, i_backup_a=i_backup,
+            i_main_a=amps.get(pair.main), i_backup_a=amps.get(pair.backup),
             t_main_s=t_main, t_backup_s=t_backup,
             cti_s=cti, verdict=verdict))
     return CoordinationReport(rows=tuple(rows))
 
 
 def set_pickups(load_currents: Mapping[str, float],
-                overload_factor: Union[float, Mapping[str, float]] = 1.25,
-                ) -> dict[str, int]:
+                overload_factor: float = 1.25) -> dict[str, int]:
     """Pickup per relay: overload factor times load current, nearest ampere.
 
-    overload_factor is a scalar applied to every relay or a per-relay map;
-    factors are expected to exceed 1 so pickups clear normal load.
+    The factor is expected to exceed 1 so pickups clear normal load.
     """
-    pickups = {}
-    for rid, amps in load_currents.items():
-        factor = (overload_factor[rid]
-                  if isinstance(overload_factor, Mapping)
-                  else overload_factor)
-        pickups[rid] = int(round(amps * factor))
-    return pickups
+    return {rid: int(round(amps * overload_factor))
+            for rid, amps in load_currents.items()}
 
 
 def optimize_tds(net: Network, pairs: list[CoordinationPair],
-                 fault_results: Mapping[str, FaultResult],
+                 currents: Mapping[str, Mapping[str, float]],
                  tds_min: float = 0.05, tds_step: float = 0.05,
                  tds_max: float = 3.0) -> dict[str, float]:
     """Smallest grid TDS per relay meeting the CTI floor, downstream first.
 
-    Mains take tds_min (smaller is always better for their own pairs);
-    each backup then takes the smallest grid value keeping CTI >= CTI_MIN
-    against every already-assigned main. Pair chains must be radial. The
-    assignment is re-checked through check_pairs before returning; a relay
-    with no workable grid value raises TdsInfeasibleError.
+    currents maps fault bus to relay to amperes. Mains take tds_min
+    (smaller is always better for their own pairs); each backup then takes
+    the smallest grid value keeping CTI >= CTI_MIN against every
+    already-assigned main. Pair chains must be radial. The assignment is
+    re-checked through check_pairs before returning; a relay with no
+    workable grid value raises TdsInfeasibleError.
     """
     for bus in {p.fault_bus for p in pairs}:
-        if bus not in fault_results:
-            raise ValueError(f"no fault result for bus {bus!r}")
-        if not isinstance(fault_results[bus], FaultResult):
-            raise TypeError("optimize_tds needs solved fault currents, "
-                            "not pre-supplied times")
+        if bus not in currents:
+            raise ValueError(f"no fault currents for bus {bus!r}")
 
     grid = []
     k = 0
@@ -170,13 +152,13 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
         for p in pairs:
             if p.backup != rid:
                 continue
-            res = fault_results[p.fault_bus]
+            res = currents[p.fault_bus]
             t_main = operate_time(
                 replace(net.relay_by_id(p.main), tds=assigned[p.main]),
-                res.relay_currents[p.main])
+                res[p.main])
             if t_main is None:
                 continue  # main never trips: no CTI to maintain
-            floors.append((p, res.relay_currents[rid], t_main + CTI_MIN))
+            floors.append((p, res[rid], t_main + CTI_MIN))
 
         choice = None
         for tds in grid:
@@ -193,10 +175,14 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
                 f"step {tds_step} keeps CTI >= {CTI_MIN} for its pairs")
         assigned[rid] = choice
 
-    relays = tuple(replace(r, tds=assigned[r.id]) for r in net.relays)
-    verification = check_pairs(replace(net, relays=relays,
-                                       pairs=tuple(pairs)),
-                               fault_results)
+    tuned = replace(net, pairs=tuple(pairs), relays=tuple(
+        replace(r, tds=assigned[r.id]) for r in net.relays))
+    times: dict[str, dict[str, float | None]] = {}
+    for p in pairs:
+        for rid in (p.main, p.backup):
+            times.setdefault(p.fault_bus, {})[rid] = operate_time(
+                tuned.relay_by_id(rid), currents[p.fault_bus][rid])
+    verification = check_pairs(tuned, times, currents)
     bad = [r for r in verification.rows
            if r.verdict in ("too_fast", "backup_first")]
     if bad:

@@ -192,19 +192,21 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
             for res in solve_faults(snet, faults, ufcl_state_ohm=r_ohm):
                 results[res.fault_bus] = res
 
-        tables = []
+        # one operate-time evaluation per relay and fault: the tables print
+        # it and the pairs are graded from it
+        tables, times = [], {}
         for bus in buses:
-            res = results[bus]
-            readings = tuple(
-                RelayReading(rid, res.relay_currents[rid],
-                             operate_time(snet.relay_by_id(rid),
-                                          res.relay_currents[rid]))
-                for rid in _reading_order(snet, bus))
-            tables.append(FaultTable(bus, res.fault_current_a, states[bus],
-                                     readings))
+            amps = results[bus].relay_currents
+            times[bus] = {rid: operate_time(snet.relay_by_id(rid), amps[rid])
+                          for rid in _reading_order(snet, bus)}
+            readings = tuple(RelayReading(rid, amps[rid], t)
+                             for rid, t in times[bus].items())
+            tables.append(FaultTable(bus, results[bus].fault_current_a,
+                                     states[bus], readings))
 
         graded = tuple(p for p in snet.pairs if p.fault_bus in results)
-        coordination = check_pairs(replace(snet, pairs=graded), results)
+        coordination = check_pairs(replace(snet, pairs=graded), times, {
+            bus: res.relay_currents for bus, res in results.items()})
     except ScenarioError:
         raise
     except (ValueError, KeyError, RuntimeError) as exc:
@@ -272,7 +274,7 @@ def _read_net(path: str | None) -> tuple[Path, Network]:
     file = Path(path) if path else bundled_dataset_path()
     # ValueError covers NetworkFormatError and a file that is not UTF-8
     try:
-        return file, load_network(file.read_text())
+        return file, load_network(file.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         _fail(f"{file}: {exc}")
 
@@ -402,10 +404,13 @@ def _parse_times_csv(text: str) -> dict[str, dict[str, float | None]]:
             raise ValueError(f"times csv line {reader.line_num}: fewer "
                              f"fields than the header")
         raw = row["t_s"].strip()
-        t = None if raw in ("", "none", "no_trip") else float(raw)
+        try:
+            t = None if raw in ("", "none", "no_trip") else float(raw)
+        except ValueError:
+            t = math.nan  # not a number: rejected with the other bad times
         if t is not None and not 0 <= t < math.inf:
-            raise ValueError(f"times csv: t_s must be a finite number >= 0, "
-                             f"not {raw!r}")
+            raise ValueError(f"times csv line {reader.line_num}: t_s must be "
+                             f"a finite number >= 0, not {raw!r}")
         out.setdefault(row["fault_bus"].strip(), {})[row["relay"].strip()] = t
     return out
 
@@ -420,7 +425,8 @@ def _parse_times_csv(text: str) -> dict[str, dict[str, float | None]]:
 def check_cmd(network_path, times_path, full_precision):
     """Grade the declared pairs against externally supplied times."""
     net = _load_net(network_path)
-    report = check_pairs(net, _parse_times_csv(Path(times_path).read_text()))
+    report = check_pairs(net, _parse_times_csv(
+        Path(times_path).read_text(encoding="utf-8-sig")))
     for line in _coordination_md(report, full_precision):
         click.echo(line)
     sys.exit(0 if report.all_ok else 2)

@@ -11,11 +11,14 @@ size_ufcl picks the resistance that restores the upstream short-circuit
 level to a target (usually the pre-DG level) within SIZING_TOL, 0.5 %
 relative: the fault current at an upstream bus is monotone non-increasing
 in R, so a doubling bracket plus bisection lands whenever the target lies
-above the tie-open level, and the whole search is deterministic.
+above the tie-open level, and the whole search is deterministic. The
+search is one loop with one fault solution per evaluation, capped at
+EVALUATION_CAP.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .faultcalc import FaultSpec, solve_fault
@@ -70,46 +73,24 @@ def size_ufcl(net_with_dg: Network, fault_bus: str,
     if not target_a > 0:
         raise ValueError(f"target must be positive, got {target_a}")
 
-    evals = 0
-
-    def current_at(r_ohm: float) -> float:
-        nonlocal evals
-        evals += 1
-        if evals > EVALUATION_CAP:
-            raise SizingError(
-                f"no convergence within {EVALUATION_CAP} fault solutions "
-                f"(tol {SIZING_TOL})")
-        return solve_fault(net_with_dg, FaultSpec(fault_bus),
+    # hi stays infinite until some resistance brings the current under
+    # the target; until then R doubles from R_HI_SEED with lo held at 0
+    lo, hi, r_ohm = 0.0, math.inf, 0.0
+    for evals in range(1, EVALUATION_CAP + 1):
+        amps = solve_fault(net_with_dg, FaultSpec(fault_bus),
                            ufcl_state_ohm=r_ohm).fault_current_a
-
-    def err(r_ohm: float) -> tuple[float, float]:
-        amps = current_at(r_ohm)
-        return (amps - target_a) / target_a, amps
-
-    e0, amps0 = err(0.0)
-    if abs(e0) <= SIZING_TOL:
-        return SizingResult(0.0, amps0, target_a, evals)
-    if e0 < -SIZING_TOL:
-        raise SizingError(
-            f"current at R=0 ({amps0:.6g} A) is below the target "
-            f"({target_a:.6g} A); added resistance cannot raise it")
-
-    # current exceeds target: grow the bracket until it falls to tol range
-    r_hi = R_HI_SEED
-    e_hi, amps_hi = err(r_hi)
-    while e_hi > SIZING_TOL:
-        r_hi *= 2.0
-        e_hi, amps_hi = err(r_hi)
-    if e_hi >= -SIZING_TOL:
-        return SizingResult(r_hi, amps_hi, target_a, evals)
-
-    lo, hi = 0.0, r_hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        e_mid, amps_mid = err(mid)
-        if abs(e_mid) <= SIZING_TOL:
-            return SizingResult(mid, amps_mid, target_a, evals)
-        if e_mid > SIZING_TOL:
-            lo = mid
-        else:
-            hi = mid
+        rel_err = (amps - target_a) / target_a
+        if abs(rel_err) <= SIZING_TOL:
+            return SizingResult(r_ohm, amps, target_a, evals)
+        if rel_err < 0 and r_ohm == 0.0:
+            raise SizingError(
+                f"current at R=0 ({amps:.6g} A) is below the target "
+                f"({target_a:.6g} A); added resistance cannot raise it")
+        if rel_err < 0:
+            hi = r_ohm
+        elif hi < math.inf:
+            lo = r_ohm
+        r_ohm = (0.5 * (lo + hi) if hi < math.inf
+                 else 2.0 * r_ohm if r_ohm else R_HI_SEED)
+    raise SizingError(f"no convergence within {EVALUATION_CAP} fault "
+                      f"solutions (tol {SIZING_TOL})")

@@ -13,8 +13,7 @@ from dataclasses import replace
 import pytest
 
 from protcoord.coordination import check_pairs, optimize_tds
-from protcoord.faultcalc import FaultResult, FaultSpec, oracle_solve, \
-    solve_fault
+from protcoord.faultcalc import FaultSpec, oracle_solve, solve_fault
 from protcoord.netmodel import Branch, Bus, CoordinationPair, Network, \
     RelaySpec
 from protcoord.relaycurve import CurveConstants, operate_time
@@ -280,10 +279,7 @@ def _chain(n):
 
 
 def _fed(net, currents):
-    return {p.fault_bus: FaultResult(
-        fault_bus=p.fault_bus, fault_current_a=max(currents.values()),
-        relay_currents=dict(currents), branch_currents={})
-        for p in net.pairs}
+    return {p.fault_bus: dict(currents) for p in net.pairs}
 
 
 def _grid(lo, step, hi):
@@ -297,7 +293,7 @@ def _grid(lo, step, hi):
 
 def _feasible(net, res, tds):
     for p in net.pairs:
-        cur = res[p.fault_bus].relay_currents
+        cur = res[p.fault_bus]
         tm = operate_time(replace(net.relay_by_id(p.main), tds=tds[p.main]),
                           cur[p.main])
         tb = operate_time(replace(net.relay_by_id(p.backup),

@@ -9,7 +9,6 @@ from protcoord.coordination import (CSV_COLUMNS, CoordinationReport,
                                     TdsInfeasibleError, check_pairs,
                                     format_number, optimize_tds,
                                     report_to_csv, set_pickups)
-from protcoord.faultcalc import FaultResult
 from protcoord.netmodel import (Branch, Bus, CoordinationPair, Network,
                                 RelaySpec)
 from protcoord.relaycurve import CurveConstants, operate_time
@@ -31,9 +30,11 @@ def chain_net(n_relays, pickups=None, curves=None):
                    relays=relays, pairs=pairs)
 
 
-def fresult(bus, currents):
-    return FaultResult(fault_bus=bus, fault_current_a=max(currents.values()),
-                       relay_currents=currents, branch_currents={})
+def curve_times(net, currents):
+    """Operate time of every relay in currents, at its own dial."""
+    return {bus: {rid: operate_time(net.relay_by_id(rid), amps)
+                  for rid, amps in at_bus.items()}
+            for bus, at_bus in currents.items()}
 
 
 def test_compute_cti_published_rows():
@@ -65,8 +66,8 @@ def test_verdict_bands_inclusive(tm, tb, verdict):
 
 def test_check_pairs_from_fault_result():
     net = chain_net(2)
-    res = {"f0": fresult("f0", {"r0": 200.0, "r1": 150.0})}
-    row = check_pairs(net, res).rows[0]
+    currents = {"f0": {"r0": 200.0, "r1": 150.0}}
+    row = check_pairs(net, curve_times(net, currents), currents).rows[0]
     # trivial curve: t = 1/(M-1)
     assert row.t_main_s == pytest.approx(1.0)
     assert row.t_backup_s == pytest.approx(2.0)
@@ -75,7 +76,7 @@ def test_check_pairs_from_fault_result():
 
 
 def test_check_pairs_missing_result():
-    with pytest.raises(ValueError, match="f0"):
+    with pytest.raises(ValueError, match="no operate times for bus 'f0'"):
         check_pairs(chain_net(2), {})
 
 
@@ -120,10 +121,8 @@ def test_set_pickups_published_rows():
     assert set_pickups({"relay5": 26.6}, 40.0 / 26.6) == {"relay5": 40}
 
 
-def test_set_pickups_rounding_and_per_relay_factors():
+def test_set_pickups_rounding():
     assert set_pickups({"r": 100.0}, 1.0 + 1e-12) == {"r": 100}
-    got = set_pickups({"a": 100.0, "b": 200.0}, {"a": 1.25, "b": 1.5})
-    assert got == {"a": 125, "b": 300}
 
 
 # --- optimize_tds -----------------------------------------------------------
@@ -133,7 +132,7 @@ def test_optimize_tds_two_relay_example():
     # identical curves, M=2 both: t = tds/(M-1) = tds; backup needs
     # t_main + 0.3 = 0.4
     net = chain_net(2)
-    res = {"f0": fresult("f0", {"r0": 200.0, "r1": 200.0})}
+    res = {"f0": {"r0": 200.0, "r1": 200.0}}
     got = optimize_tds(net, list(net.pairs), res, tds_min=0.1, tds_step=0.05)
     assert got == {"r0": 0.1, "r1": pytest.approx(0.4)}
 
@@ -153,7 +152,7 @@ def brute_force(net, pairs, res, tds_min, tds_step, tds_max):
     # operate time of each pair's relays at every grid value, computed once
     table = {}
     for i, p in enumerate(pairs):
-        cur = res[p.fault_bus].relay_currents
+        cur = res[p.fault_bus]
         for rid in (p.main, p.backup):
             table[i, rid] = {t: _time(net, rid, t, cur[rid]) for t in grid}
     ids = [r.id for r in net.relays]
@@ -187,8 +186,8 @@ def test_optimize_tds_matches_brute_force_on_random_chains():
         curves = [CurveConstants(rng.uniform(0.05, 2.0), 0.0,
                                  rng.uniform(0.5, 1.5)) for _ in range(n)]
         net = chain_net(n, pickups, curves)
-        res = {f"f{i}": fresult(f"f{i}", {
-            f"r{j}": pickups[j] * rng.uniform(2.0, 8.0) for j in range(n)})
+        res = {f"f{i}": {
+            f"r{j}": pickups[j] * rng.uniform(2.0, 8.0) for j in range(n)}
             for i in range(n - 1)}
         args = (net, list(net.pairs), res, 0.05, 0.05, 3.0)
         try:
@@ -206,14 +205,14 @@ def test_optimize_tds_infeasible_is_named():
     # backup barely above pickup: its time exceeds any reachable floor only
     # for huge tds; cap at 0.1 forces failure
     net = chain_net(2)
-    res = {"f0": fresult("f0", {"r0": 200.0, "r1": 2000000.0})}
+    res = {"f0": {"r0": 200.0, "r1": 2000000.0}}
     with pytest.raises(TdsInfeasibleError, match="r1"):
         optimize_tds(net, list(net.pairs), res, tds_max=0.1)
 
 
 def test_optimize_tds_backup_below_pickup_infeasible():
     net = chain_net(2)
-    res = {"f0": fresult("f0", {"r0": 200.0, "r1": 50.0})}
+    res = {"f0": {"r0": 200.0, "r1": 50.0}}
     with pytest.raises(TdsInfeasibleError):
         optimize_tds(net, list(net.pairs), res)
 
@@ -224,15 +223,9 @@ def test_optimize_tds_rejects_cycles():
              CoordinationPair("r1", "r0", "f0")]
     net = Network(buses=net.buses, branches=net.branches, sources=(),
                   relays=net.relays, pairs=tuple(pairs))
-    res = {"f0": fresult("f0", {"r0": 200.0, "r1": 200.0})}
+    res = {"f0": {"r0": 200.0, "r1": 200.0}}
     with pytest.raises(ValueError, match="radial"):
         optimize_tds(net, pairs, res)
-
-
-def test_optimize_tds_rejects_time_mappings():
-    net = chain_net(2)
-    with pytest.raises(TypeError):
-        optimize_tds(net, list(net.pairs), {"f0": {"r0": 0.3, "r1": 0.7}})
 
 
 # --- serialization ----------------------------------------------------------
@@ -240,8 +233,8 @@ def test_optimize_tds_rejects_time_mappings():
 
 def test_csv_shape_and_formatting():
     net = chain_net(2)
-    report = check_pairs(net, {"f0": fresult("f0", {"r0": 200.0,
-                                                    "r1": 150.0})})
+    currents = {"f0": {"r0": 200.0, "r1": 150.0}}
+    report = check_pairs(net, curve_times(net, currents), currents)
     text = report_to_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)

@@ -421,7 +421,7 @@ def test_cli_check_rejects_short_row(tmp_path):
                       "header"], result.output
 
 
-@pytest.mark.parametrize("t_s", ["nan", "inf", "-inf", "-0.49"])
+@pytest.mark.parametrize("t_s", ["nan", "inf", "-inf", "-0.49", "abc"])
 def test_cli_check_rejects_bad_time(tmp_path, t_s):
     times = tmp_path / "times.csv"
     times.write_text("fault_bus,relay,t_s\n"
@@ -434,7 +434,36 @@ def test_cli_check_rejects_bad_time(tmp_path, t_s):
     assert "Traceback" not in result.output
     errors = [ln for ln in result.output.splitlines()
               if ln.startswith("error:")]
-    assert len(errors) == 1 and t_s in errors[0], result.output
+    assert errors == [f"error: times csv line 3: t_s must be a finite "
+                      f"number >= 0, not {t_s!r}"], result.output
+
+
+def test_cli_check_reads_times_with_bom(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a byte order mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    text = ("fault_bus,relay,t_s\n"
+            "bus3,relay2,0.39\nbus3,relay1,1.09\n"
+            "bus4,relay3,0.21\nbus4,relay2,0.49\n"
+            "bus6,relay6,0.029\nbus6,relay4,0.342\n"
+            "dgbus,relay5,0.4521\ndgbus,relay4,0.083\n")
+    plain.write_bytes(text.encode())
+    marked.write_bytes(text.encode("utf-8-sig"))
+    want = CliRunner().invoke(cli, ["check", "--times", str(plain)])
+    got = CliRunner().invoke(cli, ["check", "--times", str(marked)])
+    assert got.exit_code == want.exit_code == 2, got.output
+    assert got.output == want.output
+
+
+@pytest.mark.parametrize("command", [["validate"],
+                                     ["run", "--scenario", "s2_dg1_ufcl"]],
+                         ids=["validate", "run"])
+def test_cli_reads_network_with_bom(tmp_path, command):
+    path = tmp_path / "net.json"
+    path.write_bytes(b"\xef\xbb\xbf" + bundled_dataset_path().read_bytes())
+    want = CliRunner().invoke(cli, command)
+    got = CliRunner().invoke(cli, [*command, "--network", str(path)])
+    assert got.exit_code == want.exit_code, got.output
+    assert got.output == want.output
 
 
 def test_cli_usage_errors_exit_one():

@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from protcoord import ufcl
 from protcoord.faultcalc import build_ybus, solve_fault
 from protcoord.netmodel import to_per_unit
-from protcoord.studio import SCENARIOS, build_scenario_net
+from protcoord.studio import SCENARIOS, build_scenario_net, cli, run_scenario
 from protcoord.ufcl import SizingError, downstream_buses, size_ufcl
+
+DOUBLING = [0.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
+
+
+def search_path(monkeypatch):
+    """Record the limiter ohms of every fault solution sizing asks for."""
+    path = []
+
+    def spy(net, fault, ufcl_state_ohm=0.0):
+        path.append(ufcl_state_ohm)
+        return solve_fault(net, fault, ufcl_state_ohm=ufcl_state_ohm)
+    monkeypatch.setattr(ufcl, "solve_fault", spy)
+    return path
 
 
 def test_classify_bundled_sides(bundled_net):
@@ -23,6 +38,26 @@ def test_sizing_on_bundled_scenarios(bundled_net, expected, sid):
     assert got.achieved_current_a == pytest.approx(want["achieved_a"],
                                                    rel=1e-9)
     assert got.target_current_a == want["target_a"]
+
+
+@pytest.mark.parametrize("sid", ["s2_dg1_ufcl", "s4_dg1_dg2_ufcl",
+                                 "s6_induction_dg1_ufcl"])
+def test_sizing_search_path_on_bundled_scenarios(bundled_net, monkeypatch,
+                                                 sid):
+    # doubling to 320 ohm, then bisection from [0, 320]: 160 ohm twice
+    path = search_path(monkeypatch)
+    run_scenario(bundled_net, SCENARIOS[sid])
+    assert path == DOUBLING + [160.0, 240.0, 200.0]
+
+
+@pytest.mark.parametrize("bus, tail", [("bus1", [640.0]),
+                                       ("bus2", [640.0, 1280.0])])
+def test_cli_size_ufcl_search_path(monkeypatch, bus, tail):
+    # the doubling lands inside the tolerance: no bisection
+    path = search_path(monkeypatch)
+    result = CliRunner().invoke(cli, ["size-ufcl", "--fault-bus", bus])
+    assert result.exit_code == 0, result.output
+    assert path == DOUBLING + tail
 
 
 def test_sizing_trivial_when_already_at_target(bundled_net):
