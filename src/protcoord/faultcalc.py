@@ -11,19 +11,20 @@ without it.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
-solve_fault. The two share nothing but the per-unit conversion.
+solve_fault. The two routes share the per-unit conversion and the result
+record, FaultResult, and nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .netmodel import Network, PuNetwork, to_per_unit
 
 __all__ = [
-    "FaultSpec", "FaultResult", "OracleSolution",
+    "FaultSpec", "FaultResult",
     "build_ybus", "steady_state", "solve_fault", "solve_faults",
     "thevenin_at", "oracle_solve",
 ]
@@ -48,23 +49,17 @@ class FaultResult:
 
     relay_currents holds magnitudes (relays act on |I|); fault_current_c
     keeps the complex fault current so superposition checks can add
-    per-source responses without losing angle.
+    per-source responses without losing angle. bus_voltages_pu is the
+    post-fault voltage profile in per-unit, in net.buses order. The
+    oracle also solves the unfaulted network: fault_bus None, no current.
     """
 
-    fault_bus: str
+    fault_bus: str | None
     fault_current_a: float
     relay_currents: dict[str, float]
     branch_currents: dict[str, complex]
-    fault_current_c: complex = 0j
-
-
-@dataclass(frozen=True)
-class OracleSolution:
-    fault_bus: str | None
-    fault_current_a: float
     fault_current_c: complex
-    bus_voltages_pu: dict[str, complex]
-    branch_currents: dict[str, complex]
+    bus_voltages_pu: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -146,17 +141,6 @@ def _solve(nodal: _Nodal, buses: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return sol[:, 0], sol[:, 1:]
 
 
-def _post_fault(nodal: _Nodal, faults: list[FaultSpec]) -> list[tuple]:
-    """(fault current, post-fault bus voltages) per fault, in per-unit."""
-    v_pre, z_cols = _solve(nodal, [f.bus for f in faults])
-    out = []
-    for f, z_col in zip(faults, z_cols.T):
-        k = nodal.index[f.bus]
-        i_f = v_pre[k] / z_col[k]
-        out.append((i_f, v_pre - i_f * z_col))
-    return out
-
-
 def _branch_currents_a(nodal: _Nodal, v: np.ndarray) -> dict[str, complex]:
     pu, index = nodal.pu, nodal.index
     out = {}
@@ -185,17 +169,25 @@ def solve_faults(net: Network, faults: list[FaultSpec],
     """
     pu = to_per_unit(net)
     nodal = _nodal(pu, ufcl_state_ohm)
+    v_pre, z_cols = _solve(nodal, [f.bus for f in faults])
     results = []
-    for fault, (i_f, v_post) in zip(faults, _post_fault(nodal, faults)):
+    for fault, z_col in zip(faults, z_cols.T):
+        k = nodal.index[fault.bus]
+        i_f = v_pre[k] / z_col[k]
+        v_post = v_pre - i_f * z_col
         branch_currents = _branch_currents_a(nodal, v_post)
         i_f_amps = complex(i_f * pu.i_base[fault.bus])
+        # a relay current within the solution's round-off of zero is 0
+        floor = 1e-9 * max(1.0, abs(i_f_amps))
+        amps = {r.id: abs(branch_currents[r.branch]) for r in net.relays}
         results.append(FaultResult(
             fault_bus=fault.bus,
             fault_current_a=abs(i_f_amps),
-            relay_currents={r.id: float(abs(branch_currents[r.branch]))
-                            for r in net.relays},
+            relay_currents={rid: a if a > floor else 0.0
+                            for rid, a in amps.items()},
             branch_currents=branch_currents,
-            fault_current_c=i_f_amps))
+            fault_current_c=i_f_amps,
+            bus_voltages_pu=v_post))
     return results
 
 
@@ -212,7 +204,7 @@ def thevenin_at(pu: PuNetwork, bus: str) -> complex:
 
 
 def oracle_solve(net: Network, fault: FaultSpec | None,
-                 ufcl_state_ohm: float = 0.0) -> OracleSolution:
+                 ufcl_state_ohm: float = 0.0) -> FaultResult:
     """Second, independent solution route for small networks.
 
     Formulates the circuit with an explicit EMF node per source and the
@@ -277,7 +269,6 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
 
     x = np.linalg.inv(a) @ rhs
 
-    voltages = {b.id: complex(x[bus_ix[b.id]]) for b in net.buses}
     branch_currents = {}
     for br in net.branches:
         z = pu.branch_z_pu[br.id]
@@ -289,9 +280,11 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     i_fault_a = 0j
     if fault is not None:
         i_fault_a = complex(x[dim - 1] * pu.i_base[fault.bus])
-    return OracleSolution(
+    return FaultResult(
         fault_bus=None if fault is None else fault.bus,
         fault_current_a=abs(i_fault_a),
+        relay_currents={r.id: abs(branch_currents[r.branch])
+                        for r in net.relays},
+        branch_currents=branch_currents,
         fault_current_c=i_fault_a,
-        bus_voltages_pu=voltages,
-        branch_currents=branch_currents)
+        bus_voltages_pu=x[:n_bus])

@@ -30,7 +30,7 @@ import click
 from . import bundled_dataset_path
 from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
                            format_number, report_to_csv, row_cells)
-from .faultcalc import (FaultSpec, _nodal, _post_fault, solve_fault,
+from .faultcalc import (FaultResult, FaultSpec, build_ybus, solve_fault,
                         solve_faults)
 from .netmodel import Network, load_network, to_per_unit, validate
 from .relaycurve import operate_time
@@ -172,25 +172,20 @@ def _resolve_states(snet: Network, scenario: Scenario,
                     for bus in buses}
 
 
-def _by_state(states: dict[str, float]) -> dict[float, list[FaultSpec]]:
-    """Faults grouped by limiter ohms: one operating state, one solve each."""
-    groups: dict[float, list[FaultSpec]] = {}
-    for bus, r_ohm in states.items():
-        groups.setdefault(r_ohm, []).append(FaultSpec(bus))
-    return groups
-
-
-def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
-    """Solve every configured fault and grade the declared pairs."""
+def _study(net: Network, scenario: Scenario,
+           ) -> tuple[StudyReport, dict[str, FaultResult]]:
+    """The study report and the fault solution of each fault bus."""
     snet = build_scenario_net(net, scenario)
     buses = list(dict.fromkeys(scenario.fault_buses
                                or default_fault_buses(net)))
     try:
         sizing, states = _resolve_states(snet, scenario, buses)
-        results = {}
-        for r_ohm, faults in _by_state(states).items():
-            for res in solve_faults(snet, faults, ufcl_state_ohm=r_ohm):
-                results[res.fault_bus] = res
+        # faults grouped by limiter ohms: one operating state, one solve each
+        groups: dict[float, list[FaultSpec]] = {}
+        for bus, r_ohm in states.items():
+            groups.setdefault(r_ohm, []).append(FaultSpec(bus))
+        results = {res.fault_bus: res for r_ohm, faults in groups.items()
+                   for res in solve_faults(snet, faults, ufcl_state_ohm=r_ohm)}
 
         # one operate-time evaluation per relay and fault: the tables print
         # it and the pairs are graded from it
@@ -213,7 +208,12 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
         raise ScenarioError(f"scenario {scenario.id}: {exc}") from exc
 
     return StudyReport(scenario_id=scenario.id, fault_tables=tuple(tables),
-                       coordination=coordination, sizing=sizing)
+                       coordination=coordination, sizing=sizing), results
+
+
+def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
+    """Solve every configured fault and grade the declared pairs."""
+    return _study(net, scenario)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +289,14 @@ def _load_net(path: str | None) -> Network:
     return net
 
 
-def _debug_dump(snet: Network, states: dict[str, float]) -> str:
+def _debug_dump(snet: Network, results: list[FaultResult]) -> str:
     """Ybus entries and post-fault voltages as row,col,re,im.
 
-    Matrix entries use their bus indices; the voltage profile of fault bus
-    number k (1-based, order as run) appears as rows (i, -k, re, im).
+    Matrix entries use their bus indices, with no limiter resistance; the
+    voltage profile of fault number k (1-based, order as run) appears as
+    rows (i, -k, re, im).
     """
-    pu = to_per_unit(snet)
-    ybus = _nodal(pu).ybus
+    ybus, _ = build_ybus(to_per_unit(snet))
     out = ["row,col,re,im"]
     n = len(ybus)
     for i in range(n):
@@ -304,13 +304,8 @@ def _debug_dump(snet: Network, states: dict[str, float]) -> str:
             y = complex(ybus[i, j])
             if y != 0:
                 out.append(f"{i},{j},{y.real!r},{y.imag!r}")
-    v_post = {}
-    for r_ohm, faults in _by_state(states).items():
-        for f, (_, v) in zip(faults, _post_fault(_nodal(pu, r_ohm), faults)):
-            v_post[f.bus] = v
-    for k, bus in enumerate(states, start=1):
-        for i in range(n):
-            v = complex(v_post[bus][i])
+    for k, res in enumerate(results, start=1):
+        for i, v in enumerate(map(complex, res.bus_voltages_pu)):
             out.append(f"{i},{-k},{v.real!r},{v.imag!r}")
     return "\n".join(out) + "\n"
 
@@ -366,11 +361,11 @@ def run_cmd(network_path, scenario_id, fault_buses, fmt, out_path,
     scenario = SCENARIOS[scenario_id]
     if fault_buses:
         scenario = replace(scenario, fault_buses=tuple(fault_buses))
-    report = run_scenario(net, scenario)
+    report, results = _study(net, scenario)
     if debug_path:
-        states = {t.fault_bus: t.ufcl_state_ohm for t in report.fault_tables}
-        Path(debug_path).write_text(
-            _debug_dump(build_scenario_net(net, scenario), states))
+        Path(debug_path).write_text(_debug_dump(
+            build_scenario_net(net, scenario),
+            [results[t.fault_bus] for t in report.fault_tables]))
     text = emit_report(report, fmt, full_precision)
     if out_path:
         Path(out_path).write_text(text)
@@ -393,16 +388,31 @@ def size_cmd(network_path, fault_bus):
     click.echo(f"iterations = {result.iterations}")
 
 
-def _parse_times_csv(text: str) -> dict[str, dict[str, float | None]]:
+def _parse_times_csv(text: str,
+                     net: Network) -> dict[str, dict[str, float | None]]:
+    """Operate times by fault bus and relay: one row per pair of ids, each
+    id in the network; a relay that no pair grades may have a row."""
     reader = csv.DictReader(io.StringIO(text))
     need = ("fault_bus", "relay", "t_s")
     if reader.fieldnames is None or not set(need) <= set(reader.fieldnames):
         raise ValueError("times csv needs columns: fault_bus, relay, t_s")
+    buses, relays = set(net.bus_ids()), {r.id for r in net.relays}
     out: dict[str, dict[str, float | None]] = {}
+    lines: dict[tuple[str, str], int] = {}  # the line of each id pair
     for row in reader:
         if any(row[col] is None for col in need):
             raise ValueError(f"times csv line {reader.line_num}: fewer "
                              f"fields than the header")
+        bus, relay = row["fault_bus"].strip(), row["relay"].strip()
+        if bus not in buses or relay not in relays:
+            unknown = (f"fault bus {bus!r}" if bus not in buses
+                       else f"relay {relay!r}")
+            raise ValueError(f"times csv line {reader.line_num}: {unknown} "
+                             f"is not in the network")
+        if (bus, relay) in lines:
+            raise ValueError(f"times csv line {reader.line_num}: {bus} "
+                             f"{relay} is already on line {lines[bus, relay]}")
+        lines[bus, relay] = reader.line_num
         raw = row["t_s"].strip()
         try:
             t = None if raw in ("", "none", "no_trip") else float(raw)
@@ -411,7 +421,7 @@ def _parse_times_csv(text: str) -> dict[str, dict[str, float | None]]:
         if t is not None and not 0 <= t < math.inf:
             raise ValueError(f"times csv line {reader.line_num}: t_s must be "
                              f"a finite number >= 0, not {raw!r}")
-        out.setdefault(row["fault_bus"].strip(), {})[row["relay"].strip()] = t
+        out.setdefault(bus, {})[relay] = t
     return out
 
 
@@ -426,7 +436,7 @@ def check_cmd(network_path, times_path, full_precision):
     """Grade the declared pairs against externally supplied times."""
     net = _load_net(network_path)
     report = check_pairs(net, _parse_times_csv(
-        Path(times_path).read_text(encoding="utf-8-sig")))
+        Path(times_path).read_text(encoding="utf-8-sig"), net))
     for line in _coordination_md(report, full_precision):
         click.echo(line)
     sys.exit(0 if report.all_ok else 2)

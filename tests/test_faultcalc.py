@@ -274,7 +274,8 @@ def test_per_source_contributions_sum_to_total(seed):
 def test_fault_current_is_prefault_voltage_over_thevenin(bundled_net):
     pu = to_per_unit(bundled_net)
     for bus in ("bus3", "bus6", "dgbus"):
-        v_pre = oracle_solve(bundled_net, None).bus_voltages_pu[bus]
+        v_pre = oracle_solve(bundled_net, None).bus_voltages_pu[
+            bundled_net.bus_ids().index(bus)]
         zth = thevenin_at(pu, bus)
         i_pu = v_pre / zth
         got = solve_fault(bundled_net, FaultSpec(bus)).fault_current_a
@@ -287,7 +288,7 @@ def test_fault_current_is_prefault_voltage_over_thevenin(bundled_net):
 def kcl_residuals(net, sol, fault_bus=None):
     """Node balance recomputed from the oracle voltages, in pu."""
     pu = to_per_unit(net)
-    v = sol.bus_voltages_pu
+    v = dict(zip(net.bus_ids(), sol.bus_voltages_pu))
     res = {}
     for b in net.buses:
         acc = 0j

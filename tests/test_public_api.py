@@ -46,3 +46,26 @@ def test_module_layering():
                           for node in ast.walk(tree)
                           if isinstance(node, ast.ImportFrom) and node.level}
     assert got == LAYERS
+
+
+def test_no_private_cross_module_imports():
+    # a module reaches another only through its public names: neither
+    # `from .faultcalc import _nodal` nor `from . import faultcalc` and
+    # then `faultcalc._nodal`
+    found = []
+    for path in Path(protcoord.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        found.append(f"{path.stem}: {alias.name}")
+                    if node.module is None and alias.name in MODULES:
+                        modules.add(alias.asname or alias.name)
+        found += [f"{path.stem}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    assert found == []

@@ -173,6 +173,23 @@ def test_md_and_csv_agree_on_numbers(bundled_net):
         assert cells == row
 
 
+@pytest.mark.parametrize("sid", ["s0_no_dg", "s1_dg1", "s2_dg1_ufcl",
+                                 "s3_dg1_dg2", "s5_induction_dg1",
+                                 "s6_induction_dg1_ufcl"])
+def test_round_off_relay_current_reads_zero(bundled_net, sid):
+    # relay3 sits on b34, which carries no current for a bolted bus3
+    # fault: the solution's round-off is reported as exactly 0
+    snet = build_scenario_net(bundled_net, SCENARIOS[sid])
+    report = run_scenario(bundled_net, SCENARIOS[sid])
+    bus3 = next(t for t in report.fault_tables if t.fault_bus == "bus3")
+    res = solve_fault(snet, FaultSpec("bus3"),
+                      ufcl_state_ohm=bus3.ufcl_state_ohm)
+    assert res.relay_currents["relay3"] == 0.0
+    assert {r.relay: r.current_a for r in bus3.readings}["relay3"] == 0.0
+    assert "| relay3 | 0 |  |" in emit_report(report)
+    assert "| relay3 | 0.0 |  |" in emit_report(report, full_precision=True)
+
+
 def test_emit_report_empty_tables():
     report = StudyReport("empty", (), CoordinationReport(()))
     md = emit_report(report)
@@ -255,7 +272,7 @@ def test_cli_run_debug_csv_values(tmp_path, bundled_net):
                             ufcl_state_ohm=r_ohm).bus_voltages_pu
         assert sorted(got) == list(range(len(snet.buses)))
         for i, b in enumerate(snet.buses):
-            assert abs(got[i] - want[b.id]) <= 1e-9, (bus, b.id)
+            assert abs(got[i] - want[i]) <= 1e-9, (bus, b.id)
     assert len(rows) == len(matrix) + len(states) * len(snet.buses)
 
 
@@ -436,6 +453,43 @@ def test_cli_check_rejects_bad_time(tmp_path, t_s):
               if ln.startswith("error:")]
     assert errors == [f"error: times csv line 3: t_s must be a finite "
                       f"number >= 0, not {t_s!r}"], result.output
+
+
+STUDY_TIMES = ("fault_bus,relay,t_s\n"
+               "bus3,relay2,0.39\nbus3,relay1,1.09\n"
+               "bus4,relay3,0.21\nbus4,relay2,0.49\n"
+               "bus6,relay6,0.029\nbus6,relay4,0.342\n"
+               "dgbus,relay5,0.4521\ndgbus,relay4,0.083\n")
+
+
+@pytest.mark.parametrize("extra, shown", [
+    ("bus3,relay1,0.5\n",
+     "times csv line 10: bus3 relay1 is already on line 3"),
+    ("bus9,relay1,0.1\n",
+     "times csv line 10: fault bus 'bus9' is not in the network"),
+    ("bus3,relayX,0.1\n",
+     "times csv line 10: relay 'relayX' is not in the network"),
+], ids=["duplicate", "unknown_bus", "unknown_relay"])
+def test_cli_check_rejects_row(tmp_path, extra, shown):
+    times = tmp_path / "times.csv"
+    times.write_text(STUDY_TIMES + extra)
+    result = CliRunner().invoke(cli, ["check", "--times", str(times)])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    errors = [ln for ln in result.output.splitlines()
+              if ln.startswith("error:")]
+    assert errors == [f"error: {shown}"], result.output
+
+
+def test_cli_check_accepts_rows_no_pair_grades(tmp_path):
+    # a relay test set may time relays and buses the pairs do not name
+    plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
+    plain.write_text(STUDY_TIMES)
+    extra.write_text(STUDY_TIMES + "bus3,relay6,0.5\nbus1,relay1,0.2\n")
+    want = CliRunner().invoke(cli, ["check", "--times", str(plain)])
+    got = CliRunner().invoke(cli, ["check", "--times", str(extra)])
+    assert got.exit_code == want.exit_code == 2, got.output
+    assert got.output == want.output
 
 
 def test_cli_check_reads_times_with_bom(tmp_path):
