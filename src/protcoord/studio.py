@@ -241,7 +241,7 @@ def emit_report(report: StudyReport, format: str = "md",
         lines += [f"UFCL sized to {format_number(s.r_star, full)} ohm "
                   f"(achieved {format_number(s.achieved_current_a, full)} A "
                   f"against target {format_number(s.target_current_a, full)} "
-                  f"A in {s.iterations} fault solutions).", ""]
+                  f"A in {s.iterations} evaluations).", ""]
     for t in report.fault_tables:
         lines += [f"## Fault at {t.fault_bus}", ""]
         note = f"Fault current: {format_number(t.fault_current_a, full)} A"

@@ -1,17 +1,34 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from protcoord import ufcl
-from protcoord.faultcalc import build_ybus, solve_fault
-from protcoord.netmodel import to_per_unit
+from protcoord.faultcalc import FaultSpec, build_ybus, solve_fault
+from protcoord.netmodel import to_per_unit, validate
 from protcoord.studio import SCENARIOS, build_scenario_net, cli, run_scenario
-from protcoord.ufcl import SizingError, downstream_buses, size_ufcl
+from protcoord.ufcl import (SAMPLE_OHMS, LevelMap, SizingError,
+                            downstream_buses, size_ufcl)
 
 DOUBLING = [0.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
+# every R a pinned search path visits, and one far beyond
+CHECK_OHMS = DOUBLING + [240.0, 200.0, 640.0, 1280.0, 1e4]
 
 
 def search_path(monkeypatch):
+    """Record the limiter ohms of every evaluation sizing makes."""
+    path = []
+    read = LevelMap.amps
+
+    def spy(level, r_ohm):
+        path.append(r_ohm)
+        return read(level, r_ohm)
+    monkeypatch.setattr(LevelMap, "amps", spy)
+    return path
+
+
+def solve_path(monkeypatch):
     """Record the limiter ohms of every fault solution sizing asks for."""
     path = []
 
@@ -62,7 +79,6 @@ def test_cli_size_ufcl_search_path(monkeypatch, bus, tail):
 
 def test_sizing_trivial_when_already_at_target(bundled_net):
     # no DG in service: fault level equals the target, zero resistance needed
-    from protcoord.faultcalc import FaultSpec
     snet = build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"])
     base = abs(solve_fault(snet, FaultSpec(bus="bus3")).fault_current_a)
     got = size_ufcl(snet, "bus3", base)
@@ -78,12 +94,121 @@ def test_sizing_target_above_reach(bundled_net):
         size_ufcl(snet, "bus3", 2200.0)
 
 
-def test_sizing_hits_evaluation_cap_when_target_below_asymptote(bundled_net):
+def test_sizing_rejects_target_below_asymptote(bundled_net, monkeypatch):
     # the limiter only removes the tie contribution; 500 A is under what
-    # the grid alone delivers, so doubling runs until the budget is gone
+    # the grid alone delivers, so sizing stops after the R=0 evaluation
+    # instead of doubling until the budget is gone
     snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
-    with pytest.raises(SizingError, match="200 fault solutions"):
+    path = search_path(monkeypatch)
+    with pytest.raises(SizingError, match=r"tie open \(955\.5\d* A\) is "
+                                          r"above the target \(500 A\)"):
         size_ufcl(snet, "bus3", 500.0)
+    assert path == [0.0]
+
+
+def test_sizing_evaluation_cap_still_guards(bundled_net, monkeypatch):
+    # a level that never settles within the tolerance: every read sits
+    # 1 % above the target, and the map claims the tie-open level is 0
+    snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
+    monkeypatch.setattr(LevelMap, "amps", lambda level, r_ohm: 1010.0)
+    monkeypatch.setattr(LevelMap, "tie_open_a", lambda level: 0.0)
+    with pytest.raises(SizingError, match="within 200 evaluations"):
+        size_ufcl(snet, "bus3", 1000.0)
+
+
+@pytest.mark.parametrize("sid", ["s2_dg1_ufcl", "s4_dg1_dg2_ufcl",
+                                 "s6_induction_dg1_ufcl"])
+def test_sizing_solves_three_samples_and_the_answer(bundled_net, monkeypatch,
+                                                    sid):
+    # the map is fixed by three solutions; one more confirms R*
+    path = solve_path(monkeypatch)
+    run_scenario(bundled_net, SCENARIOS[sid])
+    assert path == [0.0, 10.0, 20.0, 200.0]
+
+
+def test_sizing_reuses_a_sample_solution_at_r_star(bundled_net, monkeypatch):
+    # R* = 0: the confirming solution is the R=0 sample
+    snet = build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"])
+    base = solve_fault(snet, FaultSpec("bus3")).fault_current_a
+    path = solve_path(monkeypatch)
+    got = size_ufcl(snet, "bus3", base)
+    assert path == list(SAMPLE_OHMS)
+    assert got.achieved_current_a == base
+
+
+def test_sizing_confirms_the_read_with_a_solution(bundled_net, monkeypatch):
+    # a read that lies about R=10 ohm is caught by the solution there
+    snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
+    read = LevelMap.amps
+    monkeypatch.setattr(LevelMap, "amps", lambda level, r_ohm: (
+        981.81 if r_ohm == 10.0 else read(level, r_ohm)))
+    with pytest.raises(SizingError, match=r"R=10 ohm \(1[0-9.]+ A\) misses "
+                                          r"the target \(981\.81 A\)"):
+        size_ufcl(snet, "bus3", 981.81)
+
+
+def test_sizing_when_the_level_does_not_depend_on_r(bundled_net):
+    # no source and no load behind the tie: it carries no current, so the
+    # three samples differ by round-off only and the map is flat
+    snet = build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"])
+    down = downstream_buses(snet, snet.ufcl)
+    snet = replace(snet, loads=tuple(ld for ld in snet.loads
+                                     if ld.bus not in down))
+    assert validate(snet) == []
+    base = solve_fault(snet, FaultSpec("bus3")).fault_current_a
+    far = solve_fault(snet, FaultSpec("bus3"), ufcl_state_ohm=1e6)
+    assert far.fault_current_a == pytest.approx(base, rel=1e-12)
+    for k in (1.0, 0.999):
+        got = size_ufcl(snet, "bus3", k * base)
+        assert (got.r_star, got.iterations) == (0.0, 1)
+        assert got.achieved_current_a == base
+    for k in (0.99, 0.9, 0.5):
+        with pytest.raises(SizingError, match="tie open"):
+            size_ufcl(snet, "bus3", k * base)
+
+
+def test_level_map_through_identical_samples_is_flat():
+    # where the tie carries no current, the samples can be bit-identical:
+    # random_tie_net seeds with the DG and the downstream loads removed
+    # give such samples on some buses
+    level = LevelMap.fit(3 - 4j, 3 - 4j, 3 - 4j)
+    assert [level.amps(r) for r in (0.0, 10.0, 1e9)] == [5.0, 5.0, 5.0]
+    assert level.tie_open_a() == 5.0
+
+
+def _assert_map_matches_solutions(net, bus):
+    samples = [solve_fault(net, FaultSpec(bus), ufcl_state_ohm=r)
+               .fault_current_c for r in SAMPLE_OHMS]
+    level = LevelMap.fit(*samples)
+    for r in CHECK_OHMS:
+        want = solve_fault(net, FaultSpec(bus), ufcl_state_ohm=r)
+        assert level.amps(r) == pytest.approx(want.fault_current_a,
+                                              rel=1e-9), (bus, r)
+
+
+@pytest.mark.parametrize("sid", ["s2_dg1_ufcl", "s4_dg1_dg2_ufcl",
+                                 "s6_induction_dg1_ufcl"])
+def test_level_map_matches_solutions_on_bundled(bundled_net, sid):
+    snet = build_scenario_net(bundled_net, SCENARIOS[sid])
+    for bus in ("bus1", "bus2", "bus3", "bus4"):
+        _assert_map_matches_solutions(snet, bus)
+
+
+def test_level_map_matches_solutions_on_random_networks():
+    from conftest import random_tie_net
+    for seed in range(100):
+        net, sizing_bus = random_tie_net(seed)
+        _assert_map_matches_solutions(net, sizing_bus)
+
+
+def test_level_map_tie_open_level(bundled_net):
+    # the R -> infinity limit is the level with the tie branch removed
+    snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
+    samples = [solve_fault(snet, FaultSpec("bus3"), ufcl_state_ohm=r)
+               .fault_current_c for r in SAMPLE_OHMS]
+    far = solve_fault(snet, FaultSpec("bus3"), ufcl_state_ohm=1e9)
+    assert LevelMap.fit(*samples).tie_open_a() == pytest.approx(
+        far.fault_current_a, rel=1e-6)
 
 
 def test_sizing_rejects_downstream_bus(bundled_net):
@@ -107,7 +232,6 @@ def test_zero_state_matrix_identical(bundled_net):
 
 
 def test_more_resistance_means_less_upstream_current(bundled_net):
-    from protcoord.faultcalc import FaultSpec
     snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
     levels = [abs(solve_fault(snet, FaultSpec(bus="bus3"),
                               ufcl_state_ohm=r).fault_current_a)
@@ -118,12 +242,9 @@ def test_more_resistance_means_less_upstream_current(bundled_net):
 def test_sizing_restores_target_on_random_networks():
     from conftest import random_tie_net
 
-    from protcoord.faultcalc import FaultSpec
     for seed in range(10):
         net, sizing_bus = random_tie_net(seed)
-        no_dg = net
         # target: same net with the DG removed entirely
-        from dataclasses import replace
         bare = replace(net, sources=tuple(s for s in net.sources
                                           if s.kind == "infinite_grid"))
         target = abs(solve_fault(bare, FaultSpec(bus=sizing_bus))
@@ -131,7 +252,7 @@ def test_sizing_restores_target_on_random_networks():
         try:
             got = size_ufcl(net, sizing_bus, target)
         except SizingError:
-            continue  # DG too strong for the cap on this draw
+            continue  # DG too strong: target below the tie-open level
         check = abs(solve_fault(net, FaultSpec(bus=sizing_bus),
                                 ufcl_state_ohm=got.r_star).fault_current_a)
         assert abs(check - target) / target <= 0.005
