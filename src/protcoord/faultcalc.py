@@ -5,9 +5,11 @@ its internal impedance, loads are constant shunt impedances, and a fault
 is a three-phase short circuit at a bus through zero fault impedance,
 solved by superposition on the nodal admittance matrix. Relay currents
 come straight out of the post-fault voltage profile; there is no separate
-load-flow overlay. The limiter resistance (ufcl_state_ohm) is an argument
-of the fault solvers only; steady_state and thevenin_at see the network
-without it.
+load-flow overlay. Each operating state builds its per-branch taps once
+(the from and to bus index and i_base[from] / z), and each fault's branch
+currents are one pass over them. The limiter resistance (ufcl_state_ohm)
+is an argument of the fault solvers only; steady_state and thevenin_at
+see the network without it.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
@@ -65,12 +67,13 @@ class FaultResult:
 @dataclass(frozen=True)
 class _Nodal:
     """One operating state: the limiter resistance and the induction
-    multiplier applied, with the bus index, the effective branch
-    impedances, Y and the Norton source injections, all in per-unit."""
+    multiplier applied, with the bus index, Y and the Norton source
+    injections in per-unit, and one tap per branch, (branch id, from
+    index, to index, i_base[from] / z), that turns a voltage profile in
+    per-unit into the branch's current in amps."""
 
-    pu: PuNetwork
     index: dict[str, int]
-    branch_z: dict[str, complex]
+    taps: list[tuple[str, int, int, complex]]
     ybus: np.ndarray
     injection: np.ndarray
 
@@ -85,14 +88,14 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0) -> _Nodal:
     if ufcl_state_ohm != 0.0 and tie is None:
         raise ValueError("no tie branch to carry the limiter resistance")
 
-    branch_z = {}
+    taps = []
     for br in pu.net.branches:
         z = pu.branch_z_pu[br.id]
         if br.id == tie and ufcl_state_ohm != 0.0:
             z = z + ufcl_state_ohm / pu.z_base[br.from_bus]
-        branch_z[br.id] = z
         y = 1.0 / z
         f, t = index[br.from_bus], index[br.to_bus]
+        taps.append((br.id, f, t, complex(pu.i_base[br.from_bus] / z)))
         ybus[f, f] += y
         ybus[t, t] += y
         ybus[f, t] -= y
@@ -109,7 +112,7 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0) -> _Nodal:
     for l in pu.net.loads:
         ybus[index[l.bus], index[l.bus]] += 1.0 / pu.load_z_pu[l.id]
 
-    return _Nodal(pu, index, branch_z, ybus, injection)
+    return _Nodal(index, taps, ybus, injection)
 
 
 def build_ybus(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
@@ -142,13 +145,10 @@ def _solve(nodal: _Nodal, buses: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _branch_currents_a(nodal: _Nodal, v: np.ndarray) -> dict[str, complex]:
-    pu, index = nodal.pu, nodal.index
-    out = {}
-    for br in pu.net.branches:
-        z = nodal.branch_z[br.id]
-        i_pu = (v[index[br.from_bus]] - v[index[br.to_bus]]) / z
-        out[br.id] = complex(i_pu * pu.i_base[br.from_bus])
-    return out
+    # plain Python complex arithmetic: a numpy scalar per branch costs more
+    # than the dense solve on a large network
+    v = v.tolist()
+    return {bid: (v[f] - v[t]) * s for bid, f, t, s in nodal.taps}
 
 
 def steady_state(net: Network) -> dict[str, complex]:

@@ -189,10 +189,11 @@ def _study(net: Network, scenario: Scenario,
 
         # one operate-time evaluation per relay and fault: the tables print
         # it and the pairs are graded from it
+        relays = {r.id: r for r in snet.relays}
         tables, times = [], {}
         for bus in buses:
             amps = results[bus].relay_currents
-            times[bus] = {rid: operate_time(snet.relay_by_id(rid), amps[rid])
+            times[bus] = {rid: operate_time(relays[rid], amps[rid])
                           for rid in _reading_order(snet, bus)}
             readings = tuple(RelayReading(rid, amps[rid], t)
                              for rid, t in times[bus].items())

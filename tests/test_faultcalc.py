@@ -196,21 +196,53 @@ def assert_batch_matches(net, r_ohm):
         assert res.relay_currents == one.relay_currents
 
 
-def test_batch_equals_single_and_oracle_on_tie_networks():
+def tie_states():
+    """Each random_tie_net seed at R = 0 and at its sized resistance."""
     for seed in range(100):
         net, bus = random_tie_net(seed)
-        assert_batch_matches(net, 0.0)
+        yield net, 0.0
         bare = replace(net, sources=tuple(
             s for s in net.sources if s.kind == "infinite_grid"))
         sized = size_ufcl(net, bus, solve_fault(bare, FaultSpec(bus))
                           .fault_current_a)
         assert sized.r_star > 0
-        assert_batch_matches(net, sized.r_star)
+        yield net, sized.r_star
+
+
+def test_batch_equals_single_and_oracle_on_tie_networks():
+    for net, r_ohm in tie_states():
+        assert_batch_matches(net, r_ohm)
 
 
 def test_batch_equals_single_and_oracle_on_connected_networks():
     for seed in range(100):
         assert_batch_matches(random_connected_net(seed), 0.0)
+
+
+def large_nets():
+    """Networks of 40-60 buses, past the oracle's limit: radial with and
+    without a DG, and meshed; the first seeds that draw 40 buses or more."""
+    nets = []
+    for build in (lambda s: random_radial_net(s, max_buses=60),
+                  lambda s: random_radial_net(s, max_buses=60, with_dg=True),
+                  lambda s: random_connected_net(s, max_buses=60)):
+        drawn = (build(seed) for seed in range(1000))
+        nets += [net for net in drawn if len(net.buses) >= 40][:5]
+    return nets
+
+
+def test_batch_equals_single_on_large_networks():
+    for net in large_nets():
+        batch = solve_faults(net, [FaultSpec(b.id) for b in net.buses])
+        for res in batch:
+            one = solve_fault(net, FaultSpec(res.fault_bus))
+            assert close(res.fault_current_c, one.fault_current_c)
+            for br in net.branches:
+                assert close(res.branch_currents[br.id],
+                             one.branch_currents[br.id]), br.id
+            for r in net.relays:
+                assert close(res.relay_currents[r.id],
+                             one.relay_currents[r.id]), r.id
 
 
 def test_batch_edges(bundled_net):
@@ -285,18 +317,25 @@ def test_fault_current_is_prefault_voltage_over_thevenin(bundled_net):
 # --- oracle route -----------------------------------------------------------
 
 
-def kcl_residuals(net, sol, fault_bus=None):
-    """Node balance recomputed from the oracle voltages, in pu."""
+def kcl_residuals(net, sol, fault_bus=None, branch_pu=None):
+    """Node balance from a solution's voltages and fault current, in pu.
+
+    Each branch's from-to current is branch_pu[id] when given, else the
+    voltage across it over its impedance (no limiter resistance).
+    """
     pu = to_per_unit(net)
     v = dict(zip(net.bus_ids(), sol.bus_voltages_pu))
+    if branch_pu is None:
+        branch_pu = {br.id: (v[br.from_bus] - v[br.to_bus])
+                     / pu.branch_z_pu[br.id] for br in net.branches}
     res = {}
     for b in net.buses:
         acc = 0j
         for br in net.branches:
             if br.from_bus == b.id:
-                acc += (v[br.from_bus] - v[br.to_bus]) / pu.branch_z_pu[br.id]
+                acc += branch_pu[br.id]
             elif br.to_bus == b.id:
-                acc += (v[br.to_bus] - v[br.from_bus]) / pu.branch_z_pu[br.id]
+                acc -= branch_pu[br.id]
         for l in net.loads:
             if l.bus == b.id:
                 acc += v[b.id] / pu.load_z_pu[l.id]
@@ -335,6 +374,29 @@ def test_oracle_kcl_on_random_radial_networks(bundled_net):
         bus = net.buses[seed % len(net.buses)].id
         post = oracle_solve(net, FaultSpec(bus))
         assert max(kcl_residuals(net, post, fault_bus=bus).values()) < 1e-9
+
+
+def assert_reported_kcl(net, r_ohm=0.0):
+    """Every bus of an all-bus solve_faults balances, with the branch
+    currents as reported: amps on the from-side base, back to per-unit."""
+    pu = to_per_unit(net)
+    faults = [FaultSpec(b.id) for b in net.buses]
+    for res in solve_faults(net, faults, ufcl_state_ohm=r_ohm):
+        branch_pu = {br.id: res.branch_currents[br.id] / pu.i_base[br.from_bus]
+                     for br in net.branches}
+        residuals = kcl_residuals(net, res, res.fault_bus, branch_pu)
+        assert max(residuals.values()) < 1e-9, (res.fault_bus, r_ohm)
+
+
+def test_production_kcl_on_random_networks():
+    for seed in range(100):
+        assert_reported_kcl(random_radial_net(seed))
+        assert_reported_kcl(random_radial_net(seed, with_dg=True))
+        assert_reported_kcl(random_connected_net(seed))
+    for net, r_ohm in tie_states():
+        assert_reported_kcl(net, r_ohm)
+    for net in large_nets():
+        assert_reported_kcl(net)
 
 
 def test_oracle_matches_steady_state_branch_currents(bundled_net):
