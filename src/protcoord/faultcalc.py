@@ -6,10 +6,11 @@ is a three-phase short circuit at a bus through zero fault impedance,
 solved by superposition on the nodal admittance matrix. Relay currents
 come straight out of the post-fault voltage profile; there is no separate
 load-flow overlay. Each operating state builds its per-branch taps once
-(the from and to bus index and i_base[from] / z), and each fault's branch
-currents are one pass over them. The limiter resistance (ufcl_state_ohm)
-is an argument of the fault solvers only; steady_state and thevenin_at
-see the network without it.
+(the from and to bus index and i_base[from] / z, keyed by branch id), and
+a fault's branch currents are computed on lookup from its own voltage
+profile and those taps, so a study pays only for the branches it reads.
+The limiter resistance (ufcl_state_ohm) is an argument of the fault
+solvers only; steady_state and thevenin_at see the network without it.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
@@ -19,6 +20,7 @@ record, FaultResult, and nothing else.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +56,15 @@ class FaultResult:
     per-source responses without losing angle. bus_voltages_pu is the
     post-fault voltage profile in per-unit, in net.buses order. The
     oracle also solves the unfaulted network: fault_bus None, no current.
+    branch_currents is read-only, in net.branches order; solve_faults
+    computes each one on lookup from a copy of the fault's own voltage
+    profile, so a later write into bus_voltages_pu does not reach it.
     """
 
     fault_bus: str | None
     fault_current_a: float
     relay_currents: dict[str, float]
-    branch_currents: dict[str, complex]
+    branch_currents: Mapping[str, complex]
     fault_current_c: complex
     bus_voltages_pu: np.ndarray = field(compare=False, repr=False)
 
@@ -68,12 +73,12 @@ class FaultResult:
 class _Nodal:
     """One operating state: the limiter resistance and the induction
     multiplier applied, with the bus index, Y and the Norton source
-    injections in per-unit, and one tap per branch, (branch id, from
-    index, to index, i_base[from] / z), that turns a voltage profile in
-    per-unit into the branch's current in amps."""
+    injections in per-unit, and one tap per branch id, (from index, to
+    index, i_base[from] / z), that turns a voltage profile in per-unit
+    into the branch's current in amps."""
 
     index: dict[str, int]
-    taps: list[tuple[str, int, int, complex]]
+    taps: dict[str, tuple[int, int, complex]]
     ybus: np.ndarray
     injection: np.ndarray
 
@@ -88,14 +93,14 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0) -> _Nodal:
     if ufcl_state_ohm != 0.0 and tie is None:
         raise ValueError("no tie branch to carry the limiter resistance")
 
-    taps = []
+    taps = {}
     for br in pu.net.branches:
         z = pu.branch_z_pu[br.id]
         if br.id == tie and ufcl_state_ohm != 0.0:
             z = z + ufcl_state_ohm / pu.z_base[br.from_bus]
         y = 1.0 / z
         f, t = index[br.from_bus], index[br.to_bus]
-        taps.append((br.id, f, t, complex(pu.i_base[br.from_bus] / z)))
+        taps[br.id] = (f, t, complex(pu.i_base[br.from_bus] / z))
         ybus[f, f] += y
         ybus[t, t] += y
         ybus[f, t] -= y
@@ -144,17 +149,35 @@ def _solve(nodal: _Nodal, buses: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return sol[:, 0], sol[:, 1:]
 
 
-def _branch_currents_a(nodal: _Nodal, v: np.ndarray) -> dict[str, complex]:
-    # plain Python complex arithmetic: a numpy scalar per branch costs more
-    # than the dense solve on a large network
-    v = v.tolist()
-    return {bid: (v[f] - v[t]) * s for bid, f, t, s in nodal.taps}
+class _BranchCurrents(Mapping):
+    """Branch id -> complex amps of one voltage profile, each computed on
+    lookup from the state's taps; read-only, in net.branches order."""
+
+    __slots__ = ("_taps", "_v")
+
+    def __init__(self, taps: dict[str, tuple[int, int, complex]],
+                 v: np.ndarray) -> None:
+        self._taps = taps
+        self._v = v.tolist()
+
+    def __getitem__(self, branch_id: str) -> complex:
+        f, t, s = self._taps[branch_id]
+        return (self._v[f] - self._v[t]) * s
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._taps)
+
+    def __len__(self) -> int:
+        return len(self._taps)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def steady_state(net: Network) -> dict[str, complex]:
     """Branch currents (complex amps, from-side base) with no fault applied."""
     nodal = _nodal(to_per_unit(net))
-    return _branch_currents_a(nodal, _solve(nodal, [])[0])
+    return dict(_BranchCurrents(nodal.taps, _solve(nodal, [])[0]))
 
 
 def solve_faults(net: Network, faults: list[FaultSpec],
@@ -175,7 +198,7 @@ def solve_faults(net: Network, faults: list[FaultSpec],
         k = nodal.index[fault.bus]
         i_f = v_pre[k] / z_col[k]
         v_post = v_pre - i_f * z_col
-        branch_currents = _branch_currents_a(nodal, v_post)
+        branch_currents = _BranchCurrents(nodal.taps, v_post)
         i_f_amps = complex(i_f * pu.i_base[fault.bus])
         # a relay current within the solution's round-off of zero is 0
         floor = 1e-9 * max(1.0, abs(i_f_amps))

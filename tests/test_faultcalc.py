@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -219,16 +220,18 @@ def test_batch_equals_single_and_oracle_on_connected_networks():
         assert_batch_matches(random_connected_net(seed), 0.0)
 
 
+@functools.cache
 def large_nets():
     """Networks of 40-60 buses, past the oracle's limit: radial with and
-    without a DG, and meshed; the first seeds that draw 40 buses or more."""
+    without a DG, and meshed; the first seeds that draw 40 buses or more.
+    Drawn once per session (about 0.7 s); the networks are frozen."""
     nets = []
     for build in (lambda s: random_radial_net(s, max_buses=60),
                   lambda s: random_radial_net(s, max_buses=60, with_dg=True),
                   lambda s: random_connected_net(s, max_buses=60)):
         drawn = (build(seed) for seed in range(1000))
         nets += [net for net in drawn if len(net.buses) >= 40][:5]
-    return nets
+    return tuple(nets)
 
 
 def test_batch_equals_single_on_large_networks():
@@ -243,6 +246,34 @@ def test_batch_equals_single_on_large_networks():
             for r in net.relays:
                 assert close(res.relay_currents[r.id],
                              one.relay_currents[r.id]), r.id
+
+
+def test_branch_currents_mapping_contract(bundled_net):
+    s2 = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
+    r_star = size_ufcl(s2, s2.ufcl.sizing_fault_bus,
+                       s2.ufcl.sizing_reference_a).r_star
+    states = [(s2, 0.0), (s2, r_star)] + [(net, 0.0) for net in large_nets()]
+    for net, r_ohm in states:
+        branch_ids = [br.id for br in net.branches]
+        faults = [FaultSpec(b.id) for b in net.buses]
+        for res in solve_faults(net, faults, ufcl_state_ohm=r_ohm):
+            currents = res.branch_currents
+            assert list(currents) == branch_ids
+            with pytest.raises(KeyError):
+                currents["no-such-branch"]
+            with pytest.raises(TypeError):
+                currents[branch_ids[0]] = 0j
+            plain = replace(res, branch_currents=dict(currents))
+            assert res == plain
+            assert repr(res) == repr(plain)
+            floor = 1e-9 * max(1.0, res.fault_current_a)
+            for r in net.relays:
+                amps = abs(currents[r.branch])
+                assert res.relay_currents[r.id] == \
+                    (amps if amps > floor else 0.0), r.id
+            before = (dict(currents), dict(res.relay_currents))
+            res.bus_voltages_pu[:] = 0.0
+            assert (dict(currents), res.relay_currents) == before
 
 
 def test_batch_edges(bundled_net):
