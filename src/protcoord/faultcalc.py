@@ -1,4 +1,4 @@
-"""Balanced three-phase fault and steady-state solutions.
+"""Balanced three-phase fault solutions.
 
 Single-phase positive-sequence nodal model: every source is an EMF behind
 its internal impedance, loads are constant shunt impedances, and a fault
@@ -9,8 +9,8 @@ load-flow overlay. Each operating state builds its per-branch taps once
 (the from and to bus index and i_base[from] / z, keyed by branch id), and
 a fault's branch currents are computed on lookup from its own voltage
 profile and those taps, so a study pays only for the branches it reads.
-The limiter resistance (ufcl_state_ohm) is an argument of the fault
-solvers only; steady_state and thevenin_at see the network without it.
+build_ybus returns the admittance matrix of one such state (the limiter
+at ufcl_state_ohm): the matrix that `run --debug-csv` prints, at R = 0.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
@@ -29,8 +29,7 @@ from .netmodel import Network, PuNetwork, to_per_unit
 
 __all__ = [
     "FaultSpec", "FaultResult",
-    "build_ybus", "steady_state", "solve_fault", "solve_faults",
-    "thevenin_at", "oracle_solve",
+    "build_ybus", "solve_fault", "solve_faults", "oracle_solve",
 ]
 
 # induction machines present a slightly larger transient impedance than an
@@ -120,7 +119,7 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0) -> _Nodal:
     return _Nodal(index, taps, ybus, injection)
 
 
-def build_ybus(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
+def build_ybus(net: Network, ufcl_state_ohm: float = 0.0,
                ) -> tuple[np.ndarray, dict[str, int]]:
     """Assemble the nodal admittance matrix (sources as shunt admittances).
 
@@ -128,25 +127,8 @@ def build_ybus(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
     converted to per-unit in the tie's voltage zone. Returns (Y, bus index
     map).
     """
-    nodal = _nodal(pu, ufcl_state_ohm)
+    nodal = _nodal(to_per_unit(net), ufcl_state_ohm)
     return nodal.ybus, nodal.index
-
-
-def _solve(nodal: _Nodal, buses: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Prefault voltages and the Thevenin column of each bus, in per-unit.
-
-    One solve of Y against [injections | a unit column per bus], so every
-    fault of one operating state shares a single factorisation.
-    """
-    for bus in buses:
-        if bus not in nodal.index:
-            raise ValueError(f"unknown fault bus {bus!r}")
-    rhs = np.zeros((len(nodal.index), 1 + len(buses)), dtype=complex)
-    rhs[:, 0] = nodal.injection
-    for j, bus in enumerate(buses, start=1):
-        rhs[nodal.index[bus], j] = 1.0
-    sol = np.linalg.solve(nodal.ybus, rhs)
-    return sol[:, 0], sol[:, 1:]
 
 
 class _BranchCurrents(Mapping):
@@ -174,12 +156,6 @@ class _BranchCurrents(Mapping):
         return repr(dict(self))
 
 
-def steady_state(net: Network) -> dict[str, complex]:
-    """Branch currents (complex amps, from-side base) with no fault applied."""
-    nodal = _nodal(to_per_unit(net))
-    return dict(_BranchCurrents(nodal.taps, _solve(nodal, [])[0]))
-
-
 def solve_faults(net: Network, faults: list[FaultSpec],
                  ufcl_state_ohm: float = 0.0) -> list[FaultResult]:
     """Solve faults by Thevenin superposition.
@@ -192,9 +168,18 @@ def solve_faults(net: Network, faults: list[FaultSpec],
     """
     pu = to_per_unit(net)
     nodal = _nodal(pu, ufcl_state_ohm)
-    v_pre, z_cols = _solve(nodal, [f.bus for f in faults])
+    # one solve of Y against [injections | a unit column per fault bus]:
+    # the prefault profile and every Thevenin column share a factorisation
+    rhs = np.zeros((len(nodal.index), 1 + len(faults)), dtype=complex)
+    rhs[:, 0] = nodal.injection
+    for j, fault in enumerate(faults, start=1):
+        if fault.bus not in nodal.index:
+            raise ValueError(f"unknown fault bus {fault.bus!r}")
+        rhs[nodal.index[fault.bus], j] = 1.0
+    sol = np.linalg.solve(nodal.ybus, rhs)
+    v_pre = sol[:, 0]
     results = []
-    for fault, z_col in zip(faults, z_cols.T):
+    for fault, z_col in zip(faults, sol[:, 1:].T):
         k = nodal.index[fault.bus]
         i_f = v_pre[k] / z_col[k]
         v_post = v_pre - i_f * z_col
@@ -218,12 +203,6 @@ def solve_fault(net: Network, fault: FaultSpec,
                 ufcl_state_ohm: float = 0.0) -> FaultResult:
     """Solve one fault: the one-fault case of solve_faults."""
     return solve_faults(net, [fault], ufcl_state_ohm)[0]
-
-
-def thevenin_at(pu: PuNetwork, bus: str) -> complex:
-    """Driving-point impedance at a bus in per-unit (EMFs shorted)."""
-    nodal = _nodal(pu)
-    return complex(_solve(nodal, [bus])[1][nodal.index[bus], 0])
 
 
 def oracle_solve(net: Network, fault: FaultSpec | None,

@@ -32,7 +32,7 @@ from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
                            format_number, report_to_csv, row_cells)
 from .faultcalc import (FaultResult, FaultSpec, build_ybus, solve_fault,
                         solve_faults)
-from .netmodel import Network, load_network, to_per_unit, validate
+from .netmodel import Network, load_network, validate
 from .relaycurve import operate_time
 from .ufcl import SizingResult, downstream_buses, size_ufcl
 
@@ -158,7 +158,7 @@ def _resolve_states(snet: Network, scenario: Scenario,
     if not scenario.ufcl_enabled:
         return None, {bus: 0.0 for bus in buses}
 
-    down = downstream_buses(snet, snet.ufcl)
+    down = downstream_buses(snet)
     sizing_bus = snet.ufcl.sizing_fault_bus
     if sizing_bus is None:
         upstream = [b for b in buses if b not in down]
@@ -297,7 +297,7 @@ def _debug_dump(snet: Network, results: list[FaultResult]) -> str:
     voltage profile of fault number k (1-based, order as run) appears as
     rows (i, -k, re, im).
     """
-    ybus, _ = build_ybus(to_per_unit(snet))
+    ybus, _ = build_ybus(snet)
     out = ["row,col,re,im"]
     n = len(ybus)
     for i in range(n):

@@ -32,11 +32,11 @@ import math
 from dataclasses import dataclass
 
 from .faultcalc import FaultSpec, solve_fault
-from .netmodel import Network, UfclSpec, partition_by_tie
+from .netmodel import Network, partition_by_tie
 
 __all__ = [
-    "UfclSpec", "SizingResult", "SizingError", "LevelMap",
-    "downstream_buses", "size_ufcl",
+    "SizingResult", "SizingError", "LevelMap", "downstream_buses",
+    "size_ufcl",
 ]
 
 EVALUATION_CAP = 200
@@ -92,12 +92,12 @@ class LevelMap:
         return abs(self.b / self.d) if self.d else abs(self.a)
 
 
-def downstream_buses(net: Network, ufcl: UfclSpec) -> frozenset:
-    """Buses on the limiter's downstream side: the side away from the grid.
+def downstream_buses(net: Network) -> frozenset:
+    """Buses on net.ufcl's downstream side: the side away from the grid.
 
     validate checks that ufcl.downstream_end lies on this side.
     """
-    return partition_by_tie(net, ufcl.tie_branch)[1]
+    return partition_by_tie(net, net.ufcl.tie_branch)[1]
 
 
 def size_ufcl(net_with_dg: Network, fault_bus: str,
@@ -116,7 +116,7 @@ def size_ufcl(net_with_dg: Network, fault_bus: str,
     accepted R misses the target that the read met.
     """
     if (net_with_dg.ufcl is not None
-            and fault_bus in downstream_buses(net_with_dg, net_with_dg.ufcl)):
+            and fault_bus in downstream_buses(net_with_dg)):
         raise ValueError(
             f"fault bus {fault_bus!r} is downstream of the limiter; "
             f"sizing needs an upstream bus")

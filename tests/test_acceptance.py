@@ -105,7 +105,7 @@ def _oracle_states(snet, scenario, buses):
     if not scenario.ufcl_enabled:
         return {b: 0.0 for b in buses}
     u = snet.ufcl
-    down = downstream_buses(snet, u)
+    down = downstream_buses(snet)
     return {b: (u.r_normal if b in down else u.r_limit) for b in buses}
 
 

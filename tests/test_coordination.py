@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from protcoord.coordination import (CSV_COLUMNS, CoordinationReport,
-                                    TdsInfeasibleError, check_pairs,
-                                    format_number, optimize_tds,
-                                    report_to_csv, set_pickups)
+from protcoord.coordination import (CSV_COLUMNS, TdsInfeasibleError,
+                                    check_pairs, format_number,
+                                    optimize_tds, report_to_csv,
+                                    set_pickups)
 from protcoord.netmodel import (Branch, Bus, CoordinationPair, Network,
                                 RelaySpec)
 from protcoord.relaycurve import CurveConstants, operate_time

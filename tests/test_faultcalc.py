@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from conftest import random_connected_net, random_radial_net, random_tie_net
 from protcoord import faultcalc
 from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
-                                 solve_fault, solve_faults, steady_state,
-                                 thevenin_at)
-from protcoord.netmodel import (Branch, Bus, Network, ShuntLoad, Source,
-                                to_per_unit, validate)
+                                 solve_fault, solve_faults)
+from protcoord.netmodel import (Branch, Bus, Network, RelaySpec, ShuntLoad,
+                                Source, to_per_unit, validate)
+from protcoord.relaycurve import curve_family
 from protcoord.studio import SCENARIOS, build_scenario_net
 from protcoord.ufcl import size_ufcl
 
@@ -34,7 +34,7 @@ def two_bus(z_ohm, with_source=False):
 
 def test_ybus_hand_stamp_single_branch():
     # z = j20 ohm on a 40 ohm base: j0.5 pu, y = -2j
-    ybus, ix = build_ybus(to_per_unit(two_bus(20j)))
+    ybus, ix = build_ybus(two_bus(20j))
     want = np.array([[-2j, 2j], [2j, -2j]])
     assert np.allclose(ybus, want, atol=1e-15)
     assert ix == {"a": 0, "b": 1}
@@ -42,15 +42,14 @@ def test_ybus_hand_stamp_single_branch():
 
 def test_ybus_hand_stamp_with_source():
     # grid z = j4 ohm: j0.1 pu, adds 1/(j0.1) = -10j on its diagonal
-    ybus, _ = build_ybus(to_per_unit(two_bus(20j, with_source=True)))
+    ybus, _ = build_ybus(two_bus(20j, with_source=True))
     assert ybus[0, 0] == pytest.approx(-12j, abs=1e-12)
     assert ybus[1, 1] == pytest.approx(-2j, abs=1e-12)
 
 
 def test_ybus_ufcl_state_touches_only_tie_entries(bundled_net):
-    pu = to_per_unit(bundled_net)
-    y0, ix = build_ybus(pu, ufcl_state_ohm=0.0)
-    y1, _ = build_ybus(pu, ufcl_state_ohm=184.0)
+    y0, ix = build_ybus(bundled_net, ufcl_state_ohm=0.0)
+    y1, _ = build_ybus(bundled_net, ufcl_state_ohm=184.0)
     tie = bundled_net.branch_by_id(bundled_net.ufcl.tie_branch)
     touched = {(ix[tie.from_bus], ix[tie.from_bus]),
                (ix[tie.from_bus], ix[tie.to_bus]),
@@ -88,7 +87,7 @@ def test_two_tie_branches_without_ufcl_solve_at_zero_limiter():
                          ref.branch_currents[br.id]), (bus, br.id)
 
 
-# --- steady state -----------------------------------------------------------
+# --- steady state, from the oracle's unfaulted solution ---------------------
 
 
 def test_steady_state_voltage_divider():
@@ -99,14 +98,14 @@ def test_steady_state_voltage_divider():
         branches=(Branch("ab", "a", "b", "line", 0.0004j),),
         sources=(Source("g", "a", "infinite_grid", 40j),),
         loads=(ShuntLoad("l", "b", 40j),))
-    amps = steady_state(net)["ab"]
+    amps = oracle_solve(net, None).branch_currents["ab"]
     i_base = 10e6 / (math.sqrt(3.0) * 20e3)
     assert abs(amps) == pytest.approx(0.5 * i_base, rel=1e-4)
 
 
 def test_steady_state_bundled_matches_frozen(bundled_net, expected):
     snet = build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"])
-    currents = steady_state(snet)
+    currents = oracle_solve(snet, None).branch_currents
     for r in snet.relays:
         assert close(abs(currents[r.branch]), expected["steady_no_dg"][r.id])
 
@@ -114,7 +113,8 @@ def test_steady_state_bundled_matches_frozen(bundled_net, expected):
 def test_steady_state_bundled_near_table_load_flow(bundled_net):
     # relay-1 feeder loading lands near the published 558 A
     snet = build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"])
-    amps = abs(steady_state(snet)[bundled_net.relay_by_id("relay1").branch])
+    currents = oracle_solve(snet, None).branch_currents
+    amps = abs(currents[bundled_net.relay_by_id("relay1").branch])
     assert amps == pytest.approx(558.0, rel=0.05)
 
 
@@ -220,22 +220,33 @@ def test_batch_equals_single_and_oracle_on_connected_networks():
         assert_batch_matches(random_connected_net(seed), 0.0)
 
 
+def with_relays(net):
+    """net with a relay on every third branch, the first included."""
+    curve = curve_family("iec_standard_inverse")
+    return replace(net, relays=tuple(
+        RelaySpec(f"relay_{br.id}", br.id, 100.0, 0.1, curve)
+        for br in net.branches[::3]))
+
+
 @functools.cache
 def large_nets():
     """Networks of 40-60 buses, past the oracle's limit: radial with and
-    without a DG, and meshed; the first seeds that draw 40 buses or more.
-    Drawn once per session (about 0.7 s); the networks are frozen."""
+    without a DG, and meshed; the first seeds that draw 40 buses or more,
+    each with a relay on every third branch. Drawn once per session
+    (about 0.7 s); the networks are frozen."""
     nets = []
     for build in (lambda s: random_radial_net(s, max_buses=60),
                   lambda s: random_radial_net(s, max_buses=60, with_dg=True),
                   lambda s: random_connected_net(s, max_buses=60)):
         drawn = (build(seed) for seed in range(1000))
-        nets += [net for net in drawn if len(net.buses) >= 40][:5]
+        nets += [with_relays(net) for net in drawn
+                 if len(net.buses) >= 40][:5]
     return tuple(nets)
 
 
 def test_batch_equals_single_on_large_networks():
     for net in large_nets():
+        assert net.relays
         batch = solve_faults(net, [FaultSpec(b.id) for b in net.buses])
         for res in batch:
             one = solve_fault(net, FaultSpec(res.fault_bus))
@@ -286,10 +297,18 @@ def test_batch_edges(bundled_net):
 # --- thevenin ---------------------------------------------------------------
 
 
+def thevenin(net):
+    """Driving-point impedance of every bus in per-unit (EMFs shorted):
+    the diagonal of the inverse of Y."""
+    ybus, ix = build_ybus(net)
+    zbus = np.linalg.inv(ybus)
+    return {bus: complex(zbus[k, k]) for bus, k in ix.items()}
+
+
 def test_thevenin_single_source_bus():
     net = Network(buses=(Bus("a", 20000.0),), branches=(),
                   sources=(Source("g", "a", "infinite_grid", 4j),))
-    zth = thevenin_at(to_per_unit(net), "a")
+    zth = thevenin(net)["a"]
     assert zth == pytest.approx(0.1j, rel=1e-12)
 
 
@@ -299,7 +318,7 @@ def test_thevenin_series_chain():
         branches=(Branch("ab", "a", "b", "line", 4 + 8j),
                   Branch("bc", "b", "c", "line", 2 + 2j)),
         sources=(Source("g", "a", "infinite_grid", 1 + 4j),))
-    zth = thevenin_at(to_per_unit(net), "c")
+    zth = thevenin(net)["c"]
     assert zth * 40.0 == pytest.approx((1 + 4j) + (4 + 8j) + (2 + 2j),
                                        rel=1e-12)
 
@@ -310,10 +329,9 @@ def test_adding_dg_never_raises_thevenin(seed):
     net = random_connected_net(seed)
     dg = Source("extra_dg", net.buses[-1].id, "sync_dg", 3 + 20j)
     with_dg = replace(net, sources=net.sources + (dg,))
-    pu0, pu1 = to_per_unit(net), to_per_unit(with_dg)
+    z0, z1 = thevenin(net), thevenin(with_dg)
     for b in net.buses:
-        assert abs(thevenin_at(pu1, b.id)) \
-            <= abs(thevenin_at(pu0, b.id)) * (1 + 1e-12)
+        assert abs(z1[b.id]) <= abs(z0[b.id]) * (1 + 1e-12)
 
 
 # --- superposition ----------------------------------------------------------
@@ -336,11 +354,11 @@ def test_per_source_contributions_sum_to_total(seed):
 
 def test_fault_current_is_prefault_voltage_over_thevenin(bundled_net):
     pu = to_per_unit(bundled_net)
+    z_th = thevenin(bundled_net)
     for bus in ("bus3", "bus6", "dgbus"):
         v_pre = oracle_solve(bundled_net, None).bus_voltages_pu[
             bundled_net.bus_ids().index(bus)]
-        zth = thevenin_at(pu, bus)
-        i_pu = v_pre / zth
+        i_pu = v_pre / z_th[bus]
         got = solve_fault(bundled_net, FaultSpec(bus)).fault_current_a
         assert close(got, abs(i_pu) * pu.i_base[bus])
 
@@ -428,14 +446,6 @@ def test_production_kcl_on_random_networks():
         assert_reported_kcl(net, r_ohm)
     for net in large_nets():
         assert_reported_kcl(net)
-
-
-def test_oracle_matches_steady_state_branch_currents(bundled_net):
-    currents = steady_state(bundled_net)
-    orc = oracle_solve(bundled_net, None)
-    for br in bundled_net.branches:
-        assert close(abs(currents[br.id]), abs(orc.branch_currents[br.id]),
-                     rel=1e-9, floor=1e-3)
 
 
 def test_oracle_bus_limit():

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest

@@ -48,6 +48,79 @@ def test_module_layering():
     assert got == LAYERS
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def assigned(tree: ast.Module, name: str, default=None):
+    """The literal a module binds to `name` at top level, else default."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return default
+
+
+def test_all_names_are_defined_in_their_module():
+    # __all__ lists what a module defines, not what it re-exports
+    found = []
+    for path in Path(protcoord.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined |= {n.id for n in ast.walk(node)
+                            if isinstance(n, ast.Name)
+                            and isinstance(n.ctx, ast.Store)}
+        found += [f"{path.stem}: {name}"
+                  for name in assigned(tree, "__all__", [])
+                  if name not in defined]
+    assert found == []
+
+
+def test_every_import_is_used():
+    found = []
+    for folder in ("src/protcoord", "tests", "tools"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        imported[name] = node.lineno
+                elif (isinstance(node, ast.ImportFrom)
+                      and node.module != "__future__"):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = node.lineno
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            used |= set(assigned(tree, "__all__", []))
+            found += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                      for name, line in imported.items() if name not in used]
+    assert found == []
+
+
+# tracer sites naming a function the package no longer has (ufcl lost
+# classify_fault_side to downstream_buses); re-pointing them is bench work
+STALE_BENCH_SITES = {("protcoord.studio", "classify_fault_side"),
+                     ("protcoord.ufcl", "classify_fault_side")}
+
+
+def test_bench_tracer_sites_resolve():
+    # the traced bench wraps each layer at the module attribute its callers
+    # look it up by; a site that no longer resolves reads as a 0 metric, or
+    # fails the run where the bench indexes its spans
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(
+        encoding="utf-8"))
+    unresolved = {(mod, attr) for mod, attr, _ in assigned(tree, "SITES")
+                  if not callable(getattr(importlib.import_module(mod),
+                                          attr, None))}
+    assert unresolved <= STALE_BENCH_SITES
+
+
 def test_no_private_cross_module_imports():
     # a module reaches another only through its public names: neither
     # `from .faultcalc import _nodal` nor `from . import faultcalc` and

@@ -9,7 +9,7 @@ from protcoord import bundled_dataset_path
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
                                  solve_fault)
-from protcoord.netmodel import partition_by_tie, to_per_unit
+from protcoord.netmodel import partition_by_tie
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
                               emit_report, run_scenario)
@@ -255,7 +255,7 @@ def test_cli_run_debug_csv_values(tmp_path, bundled_net):
     rows = [tuple(float(cell) for cell in ln.split(",")) for ln in lines[1:]]
 
     snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
-    ybus, _ = build_ybus(to_per_unit(snet))
+    ybus, _ = build_ybus(snet)
     matrix = {(int(i), int(j)): complex(re, im)
               for i, j, re, im in rows if j >= 0}
     assert matrix == {(i, j): ybus[i, j] for i in range(len(ybus))

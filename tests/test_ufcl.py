@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from protcoord import ufcl
 from protcoord.faultcalc import FaultSpec, build_ybus, solve_fault
-from protcoord.netmodel import to_per_unit, validate
+from protcoord.netmodel import validate
 from protcoord.studio import SCENARIOS, build_scenario_net, cli, run_scenario
 from protcoord.ufcl import (SAMPLE_OHMS, LevelMap, SizingError,
                             downstream_buses, size_ufcl)
@@ -40,7 +40,7 @@ def solve_path(monkeypatch):
 
 
 def test_classify_bundled_sides(bundled_net):
-    assert downstream_buses(bundled_net, bundled_net.ufcl) == {
+    assert downstream_buses(bundled_net) == {
         "bus5", "bus6", "dgbus"}
 
 
@@ -151,7 +151,7 @@ def test_sizing_when_the_level_does_not_depend_on_r(bundled_net):
     # no source and no load behind the tie: it carries no current, so the
     # three samples differ by round-off only and the map is flat
     snet = build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"])
-    down = downstream_buses(snet, snet.ufcl)
+    down = downstream_buses(snet)
     snet = replace(snet, loads=tuple(ld for ld in snet.loads
                                      if ld.bus not in down))
     assert validate(snet) == []
@@ -224,9 +224,8 @@ def test_sizing_rejects_bad_target(bundled_net):
 
 
 def test_zero_state_matrix_identical(bundled_net):
-    pu = to_per_unit(bundled_net)
-    y0, idx0 = build_ybus(pu)
-    y1, idx1 = build_ybus(pu, ufcl_state_ohm=0.0)
+    y0, idx0 = build_ybus(bundled_net)
+    y1, idx1 = build_ybus(bundled_net, ufcl_state_ohm=0.0)
     assert idx0 == idx1
     assert np.array_equal(y0, y1)
 
