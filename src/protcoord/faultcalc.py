@@ -36,8 +36,6 @@ __all__ = [
 # equally rated synchronous unit; read at call time by both solution routes
 INDUCTION_Z_MULT = 1.05
 
-ORACLE_BUS_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -207,18 +205,16 @@ def solve_fault(net: Network, fault: FaultSpec,
 
 def oracle_solve(net: Network, fault: FaultSpec | None,
                  ufcl_state_ohm: float = 0.0) -> FaultResult:
-    """Second, independent solution route for small networks.
+    """Second, independent solution route, for checking solve_fault.
 
     Formulates the circuit with an explicit EMF node per source and the
     source currents as unknowns; the fault is a zero-volt constraint
     row whose current unknown is the fault current. Solved by dense
-    inversion. Kept small and slow on purpose: it exists to disagree with
-    solve_fault if either route is wrong.
+    inversion, once per fault, of a matrix with a row per bus and two per
+    source. Kept simple and slow on purpose, not small: it takes a
+    network of any size, and exists to disagree with solve_fault if
+    either route is wrong.
     """
-    if len(net.buses) > ORACLE_BUS_LIMIT:
-        raise ValueError(
-            f"oracle_solve handles at most {ORACLE_BUS_LIMIT} buses")
-
     pu = to_per_unit(net)
     bus_ix = {b.id: i for i, b in enumerate(net.buses)}
     n_bus = len(net.buses)

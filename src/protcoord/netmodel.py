@@ -16,6 +16,8 @@ Network file format (JSON):
                       0.0), ufcl.sizing_fault_bus, ufcl.sizing_reference_a
 The record dataclasses below are the schema: load_network builds each
 record from its class's fields (see _record) and ignores any other key.
+The ufcl object names only its tie branch: the limiter's resistance is
+sized by the study, and its downstream side is found from the topology.
 Relay curves are either an explicit {"a":, "b":, "c":} object or the name
 of a published family (see relaycurve.curve_family).
 """
@@ -91,18 +93,18 @@ class UfclSpec:
     """Unidirectional fault current limiter on a tie branch.
 
     Upstream faults see the limiter's resistance, downstream faults see
-    r_normal (usually 0). A study applies the resistance R* sized by
-    ufcl.size_ufcl, not r_limit; validate only checks r_limit > r_normal.
-    sizing_fault_bus / sizing_reference_a optionally record the study's
-    designated sizing bus (on the grid side) and the pre-DG fault level
-    to restore there; a recorded level needs its bus. Sizing at any other
-    bus, or without a recorded level, targets the bare-grid level computed
-    from the network itself.
+    r_normal (usually 0). The limiter's resistance is not a file field:
+    a study applies the R* that ufcl.size_ufcl finds. Its direction is not
+    one either: the downstream side is the side of the tie away from the
+    infinite_grid source (partition_by_tie). sizing_fault_bus /
+    sizing_reference_a optionally record the study's designated sizing bus
+    (on the grid side) and the pre-DG fault level to restore there; a
+    recorded level needs its bus. Sizing at any other bus, or without a
+    recorded level, targets the bare-grid level computed from the network
+    itself.
     """
 
     tie_branch: str
-    r_limit: float
-    downstream_end: str
     r_normal: float = 0.0
     sizing_fault_bus: str | None = None
     sizing_reference_a: float | None = None
@@ -297,8 +299,7 @@ def _dangling_references(net: Network) -> list[Violation]:
                  (subject, "bus", p.fault_bus)]
     if net.ufcl is not None:
         u = net.ufcl
-        refs += [("ufcl", "branch", u.tie_branch),
-                 ("ufcl", "bus", u.downstream_end)]
+        refs.append(("ufcl", "branch", u.tie_branch))
         if u.sizing_fault_bus is not None:
             refs.append(("ufcl", "bus", u.sizing_fault_bus))
     return [Violation("referential integrity", subject,
@@ -339,9 +340,9 @@ def validate(net: Network) -> list[Violation]:
     """Check every type invariant; violations are data, not exceptions.
 
     The limiter-side rules (the tie splits the grid from a downstream side
-    that holds downstream_end and not sizing_fault_bus) and the per-unit
-    rules (voltage zones and bases, the smallest per-unit branch
-    impedance) run only once every other rule holds.
+    that does not hold sizing_fault_bus) and the per-unit rules (voltage
+    zones and bases, the smallest per-unit branch impedance) run only once
+    every other rule holds.
     """
     out: list[Violation] = []
 
@@ -403,14 +404,8 @@ def validate(net: Network) -> list[Violation]:
 
     if net.ufcl is not None:
         u = net.ufcl
-        if not (u.r_limit > u.r_normal >= 0):
-            bad("r_limit > r_normal >= 0", u.tie_branch,
-                f"r_limit = {u.r_limit}, r_normal = {u.r_normal}")
-        if u.tie_branch in {br.id for br in net.branches}:
-            tie = net.branch_by_id(u.tie_branch)
-            if u.downstream_end not in (tie.from_bus, tie.to_bus):
-                bad("downstream_end endpoint of tie_branch", u.downstream_end,
-                    f"not an endpoint of {u.tie_branch!r}")
+        if not u.r_normal >= 0:
+            bad("r_normal >= 0", u.tie_branch, f"r_normal = {u.r_normal}")
         if u.sizing_reference_a is not None:
             if not u.sizing_reference_a > 0:
                 bad("sizing_reference_a > 0", "ufcl",
@@ -442,9 +437,6 @@ def validate(net: Network) -> list[Violation]:
         except ValueError as exc:
             bad("tie splits the network in two", u.tie_branch, str(exc))
         else:
-            if u.downstream_end not in down:
-                bad("downstream_end away from the grid", u.downstream_end,
-                    f"on the grid side of {u.tie_branch!r}")
             if u.sizing_fault_bus in down:
                 bad("sizing_fault_bus on the grid side", u.sizing_fault_bus,
                     f"on the downstream side of {u.tie_branch!r}")

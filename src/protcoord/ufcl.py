@@ -3,9 +3,10 @@
 The limiter sits on a tie branch and presents its resistance only to
 faults on the grid (upstream) side of the tie; downstream faults see
 r_normal, normally zero, so downstream protection is untouched. A study
-applies the sized resistance R* from size_ufcl, not the file's r_limit.
-Which side a fault is on is purely topological here: switching detection
-is assumed ideal.
+applies the sized resistance R* from size_ufcl; the file records no
+limiter resistance. Which side a fault is on is purely topological here,
+the side of the tie away from the grid: switching detection is assumed
+ideal.
 
 size_ufcl picks the resistance that restores the upstream short-circuit
 level to a target (usually the pre-DG level) within SIZING_TOL, 0.5 %
@@ -93,10 +94,9 @@ class LevelMap:
 
 
 def downstream_buses(net: Network) -> frozenset:
-    """Buses on net.ufcl's downstream side: the side away from the grid.
-
-    validate checks that ufcl.downstream_end lies on this side.
-    """
+    """Buses on net.ufcl's downstream side: the side of the tie away from
+    the infinite_grid source, the one place the limiter's direction is
+    decided."""
     return partition_by_tie(net, net.ufcl.tie_branch)[1]
 
 

@@ -89,7 +89,7 @@ def random_tie_net(seed):
     resistance could restore the pre-DG level.
 
     Returns (net, sizing_bus): the net has the DG in service and a UfclSpec
-    with a placeholder r_limit; sizing_bus is the designated upstream bus.
+    on the tie; sizing_bus is the designated upstream bus.
     """
     rng = random.Random(seed)
     n_up = rng.randint(2, 3)  # n0 (grid) .. n_up-1
@@ -128,7 +128,6 @@ def random_tie_net(seed):
     sizing_bus = f"n{n_up - 1}"
     net = Network(buses=tuple(buses), branches=tuple(branches),
                   sources=tuple(sources), loads=tuple(loads),
-                  ufcl=UfclSpec(tie_branch="tie", r_limit=1.0, r_normal=0.0,
-                                downstream_end="d0",
+                  ufcl=UfclSpec(tie_branch="tie", r_normal=0.0,
                                 sizing_fault_bus=sizing_bus))
     return net, sizing_bus

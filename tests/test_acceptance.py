@@ -17,8 +17,8 @@ from protcoord.faultcalc import FaultSpec, oracle_solve, solve_fault
 from protcoord.netmodel import Branch, Bus, CoordinationPair, Network, \
     RelaySpec
 from protcoord.relaycurve import CurveConstants, operate_time
-from protcoord.studio import SCENARIOS, build_scenario_net
-from protcoord.ufcl import downstream_buses, size_ufcl
+from protcoord.studio import SCENARIOS, build_scenario_net, run_scenario
+from protcoord.ufcl import size_ufcl
 
 from conftest import random_connected_net, random_tie_net
 
@@ -101,12 +101,11 @@ def test_criterion_1_recorded_verdicts(bundled_net, announce):
 # --- 2: dual-route agreement -------------------------------------------------
 
 
-def _oracle_states(snet, scenario, buses):
-    if not scenario.ufcl_enabled:
-        return {b: 0.0 for b in buses}
-    u = snet.ufcl
-    down = downstream_buses(snet)
-    return {b: (u.r_normal if b in down else u.r_limit) for b in buses}
+def _oracle_states(net, scenario, buses):
+    """The limiter ohms the study itself applies at each bus, read from
+    its fault tables with every bus faulted."""
+    report = run_scenario(net, replace(scenario, fault_buses=tuple(buses)))
+    return {t.fault_bus: t.ufcl_state_ohm for t in report.fault_tables}
 
 
 def _routes_agree(net, fault_bus, state=0.0):
@@ -123,7 +122,7 @@ def test_criterion_2_oracle_agreement(bundled_net, announce):
         buses = bundled_net.bus_ids()
         for scenario in SCENARIOS.values():
             snet = build_scenario_net(bundled_net, scenario)
-            states = _oracle_states(snet, scenario, buses)
+            states = _oracle_states(bundled_net, scenario, buses)
             for bus in buses:
                 _routes_agree(snet, bus, states[bus])
         for seed in range(500):

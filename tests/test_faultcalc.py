@@ -1,6 +1,9 @@
 import functools
+import importlib.util
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from protcoord import faultcalc
 from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
                                  solve_fault, solve_faults)
 from protcoord.netmodel import (Branch, Bus, Network, RelaySpec, ShuntLoad,
-                                Source, to_per_unit, validate)
+                                Source, load_network, to_per_unit, validate)
 from protcoord.relaycurve import curve_family
 from protcoord.studio import SCENARIOS, build_scenario_net
 from protcoord.ufcl import size_ufcl
@@ -145,8 +148,9 @@ def test_bundled_fault_levels_near_published(bundled_net):
 
 
 def test_unknown_fault_bus(bundled_net):
-    with pytest.raises(ValueError, match="bus99"):
-        solve_fault(bundled_net, FaultSpec("bus99"))
+    for route in (solve_fault, oracle_solve):
+        with pytest.raises(ValueError, match="bus99"):
+            route(bundled_net, FaultSpec("bus99"))
 
 
 def test_fault_result_covers_all_relays(bundled_net):
@@ -197,17 +201,22 @@ def assert_batch_matches(net, r_ohm):
         assert res.relay_currents == one.relay_currents
 
 
+def sized_ohms(net, bus):
+    """The limiter resistance that restores the bare-grid level at bus."""
+    bare = replace(net, sources=tuple(
+        s for s in net.sources if s.kind == "infinite_grid"))
+    r_star = size_ufcl(net, bus, solve_fault(bare, FaultSpec(bus))
+                       .fault_current_a).r_star
+    assert r_star > 0
+    return r_star
+
+
 def tie_states():
     """Each random_tie_net seed at R = 0 and at its sized resistance."""
     for seed in range(100):
         net, bus = random_tie_net(seed)
         yield net, 0.0
-        bare = replace(net, sources=tuple(
-            s for s in net.sources if s.kind == "infinite_grid"))
-        sized = size_ufcl(net, bus, solve_fault(bare, FaultSpec(bus))
-                          .fault_current_a)
-        assert sized.r_star > 0
-        yield net, sized.r_star
+        yield net, sized_ohms(net, bus)
 
 
 def test_batch_equals_single_and_oracle_on_tie_networks():
@@ -230,10 +239,10 @@ def with_relays(net):
 
 @functools.cache
 def large_nets():
-    """Networks of 40-60 buses, past the oracle's limit: radial with and
-    without a DG, and meshed; the first seeds that draw 40 buses or more,
-    each with a relay on every third branch. Drawn once per session
-    (about 0.7 s); the networks are frozen."""
+    """Networks of 40-60 buses: radial with and without a DG, and meshed;
+    the first seeds that draw 40 buses or more, each with a relay on every
+    third branch. Drawn once per session (about 0.7 s); the networks are
+    frozen."""
     nets = []
     for build in (lambda s: random_radial_net(s, max_buses=60),
                   lambda s: random_radial_net(s, max_buses=60, with_dg=True),
@@ -247,16 +256,32 @@ def large_nets():
 def test_batch_equals_single_on_large_networks():
     for net in large_nets():
         assert net.relays
-        batch = solve_faults(net, [FaultSpec(b.id) for b in net.buses])
-        for res in batch:
-            one = solve_fault(net, FaultSpec(res.fault_bus))
-            assert close(res.fault_current_c, one.fault_current_c)
-            for br in net.branches:
-                assert close(res.branch_currents[br.id],
-                             one.branch_currents[br.id]), br.id
-            for r in net.relays:
-                assert close(res.relay_currents[r.id],
-                             one.relay_currents[r.id]), r.id
+        assert_batch_matches(net, 0.0)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def feeder_nets():
+    """The benchmark's 50-bus feeders, seeds 1-3, every DG in service.
+
+    perfbench/feeder.py is imported read-only: compiled here, so that no
+    bytecode cache is written beside it."""
+    path = ROOT / "perfbench" / "feeder.py"
+    feeder = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location("feeder", path))
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         vars(feeder))
+    return tuple(load_network(json.dumps(feeder.make_feeder(50, seed)))
+                 for seed in (1, 2, 3))
+
+
+def test_batch_equals_single_and_oracle_on_feeders():
+    for net in feeder_nets():
+        assert len(net.buses) == 50 and net.relays
+        for r_ohm in (0.0, sized_ohms(net, net.ufcl.sizing_fault_bus)):
+            assert_batch_matches(net, r_ohm)
 
 
 def test_branch_currents_mapping_contract(bundled_net):
@@ -446,13 +471,3 @@ def test_production_kcl_on_random_networks():
         assert_reported_kcl(net, r_ohm)
     for net in large_nets():
         assert_reported_kcl(net)
-
-
-def test_oracle_bus_limit():
-    buses = tuple(Bus(f"n{i}", 20000.0) for i in range(13))
-    branches = tuple(Branch(f"b{i}", f"n{i}", f"n{i + 1}", "line", 1 + 1j)
-                     for i in range(12))
-    net = Network(buses=buses, branches=branches,
-                  sources=(Source("g", "n0", "infinite_grid", 1 + 4j),))
-    with pytest.raises(ValueError, match="12"):
-        oracle_solve(net, FaultSpec("n5"))

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_radial_net
+from protcoord import bundled_dataset_path
 from protcoord.netmodel import (Branch, Bus, Network, NetworkFormatError,
                                 ShuntLoad, Source, UfclSpec, load_network,
                                 partition_by_tie, to_per_unit, validate)
@@ -39,6 +40,19 @@ def test_bundled_dataset_shape(bundled_net):
 
 def test_bundled_dataset_validates_clean(bundled_net):
     assert validate(bundled_net) == []
+
+
+@pytest.mark.parametrize("r_limit, downstream_end", [
+    (200.0, "bus5"), (-1.0, "bus2"), (0.0, "gone9")],
+    ids=["consistent", "grid_side_and_negative", "dangling"])
+def test_retired_ufcl_keys_are_ignored(bundled_net, r_limit, downstream_end):
+    # files written when the limiter block also named a limiting resistance
+    # and a downstream tie end load as if neither key were there
+    doc = json.loads(bundled_dataset_path().read_text())
+    doc["ufcl"].update(r_limit=r_limit, downstream_end=downstream_end)
+    net = load_network(json.dumps(doc))
+    assert net == bundled_net
+    assert validate(net) == []
 
 
 def test_readme_network_example_validates_clean():
@@ -110,8 +124,7 @@ def _referring_doc():
              "curve": "iec_standard_inverse"}
     doc["relays"] = [dict(relay, id="r1"), dict(relay, id="r2")]
     doc["pairs"] = [{"main": "r1", "backup": "r2", "fault_bus": "b"}]
-    doc["ufcl"] = {"tie_branch": "ab", "r_limit": 5.0, "downstream_end": "b",
-                   "sizing_fault_bus": "a"}
+    doc["ufcl"] = {"tie_branch": "ab", "sizing_fault_bus": "a"}
     return doc
 
 
@@ -123,11 +136,9 @@ def _referring_doc():
     (("pairs", 0, "backup"), "r1/"),
     (("pairs", 0, "fault_bus"), "r1/r2"),
     (("ufcl", "tie_branch"), "ufcl"),
-    (("ufcl", "downstream_end"), "ufcl"),
     (("ufcl", "sizing_fault_bus"), "ufcl"),
 ], ids=["branch_end", "source_bus", "load_bus", "relay_branch", "pair_relay",
-        "pair_fault_bus", "ufcl_tie", "ufcl_downstream_end",
-        "ufcl_sizing_bus"])
+        "pair_fault_bus", "ufcl_tie", "ufcl_sizing_bus"])
 def test_dangling_bus_reference_is_named(path, record):
     doc = _referring_doc()
     assert validate(load_network(json.dumps(doc))) == []
@@ -153,14 +164,13 @@ def test_validate_lists_every_dangling_reference():
         relays=(RelaySpec("r", "br9", 1.0, 1.0,
                           CurveConstants(1.0, 0.0, 1.0)),),
         pairs=(CoordinationPair("r", "rel9", "p9"),),
-        ufcl=UfclSpec("tie9", r_limit=5.0, downstream_end="d9",
-                      sizing_fault_bus="z9"))
+        ufcl=UfclSpec("tie9", sizing_fault_bus="z9"))
     dangling = [v.message for v in validate(net)
                 if v.rule == "referential integrity"]
     assert dangling == [
         "unknown bus 'b9'", "unknown bus 's9'", "unknown bus 'l9'",
         "unknown branch 'br9'", "unknown relay 'rel9'", "unknown bus 'p9'",
-        "unknown branch 'tie9'", "unknown bus 'd9'", "unknown bus 'z9'"]
+        "unknown branch 'tie9'", "unknown bus 'z9'"]
 
 
 def test_curve_forms():
@@ -210,7 +220,7 @@ def rules(net):
 
 
 def test_validate_rule_strings():
-    from protcoord.netmodel import RelaySpec
+    from protcoord.netmodel import CoordinationPair, RelaySpec
     from protcoord.relaycurve import CurveConstants
 
     bad_relay = RelaySpec("r", "ab", 0.0, 1.0,
@@ -240,36 +250,47 @@ def test_validate_rule_strings():
         loads=(ShuntLoad("l", "zz", 100 + 10j),)))
 
     assert "referential integrity" in rules(grid_net(
-        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b",
-                      sizing_fault_bus="zz")))
+        ufcl=UfclSpec("ab", sizing_fault_bus="zz")))
 
     assert "s_base_va > 0" in rules(grid_net(s_base_va=0.0))
 
-    assert "r_limit > r_normal >= 0" in rules(grid_net(
-        ufcl=UfclSpec("ab", r_limit=1.0, r_normal=2.0, downstream_end="b")))
+    assert "r_normal >= 0" in rules(grid_net(
+        ufcl=UfclSpec("ab", r_normal=-2.0)))
 
-    assert "downstream_end endpoint of tie_branch" in rules(grid_net(
-        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="a2")))
+    assert "nominal_voltage > 0" in rules(grid_net(
+        buses=(Bus("a", 20000.0), Bus("b", 0.0))))
 
-    assert "downstream_end away from the grid" in rules(grid_net(
-        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="a")))
+    assert "|internal_impedance| > 0" in rules(grid_net(
+        sources=(Source("g", "a", "infinite_grid", 0j),)))
+
+    assert "Re(impedance) >= 0" in rules(grid_net(
+        loads=(ShuntLoad("l", "b", -100 + 10j),)))
+
+    assert "tds > 0" in rules(grid_net(relays=(
+        RelaySpec("r", "ab", 1.0, 0.0, CurveConstants(1.0, 0.0, 1.0)),)))
+
+    assert "c > 0" in rules(grid_net(relays=(
+        RelaySpec("r", "ab", 1.0, 1.0, CurveConstants(1.0, 0.0, 0.0)),)))
+
+    assert "b >= 0" in rules(grid_net(relays=(
+        RelaySpec("r", "ab", 1.0, 1.0, CurveConstants(1.0, -1.0, 1.0)),)))
+
+    assert "main != backup" in rules(grid_net(
+        relays=(bad_relay,), pairs=(CoordinationPair("r", "r", "b"),)))
 
     assert "sizing_fault_bus on the grid side" in rules(grid_net(
-        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b",
-                      sizing_fault_bus="b")))
+        ufcl=UfclSpec("ab", sizing_fault_bus="b")))
 
     assert "sizing_reference_a > 0" in rules(grid_net(
-        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b",
-                      sizing_fault_bus="a", sizing_reference_a=-5.0)))
+        ufcl=UfclSpec("ab", sizing_fault_bus="a", sizing_reference_a=-5.0)))
 
     assert "sizing_reference_a needs sizing_fault_bus" in rules(grid_net(
-        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b",
-                      sizing_reference_a=900.0)))
+        ufcl=UfclSpec("ab", sizing_reference_a=900.0)))
 
     assert "tie splits the network in two" in rules(grid_net(
         branches=(Branch("ab", "a", "b", "tie", 1 + 1j),
                   Branch("par", "a", "b", "line", 2 + 2j)),
-        ufcl=UfclSpec("ab", r_limit=5.0, downstream_end="b")))
+        ufcl=UfclSpec("ab")))
 
     assert "|z_pu| >= 1e-6" in rules(grid_net(
         branches=(Branch("ab", "a", "b", "line", 1e-5 + 1e-5j),)))
@@ -323,9 +344,11 @@ def test_line_across_voltage_zones_rejected():
 
 
 def test_partition_two_bus_trivial():
-    net = grid_net(branches=(Branch("tie", "a", "b", "tie", 1 + 1j),))
-    up, down = partition_by_tie(net, "tie")
-    assert up == {"a"} and down == {"b"}
+    # the grid side is found from the grid source, whichever end it is
+    for ends in ("ab", "ba"):
+        net = grid_net(branches=(Branch("tie", *ends, "tie", 1 + 1j),))
+        up, down = partition_by_tie(net, "tie")
+        assert up == {"a"} and down == {"b"}
 
 
 def test_partition_bundled(bundled_net):
@@ -335,6 +358,19 @@ def test_partition_bundled(bundled_net):
     dg_buses = {s.bus for s in bundled_net.sources
                 if s.kind != "infinite_grid"}
     assert dg_buses <= down
+
+
+@pytest.mark.parametrize("kinds, message", [
+    (("infinite_grid", "infinite_grid"), "both sides"),
+    (("sync_dg", "induction_dg"), "no infinite_grid source"),
+], ids=["grid_both_sides", "no_grid"])
+def test_partition_needs_the_grid_on_one_side(kinds, message):
+    net = grid_net(
+        branches=(Branch("tie", "a", "b", "tie", 1 + 1j),),
+        sources=tuple(Source(f"s{k}", bus, kind, 1 + 4j)
+                      for k, (bus, kind) in enumerate(zip("ab", kinds))))
+    with pytest.raises(ValueError, match=message):
+        partition_by_tie(net, "tie")
 
 
 def test_partition_unknown_tie(bundled_net):

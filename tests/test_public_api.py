@@ -1,11 +1,14 @@
 import ast
 import importlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import protcoord
+from protcoord.netmodel import _RECORDS, Network, UfclSpec
+from protcoord.relaycurve import CurveConstants
 
 MODULES = ["coordination", "faultcalc", "netmodel", "relaycurve", "studio",
            "ufcl"]
@@ -142,3 +145,25 @@ def test_no_private_cross_module_imports():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in modules and node.attr.startswith("_")]
     assert found == []
+
+
+# functions that only check the loaded records: a field read nowhere else
+# reaches no computed number
+CHECKS_ONLY = {"validate", "_dangling_references"}
+
+
+def test_every_loaded_field_is_read():
+    reads = set()
+    for path in Path(protcoord.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        checks = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name in CHECKS_ONLY
+                  for node in ast.walk(fn)}
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and id(node) not in checks}
+    records = (*_RECORDS.values(), UfclSpec, CurveConstants, Network)
+    unread = [f"{cls.__name__}.{f.name}" for cls in records
+              for f in fields(cls) if f.name not in reads]
+    assert unread == []

@@ -388,8 +388,6 @@ def _looped_grid():
     (_edited_grid("s_base_va", value=1e-300), "network: per-unit bases"),
     (_edited_grid("buses", 2, "nominal_voltage", value=400.0),
      "inconsistent voltage zones across branch 'b23'"),
-    (_edited_grid("ufcl", "downstream_end", value="bus2"),
-     "bus2: downstream_end away from the grid"),
     (_looped_grid, "tie: tie splits the network in two"),
     (_edited_grid("ufcl", "sizing_fault_bus", value="bus6"),
      "bus6: sizing_fault_bus on the grid side"),
@@ -403,10 +401,9 @@ def _looped_grid():
     (lambda: b"[" * 100_000, "document nested too deeply"),
 ], ids=["record_not_object", "text_number", "zero_load", "zero_s_base",
         "negative_s_base", "inf_pickup", "nan_load", "inf_branch",
-        "tiny_branch", "tiny_s_base", "line_across_zones",
-        "grid_side_downstream_end", "tie_in_loop", "downstream_sizing_bus",
-        "negative_sizing_reference", "reference_without_bus", "not_utf8",
-        "deeply_nested"])
+        "tiny_branch", "tiny_s_base", "line_across_zones", "tie_in_loop",
+        "downstream_sizing_bus", "negative_sizing_reference",
+        "reference_without_bus", "not_utf8", "deeply_nested"])
 @pytest.mark.parametrize("command", [["validate"],
                                      ["run", "--scenario", "s1_dg1"]],
                          ids=["validate", "run"])
@@ -424,6 +421,23 @@ def test_cli_bad_network_is_one_error_line(tmp_path, make_doc, shown,
               if ln.startswith("error:")]
     assert len(errors) == 1, result.output
     assert shown in result.output
+
+
+def test_cli_sizing_failure_names_the_scenario(tmp_path):
+    # 500 A lies below the 955.51 A that bus3 sees with the tie open
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(
+        _edited_grid("ufcl", "sizing_reference_a", value=500.0)()))
+    result = CliRunner().invoke(cli, ["run", "--network", str(path),
+                                      "--scenario", "s2_dg1_ufcl"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [ln for ln in result.output.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1, result.output
+    assert errors[0].startswith("error: scenario s2_dg1_ufcl: current with "
+                                "the tie open"), errors
 
 
 def test_cli_check_rejects_short_row(tmp_path):
