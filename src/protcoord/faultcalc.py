@@ -12,29 +12,39 @@ profile and those taps, so a study pays only for the branches it reads.
 build_ybus returns the admittance matrix of one such state (the limiter
 at ufcl_state_ohm): the matrix that `run --debug-csv` prints, at R = 0.
 
+The limiter changes one branch admittance, a rank-one change of Y, so one
+factorisation gives every limiter state (the compensation method, Tinney
+1972; Sherman-Morrison). LimiterStates holds that one solve: it reads any
+resistance's fault solutions from it and gives each bus's fault current
+as a closed-form LevelMap of R. solve_faults is its read at the
+resistance it was factorised at.
+
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
-solve_fault. The two routes share the per-unit conversion and the result
+the first. The two routes share the per-unit conversion and the result
 record, FaultResult, and nothing else.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import Network, PuNetwork, to_per_unit
+from .netmodel import Branch, Network, PuNetwork, to_per_unit
 
 __all__ = [
-    "FaultSpec", "FaultResult",
+    "FaultSpec", "FaultResult", "LevelMap", "LimiterStates",
     "build_ybus", "solve_fault", "solve_faults", "oracle_solve",
 ]
 
 # induction machines present a slightly larger transient impedance than an
 # equally rated synchronous unit; read at call time by both solution routes
 INDUCTION_Z_MULT = 1.05
+# a tie whose current in the faulted state is below this share of the
+# fault current (per-unit) carries round-off: the limiter changes nothing
+IDLE_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,7 @@ class FaultResult:
     per-source responses without losing angle. bus_voltages_pu is the
     post-fault voltage profile in per-unit, in net.buses order. The
     oracle also solves the unfaulted network: fault_bus None, no current.
-    branch_currents is read-only, in net.branches order; solve_faults
+    branch_currents is read-only, in net.branches order; LimiterStates
     computes each one on lookup from a copy of the fault's own voltage
     profile, so a later write into bus_voltages_pu does not reach it.
     """
@@ -66,35 +76,35 @@ class FaultResult:
     bus_voltages_pu: np.ndarray = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class _Nodal:
-    """One operating state: the limiter resistance and the induction
-    multiplier applied, with the bus index, Y and the Norton source
-    injections in per-unit, and one tap per branch id, (from index, to
-    index, i_base[from] / z), that turns a voltage profile in per-unit
-    into the branch's current in amps."""
-
-    index: dict[str, int]
-    taps: dict[str, tuple[int, int, complex]]
-    ybus: np.ndarray
-    injection: np.ndarray
+def _tie_z(pu: PuNetwork, r_ohm: float) -> tuple[Branch | None, complex]:
+    """The limiter's tie branch and its per-unit impedance with r_ohm in
+    series, converted in the tie's voltage zone; (None, 0j) for a network
+    without a limiter, where r_ohm must be 0."""
+    if pu.net.ufcl is None:
+        if r_ohm != 0.0:
+            raise ValueError("no tie branch to carry the limiter resistance")
+        return None, 0j
+    tie = pu.net.branch_by_id(pu.net.ufcl.tie_branch)
+    return tie, pu.branch_z_pu[tie.id] + r_ohm / pu.z_base[tie.from_bus]
 
 
-def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0) -> _Nodal:
+def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
+           ) -> tuple[dict[str, int], dict[str, tuple[int, int, complex]],
+                      np.ndarray, np.ndarray]:
+    """One operating state, with the limiter at ufcl_state_ohm and the
+    induction multiplier applied: the bus index, one tap per branch id,
+    (from index, to index, i_base[from] / z), that turns a voltage profile
+    in per-unit into the branch's current in amps, and Y and the Norton
+    source injections in per-unit."""
     index = {b.id: i for i, b in enumerate(pu.net.buses)}
     n = len(index)
     ybus = np.zeros((n, n), dtype=complex)
     injection = np.zeros(n, dtype=complex)
 
-    tie = None if pu.net.ufcl is None else pu.net.ufcl.tie_branch
-    if ufcl_state_ohm != 0.0 and tie is None:
-        raise ValueError("no tie branch to carry the limiter resistance")
-
+    tie, tie_z = _tie_z(pu, ufcl_state_ohm)
     taps = {}
     for br in pu.net.branches:
-        z = pu.branch_z_pu[br.id]
-        if br.id == tie and ufcl_state_ohm != 0.0:
-            z = z + ufcl_state_ohm / pu.z_base[br.from_bus]
+        z = tie_z if br is tie else pu.branch_z_pu[br.id]
         y = 1.0 / z
         f, t = index[br.from_bus], index[br.to_bus]
         taps[br.id] = (f, t, complex(pu.i_base[br.from_bus] / z))
@@ -114,7 +124,7 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0) -> _Nodal:
     for l in pu.net.loads:
         ybus[index[l.bus], index[l.bus]] += 1.0 / pu.load_z_pu[l.id]
 
-    return _Nodal(index, taps, ybus, injection)
+    return index, taps, ybus, injection
 
 
 def build_ybus(net: Network, ufcl_state_ohm: float = 0.0,
@@ -125,8 +135,8 @@ def build_ybus(net: Network, ufcl_state_ohm: float = 0.0,
     converted to per-unit in the tie's voltage zone. Returns (Y, bus index
     map).
     """
-    nodal = _nodal(to_per_unit(net), ufcl_state_ohm)
-    return nodal.ybus, nodal.index
+    index, _, ybus, _ = _nodal(to_per_unit(net), ufcl_state_ohm)
+    return ybus, index
 
 
 class _BranchCurrents(Mapping):
@@ -154,6 +164,119 @@ class _BranchCurrents(Mapping):
         return repr(dict(self))
 
 
+@dataclass(frozen=True)
+class LevelMap:
+    """Complex fault current at one bus, in amps, against the limiter
+    resistance R in ohms: I_f(R) = (a + b R) / (1 + d R)."""
+
+    a: complex
+    b: complex
+    d: complex
+
+    def amps(self, r_ohm: float) -> float:
+        """|I_f(R)|."""
+        return abs((self.a + self.b * r_ohm) / (1.0 + self.d * r_ohm))
+
+    def tie_open_a(self) -> float:
+        """|I_f| as R grows without bound: the level with the tie open."""
+        return abs(self.b / self.d) if self.d else abs(self.a)
+
+
+class LimiterStates:
+    """Fault solutions at every limiter resistance from one factorisation.
+
+    One solve of Y, with the limiter at ufcl_state_ohm (the base), against
+    [injections | e | a unit column per bus], where e = e_from - e_to of
+    the limiter's tie; the e column is there only when the network has a
+    limiter. Any other R changes the tie admittance by dy, and the solution
+    becomes X(R) = X - w c (e^T X), with w the e column and
+    c = dy / (1 + dy e^T w). Raises ValueError for a bus the network lacks.
+    """
+
+    def __init__(self, net: Network, buses: Iterable[str],
+                 ufcl_state_ohm: float = 0.0) -> None:
+        self._base_ohm = ufcl_state_ohm
+        self._pu = pu = to_per_unit(net)
+        self._index, self._taps, ybus, injection = _nodal(pu, ufcl_state_ohm)
+        self._tie, self._z0 = _tie_z(pu, ufcl_state_ohm)
+        first = 1 if self._tie is None else 2
+        self._col = {bus: j for j, bus in enumerate(dict.fromkeys(buses),
+                                                    start=first)}
+        rhs = np.zeros((len(ybus), first + len(self._col)), dtype=complex)
+        rhs[:, 0] = injection
+        if self._tie is not None:
+            self._f, self._t, _ = self._taps[self._tie.id]
+            rhs[self._f, 1], rhs[self._t, 1] = 1.0, -1.0
+        for bus, j in self._col.items():
+            if bus not in self._index:
+                raise ValueError(f"unknown fault bus {bus!r}")
+            rhs[self._index[bus], j] = 1.0
+        self._x = np.linalg.solve(ybus, rhs)
+
+    def solve(self, faults: list[FaultSpec],
+              r_ohm: float) -> list[FaultResult]:
+        """The faults, each at a bus given at construction, solved with
+        the limiter at r_ohm; results are in the order of faults. At the
+        base resistance the solution is read as it was solved."""
+        x, taps = self._x, self._taps
+        if r_ohm != self._base_ohm:
+            tie, z = _tie_z(self._pu, r_ohm)
+            f, t, w = self._f, self._t, x[:, 1]
+            dy = 1.0 / z - 1.0 / self._z0
+            c = dy / (1.0 + dy * (w[f] - w[t]))
+            x = x - np.outer(w, c * (x[f] - x[t]))
+            taps = {**taps, tie.id: (f, t, self._pu.i_base[tie.from_bus] / z)}
+        v_pre = x[:, 0]
+        results = []
+        for fault in faults:
+            k, z_col = self._index[fault.bus], x[:, self._col[fault.bus]]
+            i_f = v_pre[k] / z_col[k]
+            v_post = v_pre - i_f * z_col
+            branch_currents = _BranchCurrents(taps, v_post)
+            i_f_amps = complex(i_f * self._pu.i_base[fault.bus])
+            # a relay current within the solution's round-off of zero is 0
+            floor = 1e-9 * max(1.0, abs(i_f_amps))
+            amps = {r.id: abs(branch_currents[r.branch])
+                    for r in self._pu.net.relays}
+            results.append(FaultResult(
+                fault_bus=fault.bus,
+                fault_current_a=abs(i_f_amps),
+                relay_currents={rid: a if a > floor else 0.0
+                                for rid, a in amps.items()},
+                branch_currents=branch_currents,
+                fault_current_c=i_f_amps,
+                bus_voltages_pu=v_post))
+        return results
+
+    def level(self, bus: str) -> LevelMap:
+        """The fault current at bus against the limiter resistance, exact.
+
+        With z0 the tie's per-unit impedance at the base, h = e^T w - z0
+        and s the per-unit resistance added to the base,
+        c = s / (s h - z0^2). The prefault voltage at bus and its
+        driving-point impedance each lose a multiple of c, so I_f is a
+        Moebius map of s and so of R. Where the tie carries no current in
+        the faulted base state (IDLE_TIE_TOL) R changes nothing: the map
+        is flat, since its R terms would be ratios of round-off.
+        """
+        if self._tie is None:
+            raise ValueError("no tie branch to carry the limiter resistance")
+        f, t, k, x = self._f, self._t, self._index[bus], self._x
+        v, z_kk, w_k = x[k, 0], x[k, self._col[bus]], x[k, 1]
+        p, h = x[f, 0] - x[t, 0], x[f, 1] - x[t, 1] - self._z0
+        i_f = v / z_kk
+        i0 = complex(i_f * self._pu.i_base[bus])
+        # the faulted tie's current, (p - w_k i_f) / z0, against i_f
+        if abs(p - w_k * i_f) <= IDLE_TIE_TOL * abs(self._z0 * i_f):
+            return LevelMap(i0, 0j, 0j)
+        q = self._z0 ** 2 * self._pu.z_base[self._tie.from_bus]
+        alpha = (w_k * p - v * h) / (q * v)
+        beta = (w_k * w_k - z_kk * h) / (q * z_kk)
+        m = 1.0 - beta * self._base_ohm
+        return LevelMap(i0 * (1.0 - alpha * self._base_ohm) / m,
+                        i0 * alpha / m, beta / m)
+
+
 def solve_faults(net: Network, faults: list[FaultSpec],
                  ufcl_state_ohm: float = 0.0) -> list[FaultResult]:
     """Solve faults by Thevenin superposition.
@@ -164,37 +287,8 @@ def solve_faults(net: Network, faults: list[FaultSpec],
     contributions are inherently superposed, and the post-fault voltages
     feed every reported current. Results are in the order of faults.
     """
-    pu = to_per_unit(net)
-    nodal = _nodal(pu, ufcl_state_ohm)
-    # one solve of Y against [injections | a unit column per fault bus]:
-    # the prefault profile and every Thevenin column share a factorisation
-    rhs = np.zeros((len(nodal.index), 1 + len(faults)), dtype=complex)
-    rhs[:, 0] = nodal.injection
-    for j, fault in enumerate(faults, start=1):
-        if fault.bus not in nodal.index:
-            raise ValueError(f"unknown fault bus {fault.bus!r}")
-        rhs[nodal.index[fault.bus], j] = 1.0
-    sol = np.linalg.solve(nodal.ybus, rhs)
-    v_pre = sol[:, 0]
-    results = []
-    for fault, z_col in zip(faults, sol[:, 1:].T):
-        k = nodal.index[fault.bus]
-        i_f = v_pre[k] / z_col[k]
-        v_post = v_pre - i_f * z_col
-        branch_currents = _BranchCurrents(nodal.taps, v_post)
-        i_f_amps = complex(i_f * pu.i_base[fault.bus])
-        # a relay current within the solution's round-off of zero is 0
-        floor = 1e-9 * max(1.0, abs(i_f_amps))
-        amps = {r.id: abs(branch_currents[r.branch]) for r in net.relays}
-        results.append(FaultResult(
-            fault_bus=fault.bus,
-            fault_current_a=abs(i_f_amps),
-            relay_currents={rid: a if a > floor else 0.0
-                            for rid, a in amps.items()},
-            branch_currents=branch_currents,
-            fault_current_c=i_f_amps,
-            bus_voltages_pu=v_post))
-    return results
+    return LimiterStates(net, [f.bus for f in faults],
+                         ufcl_state_ohm).solve(faults, ufcl_state_ohm)
 
 
 def solve_fault(net: Network, fault: FaultSpec,

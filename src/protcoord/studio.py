@@ -11,7 +11,9 @@ For *_ufcl scenarios the limiter is sized first and the sized resistance
 is what upstream faults then see; downstream faults see r_normal. Sizing
 runs at the designated sizing bus, else at the first upstream fault bus.
 Its target is the recorded pre-DG fault level at the designated bus, and
-the bare-grid level (infinite_grid sources only) at any other bus.
+the bare-grid level (infinite_grid sources only) at any other bus. One
+factorisation of the scenario network serves the sizing and every fault
+table, at whatever resistance each sees (faultcalc.LimiterStates).
 
 Exit codes: 0 all pairs coordinate, 2 coordination violations, 1 error.
 """
@@ -30,8 +32,8 @@ import click
 from . import bundled_dataset_path
 from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
                            format_number, report_to_csv, row_cells)
-from .faultcalc import (FaultResult, FaultSpec, build_ybus, solve_fault,
-                        solve_faults)
+from .faultcalc import (FaultResult, FaultSpec, LimiterStates, build_ybus,
+                        solve_fault)
 from .netmodel import Network, load_network, validate
 from .relaycurve import operate_time
 from .ufcl import SizingResult, downstream_buses, size_ufcl
@@ -151,12 +153,13 @@ def _sizing_target(net: Network, bus: str) -> float:
     return solve_fault(bare, FaultSpec(bus)).fault_current_a
 
 
-def _resolve_states(snet: Network, scenario: Scenario,
-                    buses: list[str]) -> tuple[SizingResult | None,
-                                               dict[str, float]]:
-    """Size the limiter if enabled and map each fault bus to its ohms."""
+def _resolve_states(snet: Network, scenario: Scenario, buses: list[str],
+                    ) -> tuple[LimiterStates, SizingResult | None,
+                               dict[str, float]]:
+    """The scenario's limiter states over the fault buses, the sizing if
+    the limiter is enabled, and each fault bus's limiter ohms."""
     if not scenario.ufcl_enabled:
-        return None, {bus: 0.0 for bus in buses}
+        return LimiterStates(snet, buses), None, {bus: 0.0 for bus in buses}
 
     down = downstream_buses(snet)
     sizing_bus = snet.ufcl.sizing_fault_bus
@@ -167,9 +170,12 @@ def _resolve_states(snet: Network, scenario: Scenario,
                                 f"bus to size the limiter against")
         sizing_bus = upstream[0]
 
-    sizing = size_ufcl(snet, sizing_bus, _sizing_target(snet, sizing_bus))
-    return sizing, {bus: snet.ufcl.r_normal if bus in down else sizing.r_star
-                    for bus in buses}
+    states = LimiterStates(snet, [*buses, sizing_bus])
+    sizing = size_ufcl(snet, sizing_bus, _sizing_target(snet, sizing_bus),
+                       states=states)
+    return states, sizing, {
+        bus: snet.ufcl.r_normal if bus in down else sizing.r_star
+        for bus in buses}
 
 
 def _study(net: Network, scenario: Scenario,
@@ -179,13 +185,13 @@ def _study(net: Network, scenario: Scenario,
     buses = list(dict.fromkeys(scenario.fault_buses
                                or default_fault_buses(net)))
     try:
-        sizing, states = _resolve_states(snet, scenario, buses)
-        # faults grouped by limiter ohms: one operating state, one solve each
+        states, sizing, ohms = _resolve_states(snet, scenario, buses)
+        # faults grouped by limiter ohms: one read of the states each
         groups: dict[float, list[FaultSpec]] = {}
-        for bus, r_ohm in states.items():
+        for bus, r_ohm in ohms.items():
             groups.setdefault(r_ohm, []).append(FaultSpec(bus))
         results = {res.fault_bus: res for r_ohm, faults in groups.items()
-                   for res in solve_faults(snet, faults, ufcl_state_ohm=r_ohm)}
+                   for res in states.solve(faults, r_ohm)}
 
         # one operate-time evaluation per relay and fault: the tables print
         # it and the pairs are graded from it
@@ -198,7 +204,7 @@ def _study(net: Network, scenario: Scenario,
             readings = tuple(RelayReading(rid, amps[rid], t)
                              for rid, t in times[bus].items())
             tables.append(FaultTable(bus, results[bus].fault_current_a,
-                                     states[bus], readings))
+                                     ohms[bus], readings))
 
         graded = tuple(p for p in snet.pairs if p.fault_bus in results)
         coordination = check_pairs(replace(snet, pairs=graded), times, {

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_net, random_radial_net, random_tie_net
 from protcoord import faultcalc
-from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
-                                 solve_fault, solve_faults)
+from protcoord.faultcalc import (FaultSpec, LimiterStates, build_ybus,
+                                 oracle_solve, solve_fault, solve_faults)
 from protcoord.netmodel import (Branch, Bus, Network, RelaySpec, ShuntLoad,
                                 Source, load_network, to_per_unit, validate)
 from protcoord.relaycurve import curve_family
@@ -282,6 +282,39 @@ def test_batch_equals_single_and_oracle_on_feeders():
         assert len(net.buses) == 50 and net.relays
         for r_ohm in (0.0, sized_ohms(net, net.ufcl.sizing_fault_bus)):
             assert_batch_matches(net, r_ohm)
+
+
+def assert_update_matches_oracle(net, r_star, base=0.0):
+    """One factorisation at R = base, read at R* and far beyond by the
+    rank-one update, against the oracle's solve at each R."""
+    faults = [FaultSpec(b.id) for b in net.buses]
+    states = LimiterStates(net, net.bus_ids(), base)
+    for r_ohm in (r_star, 1e4, 1e6):
+        for fault, res in zip(faults, states.solve(faults, r_ohm)):
+            ref = oracle_solve(net, fault, ufcl_state_ohm=r_ohm)
+            assert close(res.fault_current_c, ref.fault_current_c), (
+                fault, r_ohm)
+            for br in net.branches:
+                assert close(res.branch_currents[br.id],
+                             ref.branch_currents[br.id]), (fault, br.id)
+            for rid, amps in res.relay_currents.items():
+                assert close(amps, ref.relay_currents[rid]), (fault, rid)
+
+
+def test_limiter_update_matches_oracle_on_tie_networks():
+    for seed in range(100):
+        net, bus = random_tie_net(seed)
+        assert_update_matches_oracle(net, sized_ohms(net, bus))
+    # and from a state that already holds limiter resistance
+    net, bus = random_tie_net(0)
+    assert_update_matches_oracle(net, 0.0, base=37.0)
+
+
+def test_limiter_update_matches_oracle_on_feeders():
+    for net in feeder_nets():
+        assert net.relays
+        assert_update_matches_oracle(
+            net, sized_ohms(net, net.ufcl.sizing_fault_bus))
 
 
 def test_branch_currents_mapping_contract(bundled_net):

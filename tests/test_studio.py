@@ -1,14 +1,15 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import random_tie_net
-from protcoord import bundled_dataset_path
+from protcoord import bundled_dataset_path, faultcalc
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
-                                 solve_fault)
+                                 solve_fault, solve_faults)
 from protcoord.netmodel import partition_by_tie
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
@@ -127,6 +128,54 @@ def test_run_scenario_sizes_at_first_upstream_fault_bus():
         states = {t.fault_bus: t.ufcl_state_ohm for t in report.fault_tables}
         assert states == {b: 0.0 if b in down else report.sizing.r_star
                           for b in buses}, seed
+
+
+@pytest.mark.parametrize("sid", ["s2_dg1_ufcl", "s4_dg1_dg2_ufcl",
+                                 "s6_induction_dg1_ufcl"])
+def test_downstream_faults_see_r_normal(bundled_net, sid):
+    # a limiter that keeps 5 ohm in the tie for downstream faults: those
+    # tables are the direct solve at 5 ohm, the upstream ones at R*
+    net = replace(bundled_net, ufcl=replace(bundled_net.ufcl, r_normal=5.0))
+    report = run_scenario(net, SCENARIOS[sid])
+    snet = build_scenario_net(net, SCENARIOS[sid])
+    down = partition_by_tie(net, net.ufcl.tie_branch)[1]
+    assert {t.fault_bus for t in report.fault_tables} & down
+    for t in report.fault_tables:
+        want_ohm = 5.0 if t.fault_bus in down else report.sizing.r_star
+        assert t.ufcl_state_ohm == want_ohm
+        [res] = solve_faults(snet, [FaultSpec(t.fault_bus)], want_ohm)
+        assert close(t.fault_current_a, res.fault_current_a), t.fault_bus
+        for r in t.readings:
+            assert close(r.current_a, res.relay_currents[r.relay]), r.relay
+
+
+def count_factorisations(monkeypatch):
+    """Count faultcalc's dense solves of Y."""
+    calls = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+    monkeypatch.setattr(faultcalc.np.linalg, "solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("sid, want", [
+    ("s0_no_dg", 1), ("s1_dg1", 1), ("s2_dg1_ufcl", 2),
+    ("s4_dg1_dg2_ufcl", 2), ("s6_induction_dg1_ufcl", 2)])
+def test_factorisations_per_study(bundled_net, monkeypatch, sid, want):
+    # one for the study's limiter states, one to confirm the sized R*
+    calls = count_factorisations(monkeypatch)
+    run_scenario(bundled_net, SCENARIOS[sid])
+    assert len(calls) == want
+
+
+def test_factorisations_per_cli_sizing(monkeypatch):
+    calls = count_factorisations(monkeypatch)
+    result = CliRunner().invoke(cli, ["size-ufcl", "--fault-bus", "bus3"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 2
 
 
 def test_run_scenario_needs_an_upstream_fault_bus():
