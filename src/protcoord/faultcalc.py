@@ -190,7 +190,8 @@ class LimiterStates:
     the limiter's tie; the e column is there only when the network has a
     limiter. Any other R changes the tie admittance by dy, and the solution
     becomes X(R) = X - w c (e^T X), with w the e column and
-    c = dy / (1 + dy e^T w). Raises ValueError for a bus the network lacks.
+    c = dy / (1 + dy e^T w). Raises ValueError for a bus the network lacks,
+    and on reading a bus that was not given at construction.
     """
 
     def __init__(self, net: Network, buses: Iterable[str],
@@ -213,6 +214,13 @@ class LimiterStates:
             rhs[self._index[bus], j] = 1.0
         self._x = np.linalg.solve(ybus, rhs)
 
+    def _column(self, bus: str) -> tuple[int, int]:
+        """The bus's index and the column of its unit injection."""
+        if bus not in self._col:
+            raise ValueError(f"fault bus {bus!r}: the limiter states were "
+                             f"not built for it")
+        return self._index[bus], self._col[bus]
+
     def solve(self, faults: list[FaultSpec],
               r_ohm: float) -> list[FaultResult]:
         """The faults, each at a bus given at construction, solved with
@@ -229,9 +237,9 @@ class LimiterStates:
         v_pre = x[:, 0]
         results = []
         for fault in faults:
-            k, z_col = self._index[fault.bus], x[:, self._col[fault.bus]]
-            i_f = v_pre[k] / z_col[k]
-            v_post = v_pre - i_f * z_col
+            k, j = self._column(fault.bus)
+            i_f = v_pre[k] / x[k, j]
+            v_post = v_pre - i_f * x[:, j]
             branch_currents = _BranchCurrents(taps, v_post)
             i_f_amps = complex(i_f * self._pu.i_base[fault.bus])
             # a relay current within the solution's round-off of zero is 0
@@ -261,8 +269,8 @@ class LimiterStates:
         """
         if self._tie is None:
             raise ValueError("no tie branch to carry the limiter resistance")
-        f, t, k, x = self._f, self._t, self._index[bus], self._x
-        v, z_kk, w_k = x[k, 0], x[k, self._col[bus]], x[k, 1]
+        (k, j), f, t, x = self._column(bus), self._f, self._t, self._x
+        v, z_kk, w_k = x[k, 0], x[k, j], x[k, 1]
         p, h = x[f, 0] - x[t, 0], x[f, 1] - x[t, 1] - self._z0
         i_f = v / z_kk
         i0 = complex(i_f * self._pu.i_base[bus])

@@ -12,8 +12,10 @@ is what upstream faults then see; downstream faults see r_normal. Sizing
 runs at the designated sizing bus, else at the first upstream fault bus.
 Its target is the recorded pre-DG fault level at the designated bus, and
 the bare-grid level (infinite_grid sources only) at any other bus. One
-factorisation of the scenario network serves the sizing and every fault
-table, at whatever resistance each sees (faultcalc.LimiterStates).
+factorisation of the scenario network (faultcalc.LimiterStates) reads the
+sizing map and every fault table, at whatever resistance each sees. The
+sizing adds its own: one solve to confirm R*, and one of the bare grid
+when the target is not recorded.
 
 Exit codes: 0 all pairs coordinate, 2 coordination violations, 1 error.
 """
@@ -24,16 +26,16 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import bundled_dataset_path
 from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
                            format_number, report_to_csv, row_cells)
-from .faultcalc import (FaultResult, FaultSpec, LimiterStates, build_ybus,
-                        solve_fault)
+from .faultcalc import FaultSpec, LimiterStates, build_ybus, solve_fault
 from .netmodel import Network, load_network, validate
 from .relaycurve import operate_time
 from .ufcl import SizingResult, downstream_buses, size_ufcl
@@ -83,10 +85,15 @@ class RelayReading:
 
 @dataclass(frozen=True)
 class FaultTable:
+    """One fault's readings. bus_voltages_pu is the solve's post-fault
+    profile in per-unit, in net.buses order: what `run --debug-csv`
+    prints."""
+
     fault_bus: str
     fault_current_a: float
     ufcl_state_ohm: float
     readings: tuple[RelayReading, ...]
+    bus_voltages_pu: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -166,8 +173,8 @@ def _resolve_states(snet: Network, scenario: Scenario, buses: list[str],
     if sizing_bus is None:
         upstream = [b for b in buses if b not in down]
         if not upstream:
-            raise ScenarioError(f"scenario {scenario.id}: no upstream fault "
-                                f"bus to size the limiter against")
+            raise ValueError("no upstream fault bus to size the limiter "
+                             "against")
         sizing_bus = upstream[0]
 
     states = LimiterStates(snet, [*buses, sizing_bus])
@@ -178,13 +185,12 @@ def _resolve_states(snet: Network, scenario: Scenario, buses: list[str],
         for bus in buses}
 
 
-def _study(net: Network, scenario: Scenario,
-           ) -> tuple[StudyReport, dict[str, FaultResult]]:
-    """The study report and the fault solution of each fault bus."""
+def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
+    """Solve every configured fault and grade the declared pairs."""
     snet = build_scenario_net(net, scenario)
-    buses = list(dict.fromkeys(scenario.fault_buses
-                               or default_fault_buses(net)))
     try:
+        buses = list(dict.fromkeys(scenario.fault_buses
+                                   or default_fault_buses(net)))
         states, sizing, ohms = _resolve_states(snet, scenario, buses)
         # faults grouped by limiter ohms: one read of the states each
         groups: dict[float, list[FaultSpec]] = {}
@@ -204,23 +210,17 @@ def _study(net: Network, scenario: Scenario,
             readings = tuple(RelayReading(rid, amps[rid], t)
                              for rid, t in times[bus].items())
             tables.append(FaultTable(bus, results[bus].fault_current_a,
-                                     ohms[bus], readings))
+                                     ohms[bus], readings,
+                                     results[bus].bus_voltages_pu))
 
         graded = tuple(p for p in snet.pairs if p.fault_bus in results)
         coordination = check_pairs(replace(snet, pairs=graded), times, {
             bus: res.relay_currents for bus, res in results.items()})
-    except ScenarioError:
-        raise
     except (ValueError, KeyError, RuntimeError) as exc:
         raise ScenarioError(f"scenario {scenario.id}: {exc}") from exc
 
     return StudyReport(scenario_id=scenario.id, fault_tables=tuple(tables),
-                       coordination=coordination, sizing=sizing), results
-
-
-def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
-    """Solve every configured fault and grade the declared pairs."""
-    return _study(net, scenario)[0]
+                       coordination=coordination, sizing=sizing)
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +296,20 @@ def _load_net(path: str | None) -> Network:
     return net
 
 
-def _debug_dump(snet: Network, results: list[FaultResult]) -> str:
+def _debug_dump(snet: Network, report: StudyReport) -> str:
     """Ybus entries and post-fault voltages as row,col,re,im.
 
     Matrix entries use their bus indices, with no limiter resistance; the
-    voltage profile of fault number k (1-based, order as run) appears as
-    rows (i, -k, re, im).
+    voltage profile of the report's fault table number k (1-based) appears
+    as rows (i, -k, re, im).
     """
     ybus, _ = build_ybus(snet)
     out = ["row,col,re,im"]
-    n = len(ybus)
-    for i in range(n):
-        for j in range(n):
-            y = complex(ybus[i, j])
-            if y != 0:
-                out.append(f"{i},{j},{y.real!r},{y.imag!r}")
-    for k, res in enumerate(results, start=1):
-        for i, v in enumerate(map(complex, res.bus_voltages_pu)):
+    for i, j in zip(*np.nonzero(ybus)):  # row by row
+        y = complex(ybus[i, j])
+        out.append(f"{i},{j},{y.real!r},{y.imag!r}")
+    for k, table in enumerate(report.fault_tables, start=1):
+        for i, v in enumerate(map(complex, table.bus_voltages_pu)):
             out.append(f"{i},{-k},{v.real!r},{v.imag!r}")
     return "\n".join(out) + "\n"
 
@@ -368,11 +365,10 @@ def run_cmd(network_path, scenario_id, fault_buses, fmt, out_path,
     scenario = SCENARIOS[scenario_id]
     if fault_buses:
         scenario = replace(scenario, fault_buses=tuple(fault_buses))
-    report, results = _study(net, scenario)
+    report = run_scenario(net, scenario)
     if debug_path:
         Path(debug_path).write_text(_debug_dump(
-            build_scenario_net(net, scenario),
-            [results[t.fault_bus] for t in report.fault_tables]))
+            build_scenario_net(net, scenario), report))
     text = emit_report(report, fmt, full_precision)
     if out_path:
         Path(out_path).write_text(text)

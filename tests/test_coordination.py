@@ -217,6 +217,21 @@ def test_optimize_tds_backup_below_pickup_infeasible():
         optimize_tds(net, list(net.pairs), res)
 
 
+def test_optimize_tds_needs_currents_for_every_pair():
+    net = chain_net(2)
+    pairs = [CoordinationPair("r0", "r1", "bus3")]
+    with pytest.raises(ValueError, match="no fault currents for bus 'bus3'"):
+        optimize_tds(net, pairs, {"f0": {"r0": 200.0, "r1": 200.0}})
+
+
+def test_optimize_tds_main_below_pickup_sets_no_floor():
+    # r0 sees half its pickup and never trips, so r1 has no CTI to keep
+    net = chain_net(2)
+    res = {"f0": {"r0": 50.0, "r1": 200.0}}
+    got = optimize_tds(net, list(net.pairs), res, tds_min=0.1, tds_step=0.05)
+    assert got == {"r0": 0.1, "r1": 0.1}
+
+
 def test_optimize_tds_rejects_cycles():
     net = chain_net(2)
     pairs = [CoordinationPair("r0", "r1", "f0"),

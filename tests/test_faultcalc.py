@@ -352,6 +352,18 @@ def test_batch_edges(bundled_net):
                                    FaultSpec("bus4")])
 
 
+@pytest.mark.parametrize("read", [
+    lambda states: states.level("bus4"),
+    lambda states: states.solve([FaultSpec("bus4")], 0.0),
+    lambda states: states.solve([FaultSpec("bus3"), FaultSpec("bus4")], 50.0),
+], ids=["level", "solve_at_base", "solve_updated"])
+def test_limiter_states_read_only_their_buses(bundled_net, read):
+    states = LimiterStates(bundled_net, ["bus3"])
+    with pytest.raises(ValueError, match="fault bus 'bus4': the limiter "
+                                         "states were not built for it"):
+        read(states)
+
+
 # --- thevenin ---------------------------------------------------------------
 
 

@@ -84,6 +84,15 @@ def test_non_object_record_carries_locus(records, locus):
         load_network(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "document root must be an object"),
+    ('{"buses": {}}', "buses: must be an array"),
+], ids=["root_not_object", "records_not_array"])
+def test_document_shape_is_named(text, message):
+    with pytest.raises(NetworkFormatError, match=message):
+        load_network(text)
+
+
 @pytest.mark.parametrize("path, locus", [
     (("buses", 0, "nominal_voltage"), r"buses\[0\]: nominal_voltage"),
     (("sources", 0, "emf_pu"), r"sources\[0\]: emf_pu"),
@@ -194,6 +203,11 @@ def test_curve_forms():
     with pytest.raises(NetworkFormatError, match="'c'"):
         load_network(json.dumps(doc))
 
+    doc["relays"] = [dict(relay, curve=5)]
+    with pytest.raises(NetworkFormatError, match=r"relays\[0\]: curve must "
+                       r"be a family name or an a/b/c object"):
+        load_network(json.dumps(doc))
+
 
 def test_unknown_kinds_rejected():
     doc = json.loads(MINIMAL)
@@ -268,6 +282,9 @@ def test_validate_rule_strings():
 
     assert "tds > 0" in rules(grid_net(relays=(
         RelaySpec("r", "ab", 1.0, 0.0, CurveConstants(1.0, 0.0, 1.0)),)))
+
+    assert "a > 0" in rules(grid_net(relays=(
+        RelaySpec("r", "ab", 1.0, 1.0, CurveConstants(0.0, 0.0, 1.0)),)))
 
     assert "c > 0" in rules(grid_net(relays=(
         RelaySpec("r", "ab", 1.0, 1.0, CurveConstants(1.0, 0.0, 0.0)),)))
@@ -376,6 +393,14 @@ def test_partition_needs_the_grid_on_one_side(kinds, message):
 def test_partition_unknown_tie(bundled_net):
     with pytest.raises(ValueError, match="unknown tie"):
         partition_by_tie(bundled_net, "nope")
+
+
+def test_partition_isolated_bus_rejected():
+    net = grid_net(
+        buses=(Bus("a", 20000.0), Bus("b", 20000.0), Bus("isl", 20000.0)),
+        branches=(Branch("tie", "a", "b", "tie", 1 + 1j),))
+    with pytest.raises(ValueError, match="more than two components"):
+        partition_by_tie(net, "tie")
 
 
 def test_partition_meshed_tie_rejected():

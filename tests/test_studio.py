@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import random_tie_net
-from protcoord import bundled_dataset_path, faultcalc
+from protcoord import bundled_dataset_path, faultcalc, studio
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
                                  solve_fault, solve_faults)
@@ -63,6 +63,26 @@ def test_default_fault_buses(bundled_net):
     assert default_fault_buses(net) == ["dgbus", "bus3"]
     with pytest.raises(ValueError, match="no default fault buses"):
         default_fault_buses(replace(bundled_net, pairs=()))
+
+
+def test_run_scenario_without_default_fault_buses(bundled_net, tmp_path):
+    with pytest.raises(ScenarioError, match="^scenario s0_no_dg: network has "
+                                            "no default fault buses"):
+        run_scenario(replace(bundled_net, pairs=()), SCENARIOS["s0_no_dg"])
+
+    doc = json.loads(bundled_dataset_path().read_text())
+    del doc["pairs"]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli, ["run", "--network", str(path),
+                                      "--scenario", "s0_no_dg"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    errors = [ln for ln in result.output.splitlines()
+              if ln.startswith("error:")]
+    assert errors == ["error: scenario s0_no_dg: network has no default "
+                      "fault buses; list fault buses explicitly"], \
+        result.output
 
 
 def test_build_scenario_net_drops_and_rewrites(bundled_net):
@@ -325,6 +345,48 @@ def test_cli_run_debug_csv_values(tmp_path, bundled_net):
     assert len(rows) == len(matrix) + len(states) * len(snet.buses)
 
 
+def spy_run_scenario(monkeypatch):
+    """The reports of every run_scenario call, in call order."""
+    reports = []
+    run = studio.run_scenario
+
+    def spy(net, scenario):
+        reports.append(run(net, scenario))
+        return reports[-1]
+    monkeypatch.setattr(studio, "run_scenario", spy)
+    return reports
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug_csv"])
+def test_cli_run_runs_one_study(tmp_path, monkeypatch, debug):
+    reports = spy_run_scenario(monkeypatch)
+    dump = ["--debug-csv", str(tmp_path / "dump.csv")] if debug else []
+    result = CliRunner().invoke(cli, ["run", "--scenario", "s2_dg1_ufcl",
+                                      *dump])
+    assert result.exit_code == 2, result.output
+    assert len(reports) == 1
+    assert result.output == emit_report(reports[0])
+
+
+def test_cli_run_debug_csv_prints_the_reports_voltages(tmp_path,
+                                                       monkeypatch):
+    reports = spy_run_scenario(monkeypatch)
+    dump = tmp_path / "dump.csv"
+    buses = [arg for bus in ("bus1", "bus3", "bus6", "dgbus")
+             for arg in ("--fault-bus", bus)]
+    result = CliRunner().invoke(cli, ["run", "--scenario", "s4_dg1_dg2_ufcl",
+                                      *buses, "--debug-csv", str(dump)])
+    assert result.exit_code in (0, 2), result.output
+    rows = [ln.split(",") for ln in dump.read_text().splitlines()[1:]]
+    tables = reports[0].fault_tables
+    for k, table in enumerate(tables, start=1):
+        got = [complex(float(re), float(im))
+               for _, j, re, im in rows if int(j) == -k]
+        assert got == table.bus_voltages_pu.tolist(), table.fault_bus
+    assert sum(int(j) < 0 for _, j, _, _ in rows) == \
+        len(tables) * len(tables[0].bus_voltages_pu)
+
+
 def test_cli_check_reproduces_verdicts(tmp_path, bundled_net):
     times = tmp_path / "times.csv"
     times.write_text(
@@ -377,6 +439,19 @@ def test_cli_size_ufcl_away_from_sizing_bus(bundled_net):
         bare, FaultSpec("bus2")).fault_current_a
 
 
+def test_cli_size_ufcl_needs_a_limiter(tmp_path):
+    doc = json.loads(bundled_dataset_path().read_text())
+    del doc["ufcl"]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli, ["size-ufcl", "--network", str(path),
+                                      "--fault-bus", "bus3"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("error: no tie branch to carry the limiter "
+                             "resistance\n")
+
+
 def test_cli_validate_ok():
     result = CliRunner().invoke(cli, ["validate"])
     assert result.exit_code == 0
@@ -408,6 +483,13 @@ def _edited_grid(*path, value):
         target[name] = value
         return doc
     return make
+
+
+def _isolated_grid():
+    """The bundled grid with a bus that no branch reaches."""
+    doc = json.loads(bundled_dataset_path().read_text())
+    doc["buses"].append({"id": "bus9", "nominal_voltage": 20000.0})
+    return doc
 
 
 def _looped_grid():
@@ -448,11 +530,20 @@ def _looped_grid():
     (lambda: '{"buses": [{"id": "b\u00e9"}]}'.encode("latin-1"),
      "can't decode byte 0xe9"),
     (lambda: b"[" * 100_000, "document nested too deeply"),
+    (lambda: [], "document root must be an object"),
+    (lambda: {"buses": {}}, "buses: must be an array"),
+    (_edited_grid("relays", 0, "curve", value=5),
+     "relays[0]: curve must be a family name or an a/b/c object"),
+    (_edited_grid("relays", 0, "curve", value={"a": 0, "b": 0, "c": 0.02}),
+     "relay1: a > 0 (curve a = 0"),
+    (_isolated_grid, "bus9: graph connected (bus unreachable"),
 ], ids=["record_not_object", "text_number", "zero_load", "zero_s_base",
         "negative_s_base", "inf_pickup", "nan_load", "inf_branch",
         "tiny_branch", "tiny_s_base", "line_across_zones", "tie_in_loop",
         "downstream_sizing_bus", "negative_sizing_reference",
-        "reference_without_bus", "not_utf8", "deeply_nested"])
+        "reference_without_bus", "not_utf8", "deeply_nested",
+        "root_not_object", "records_not_array", "curve_number",
+        "curve_a_zero", "isolated_bus"])
 @pytest.mark.parametrize("command", [["validate"],
                                      ["run", "--scenario", "s1_dg1"]],
                          ids=["validate", "run"])
