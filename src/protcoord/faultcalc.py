@@ -16,8 +16,11 @@ The limiter changes one branch admittance, a rank-one change of Y, so one
 factorisation gives every limiter state (the compensation method, Tinney
 1972; Sherman-Morrison). LimiterStates holds that one solve: it reads any
 resistance's fault solutions from it and gives each bus's fault current
-as a closed-form LevelMap of R. solve_faults is its read at the
-resistance it was factorised at.
+as a closed-form LevelMap of R. Taking a DG out of service removes a
+shunt and an injection at its bus, rank-one changes too, so the same
+solve also gives each bus's bare-grid fault level, with only the
+infinite_grid sources in service (LimiterStates.grid_level). solve_faults
+is its read at the resistance it was factorised at.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import Branch, Network, PuNetwork, to_per_unit
+from .netmodel import Branch, Network, PuNetwork, Source, to_per_unit
 
 __all__ = [
     "FaultSpec", "FaultResult", "LevelMap", "LimiterStates",
@@ -88,6 +91,13 @@ def _tie_z(pu: PuNetwork, r_ohm: float) -> tuple[Branch | None, complex]:
     return tie, pu.branch_z_pu[tie.id] + r_ohm / pu.z_base[tie.from_bus]
 
 
+def _source_z(pu: PuNetwork, s: Source) -> complex:
+    """The source's per-unit internal impedance in the nodal model, the
+    induction multiplier applied: _nodal stamps 1 / z and EMF / z."""
+    z = pu.source_z_pu[s.id]
+    return z * INDUCTION_Z_MULT if s.kind == "induction_dg" else z
+
+
 def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
            ) -> tuple[dict[str, int], dict[str, tuple[int, int, complex]],
                       np.ndarray, np.ndarray]:
@@ -114,9 +124,7 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
         ybus[t, f] -= y
 
     for s in pu.net.sources:
-        z = pu.source_z_pu[s.id]
-        if s.kind == "induction_dg":
-            z = z * INDUCTION_Z_MULT
+        z = _source_z(pu, s)
         k = index[s.bus]
         ybus[k, k] += 1.0 / z
         injection[k] += s.emf_pu / z
@@ -141,17 +149,21 @@ def build_ybus(net: Network, ufcl_state_ohm: float = 0.0,
 
 class _BranchCurrents(Mapping):
     """Branch id -> complex amps of one voltage profile, each computed on
-    lookup from the state's taps; read-only, in net.branches order."""
+    lookup from the state's taps; read-only, in net.branches order. It
+    keeps a private copy of the profile, made a list at the first
+    lookup."""
 
     __slots__ = ("_taps", "_v")
 
     def __init__(self, taps: dict[str, tuple[int, int, complex]],
                  v: np.ndarray) -> None:
         self._taps = taps
-        self._v = v.tolist()
+        self._v = v.copy()
 
     def __getitem__(self, branch_id: str) -> complex:
         f, t, s = self._taps[branch_id]
+        if not isinstance(self._v, list):
+            self._v = self._v.tolist()
         return (self._v[f] - self._v[t]) * s
 
     def __iter__(self) -> Iterator[str]:
@@ -190,7 +202,10 @@ class LimiterStates:
     the limiter's tie; the e column is there only when the network has a
     limiter. Any other R changes the tie admittance by dy, and the solution
     becomes X(R) = X - w c (e^T X), with w the e column and
-    c = dy / (1 + dy e^T w). Raises ValueError for a bus the network lacks,
+    c = dy / (1 + dy e^T w). The same compensation takes the DGs out:
+    grid_level reads a bus's fault level with only the infinite_grid
+    sources in service from this solve, by removing each other source's
+    shunt and injection. Raises ValueError for a bus the network lacks,
     and on reading a bus that was not given at construction.
     """
 
@@ -213,6 +228,10 @@ class LimiterStates:
                 raise ValueError(f"unknown fault bus {bus!r}")
             rhs[self._index[bus], j] = 1.0
         self._x = np.linalg.solve(ybus, rhs)
+        # each relay branch's from and to bus index, flat, in net.relays
+        # order: a fault reads only these entries of its voltage profile
+        self._ends = np.array([i for r in pu.net.relays
+                               for i in self._taps[r.branch][:2]], np.intp)
 
     def _column(self, bus: str) -> tuple[int, int]:
         """The bus's index and the column of its unit injection."""
@@ -234,24 +253,25 @@ class LimiterStates:
             c = dy / (1.0 + dy * (w[f] - w[t]))
             x = x - np.outer(w, c * (x[f] - x[t]))
             taps = {**taps, tie.id: (f, t, self._pu.i_base[tie.from_bus] / z)}
+        relays = [(r.id, taps[r.branch][2]) for r in self._pu.net.relays]
         v_pre = x[:, 0]
         results = []
         for fault in faults:
             k, j = self._column(fault.bus)
             i_f = v_pre[k] / x[k, j]
             v_post = v_pre - i_f * x[:, j]
-            branch_currents = _BranchCurrents(taps, v_post)
             i_f_amps = complex(i_f * self._pu.i_base[fault.bus])
             # a relay current within the solution's round-off of zero is 0
             floor = 1e-9 * max(1.0, abs(i_f_amps))
-            amps = {r.id: abs(branch_currents[r.branch])
-                    for r in self._pu.net.relays}
+            ends = v_post.take(self._ends).tolist()
             results.append(FaultResult(
                 fault_bus=fault.bus,
                 fault_current_a=abs(i_f_amps),
-                relay_currents={rid: a if a > floor else 0.0
-                                for rid, a in amps.items()},
-                branch_currents=branch_currents,
+                relay_currents={
+                    rid: a if (a := abs((vf - vt) * s)) > floor else 0.0
+                    for (rid, s), vf, vt in zip(relays, ends[::2],
+                                                ends[1::2])},
+                branch_currents=_BranchCurrents(taps, v_post),
                 fault_current_c=i_f_amps,
                 bus_voltages_pu=v_post))
         return results
@@ -283,6 +303,29 @@ class LimiterStates:
         m = 1.0 - beta * self._base_ohm
         return LevelMap(i0 * (1.0 - alpha * self._base_ohm) / m,
                         i0 * alpha / m, beta / m)
+
+    def grid_level(self, bus: str) -> float:
+        """|I_f| at bus, in amps, with only the infinite_grid sources in
+        service and the limiter at the base resistance.
+
+        Taking a source out removes its shunt y = 1 / z and its Norton
+        injection EMF y at its bus b, so Z gains the rank-one term
+        Z e_b e_b^T Z / (z - Z_bb). One such update per source, worked on
+        the block of the solution at bus and the source buses (columns:
+        prefault voltages and those buses' unit injections), each
+        followed by removing the injection. Every source bus must have
+        been given at construction.
+        """
+        pu = self._pu
+        dgs = [s for s in pu.net.sources if s.kind != "infinite_grid"]
+        rows, cols = zip(self._column(bus),
+                         *(self._column(s.bus) for s in dgs))
+        block = self._x[np.ix_(rows, (0, *cols))]
+        for i, s in enumerate(dgs, start=1):
+            z, zb = _source_z(pu, s), block[:, i + 1]
+            block += np.outer(zb / (z - zb[i]), block[i])
+            block[:, 0] -= s.emf_pu / z * block[:, i + 1]
+        return abs(complex(block[0, 0] / block[0, 1] * pu.i_base[bus]))
 
 
 def solve_faults(net: Network, faults: list[FaultSpec],

@@ -13,9 +13,8 @@ runs at the designated sizing bus, else at the first upstream fault bus.
 Its target is the recorded pre-DG fault level at the designated bus, and
 the bare-grid level (infinite_grid sources only) at any other bus. One
 factorisation of the scenario network (faultcalc.LimiterStates) reads the
-sizing map and every fault table, at whatever resistance each sees. The
-sizing adds its own: one solve to confirm R*, and one of the bare grid
-when the target is not recorded.
+sizing map, the bare-grid target and every fault table, at whatever
+resistance each sees. The sizing adds one solve of its own, to confirm R*.
 
 Exit codes: 0 all pairs coordinate, 2 coordination violations, 1 error.
 """
@@ -35,8 +34,8 @@ import numpy as np
 from . import bundled_dataset_path
 from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
                            format_number, report_to_csv, row_cells)
-from .faultcalc import FaultSpec, LimiterStates, build_ybus, solve_fault
-from .netmodel import Network, load_network, validate
+from .faultcalc import FaultSpec, LimiterStates, build_ybus
+from .netmodel import Network, RelaySpec, load_network, validate
 from .relaycurve import operate_time
 from .ufcl import SizingResult, downstream_buses, size_ufcl
 
@@ -134,30 +133,39 @@ def build_scenario_net(net: Network, scenario: Scenario) -> Network:
     return replace(net, sources=tuple(kept))
 
 
-def _reading_order(net: Network, fault_bus: str) -> list[str]:
+def _reading_order(net: Network, relays: dict[str, RelaySpec],
+                   fault_bus: str) -> list[str]:
     # pair relays first, main before backup, mirroring the study tables
     order: list[str] = []
     for p in net.pairs:
         if p.fault_bus == fault_bus:
             for rid in (p.main, p.backup):
+                if rid not in relays:
+                    raise ValueError(f"pair {p.main}/{p.backup} at "
+                                     f"{fault_bus}: relay {rid!r} is not "
+                                     f"in the network")
                 if rid not in order:
                     order.append(rid)
-    for r in net.relays:
-        if r.id not in order:
-            order.append(r.id)
-    return order
+    return order + [rid for rid in relays if rid not in order]
 
 
-def _sizing_target(net: Network, bus: str) -> float:
-    """The recorded pre-DG fault level when bus is the designated sizing
-    bus, else the bare-grid level at bus."""
+def _sized_states(net: Network, buses: list[str], sizing_bus: str,
+                  ) -> tuple[LimiterStates, SizingResult]:
+    """The limiter states over buses and sizing_bus, and the limiter
+    sized at sizing_bus from them. The target is the recorded pre-DG fault
+    level when sizing_bus is the designated sizing bus, else the
+    bare-grid level there, read from the same states, which then also
+    cover the buses of the sources that the bare grid lacks."""
     u = net.ufcl
     if (u is not None and u.sizing_reference_a is not None
-            and bus == u.sizing_fault_bus):
-        return u.sizing_reference_a
-    bare = replace(net, sources=tuple(
-        s for s in net.sources if s.kind == "infinite_grid"))
-    return solve_fault(bare, FaultSpec(bus)).fault_current_a
+            and sizing_bus == u.sizing_fault_bus):
+        states = LimiterStates(net, [*buses, sizing_bus])
+        target = u.sizing_reference_a
+    else:
+        states = LimiterStates(net, [*buses, sizing_bus, *(
+            s.bus for s in net.sources if s.kind != "infinite_grid")])
+        target = states.grid_level(sizing_bus)
+    return states, size_ufcl(net, sizing_bus, target, states=states)
 
 
 def _resolve_states(snet: Network, scenario: Scenario, buses: list[str],
@@ -177,9 +185,7 @@ def _resolve_states(snet: Network, scenario: Scenario, buses: list[str],
                              "against")
         sizing_bus = upstream[0]
 
-    states = LimiterStates(snet, [*buses, sizing_bus])
-    sizing = size_ufcl(snet, sizing_bus, _sizing_target(snet, sizing_bus),
-                       states=states)
+    states, sizing = _sized_states(snet, buses, sizing_bus)
     return states, sizing, {
         bus: snet.ufcl.r_normal if bus in down else sizing.r_star
         for bus in buses}
@@ -206,7 +212,7 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
         for bus in buses:
             amps = results[bus].relay_currents
             times[bus] = {rid: operate_time(relays[rid], amps[rid])
-                          for rid in _reading_order(snet, bus)}
+                          for rid in _reading_order(snet, relays, bus)}
             readings = tuple(RelayReading(rid, amps[rid], t)
                              for rid, t in times[bus].items())
             tables.append(FaultTable(bus, results[bus].fault_current_a,
@@ -384,7 +390,7 @@ def run_cmd(network_path, scenario_id, fault_buses, fmt, out_path,
 def size_cmd(network_path, fault_bus):
     """Size the limiter to restore the pre-DG fault level at one bus."""
     net = _load_net(network_path)
-    result = size_ufcl(net, fault_bus, _sizing_target(net, fault_bus))
+    _, result = _sized_states(net, [], fault_bus)
     click.echo(f"r_star_ohm = {result.r_star!r}")
     click.echo(f"achieved_a = {result.achieved_current_a!r}")
     click.echo(f"target_a = {result.target_current_a!r}")

@@ -364,6 +364,53 @@ def test_limiter_states_read_only_their_buses(bundled_net, read):
         read(states)
 
 
+def assert_grid_level_matches(net):
+    # the bare-grid level read from the DG network's own solve, at every
+    # bus: against a solve of the bare network and against the oracle
+    bare = replace(net, sources=tuple(
+        s for s in net.sources if s.kind == "infinite_grid"))
+    states = LimiterStates(net, net.bus_ids())
+    for bus in net.bus_ids():
+        got = states.grid_level(bus)
+        assert type(got) is float
+        assert close(got, solve_fault(bare, FaultSpec(bus)).fault_current_a,
+                     rel=1e-11, floor=0.0), bus
+        assert close(got, oracle_solve(bare, FaultSpec(bus)).fault_current_a,
+                     floor=0.0), bus
+
+
+@pytest.mark.parametrize("sid", ["s2_dg1_ufcl", "s4_dg1_dg2_ufcl",
+                                 "s6_induction_dg1_ufcl"])
+def test_grid_level_on_bundled(bundled_net, sid):
+    assert_grid_level_matches(build_scenario_net(bundled_net, SCENARIOS[sid]))
+
+
+def test_grid_level_on_tie_networks():
+    for seed in range(100):
+        assert_grid_level_matches(random_tie_net(seed)[0])
+
+
+def test_grid_level_on_feeders():
+    for net in feeder_nets():
+        assert sum(s.kind != "infinite_grid" for s in net.sources) > 1
+        assert_grid_level_matches(net)
+
+
+def test_grid_level_two_dgs_on_one_bus_and_none(bundled_net):
+    s6 = build_scenario_net(bundled_net, SCENARIOS["s6_induction_dg1_ufcl"])
+    extra = Source("dg3", "dgbus", "sync_dg", 3 + 25j)
+    assert_grid_level_matches(replace(s6, sources=(*s6.sources, extra)))
+    assert_grid_level_matches(
+        build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"]))
+
+
+def test_grid_level_needs_the_source_buses(bundled_net):
+    s1 = build_scenario_net(bundled_net, SCENARIOS["s1_dg1"])
+    with pytest.raises(ValueError, match="'dgbus': the limiter states were "
+                                         "not built for it"):
+        LimiterStates(s1, ["bus3"]).grid_level("bus3")
+
+
 # --- thevenin ---------------------------------------------------------------
 
 

@@ -144,7 +144,13 @@ def test_run_scenario_sizes_at_first_upstream_fault_bus():
         bare = replace(net, sources=tuple(
             s for s in net.sources if s.kind == "infinite_grid"))
         target = solve_fault(bare, FaultSpec(up[-1])).fault_current_a
-        assert report.sizing == size_ufcl(net, up[-1], target), seed
+        # the target is read from the study's own solve: the bare-grid
+        # level by a second exact route, so equal to round-off only
+        got = report.sizing.target_current_a
+        assert close(got, target, rel=1e-11, floor=0.0), seed
+        assert close(got, oracle_solve(bare, FaultSpec(up[-1]))
+                     .fault_current_a, floor=0.0), seed
+        assert report.sizing == size_ufcl(net, up[-1], got), seed
         states = {t.fault_bus: t.ufcl_state_ohm for t in report.fault_tables}
         assert states == {b: 0.0 if b in down else report.sizing.r_star
                           for b in buses}, seed
@@ -196,6 +202,35 @@ def test_factorisations_per_cli_sizing(monkeypatch):
     result = CliRunner().invoke(cli, ["size-ufcl", "--fault-bus", "bus3"])
     assert result.exit_code == 0, result.output
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bus", ["bus1", "bus2"])
+def test_factorisations_per_cli_sizing_off_the_recorded_bus(monkeypatch,
+                                                           bus):
+    # the bare-grid target comes from the sizing's own states
+    calls = count_factorisations(monkeypatch)
+    result = CliRunner().invoke(cli, ["size-ufcl", "--fault-bus", bus])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 2
+
+
+def test_factorisations_per_undesignated_study(monkeypatch):
+    net, up, down = _undesignated(0)
+    calls = count_factorisations(monkeypatch)
+    run_scenario(net, Scenario("x", frozenset({"dg"}), ufcl_enabled=True,
+                               fault_buses=(*down, *up)))
+    assert len(calls) == 2
+
+
+def test_run_scenario_names_a_pair_relay_the_network_lacks(bundled_net):
+    pairs = list(bundled_net.pairs)
+    pairs[0] = replace(pairs[0], backup="relayX")
+    net = replace(bundled_net, pairs=tuple(pairs))
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(net, SCENARIOS["s1_dg1"])
+    assert err.type is ScenarioError
+    assert str(err.value) == ("scenario s1_dg1: pair relay2/relayX at bus3: "
+                              "relay 'relayX' is not in the network")
 
 
 def test_run_scenario_needs_an_upstream_fault_bus():
@@ -435,8 +470,12 @@ def test_cli_size_ufcl_away_from_sizing_bus(bundled_net):
     assert lines["iterations"] == "9"
     bare = replace(bundled_net, sources=tuple(
         s for s in bundled_net.sources if s.kind == "infinite_grid"))
-    assert float(lines["target_a"]) == solve_fault(
-        bare, FaultSpec("bus2")).fault_current_a
+    # read from the sizing's own solve, so equal to round-off only
+    target = float(lines["target_a"])
+    assert close(target, solve_fault(bare, FaultSpec("bus2")).fault_current_a,
+                 rel=1e-11, floor=0.0)
+    assert close(target, oracle_solve(bare, FaultSpec("bus2")).fault_current_a,
+                 floor=0.0)
 
 
 def test_cli_size_ufcl_needs_a_limiter(tmp_path):
