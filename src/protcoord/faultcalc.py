@@ -22,6 +22,14 @@ solve also gives each bus's bare-grid fault level, with only the
 infinite_grid sources in service (LimiterStates.grid_level). solve_faults
 is its read at the resistance it was factorised at.
 
+_nodal stamps Y sparse: its diagonal and one dict of off-diagonal entries
+per row. The one solve takes one of two routes by the network's size.
+Below SPARSE_MIN_BUSES buses it is LAPACK's, on Y made dense, which wins
+on small networks. From SPARSE_MIN_BUSES up it is an LDL^T of the sparse Y
+in minimum-degree order (Tinney and Walker, Proc. IEEE 55(11), 1967),
+whose cost grows with Y's nonzeros rather than with n^3. build_ybus makes
+the same stamps dense.
+
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
 the first. The two routes share the per-unit conversion and the result
@@ -30,6 +38,7 @@ record, FaultResult, and nothing else.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -48,6 +57,11 @@ INDUCTION_Z_MULT = 1.05
 # a tie whose current in the faulted state is below this share of the
 # fault current (per-unit) carries round-off: the limiter changes nothing
 IDLE_TIE_TOL = 1e-9
+# from this many buses up, Y is factorised sparse; below, by LAPACK dense
+SPARSE_MIN_BUSES = 200
+
+# Y as stamped: its diagonal, and per row a dict of column -> entry
+_Stamps = tuple[list[complex], list[dict[int, complex]]]
 
 
 @dataclass(frozen=True)
@@ -100,16 +114,18 @@ def _source_z(pu: PuNetwork, s: Source) -> complex:
 
 def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
            ) -> tuple[dict[str, int], dict[str, tuple[int, int, complex]],
-                      np.ndarray, np.ndarray]:
+                      _Stamps, list[complex]]:
     """One operating state, with the limiter at ufcl_state_ohm and the
     induction multiplier applied: the bus index, one tap per branch id,
     (from index, to index, i_base[from] / z), that turns a voltage profile
     in per-unit into the branch's current in amps, and Y and the Norton
-    source injections in per-unit."""
+    source injections in per-unit. Y is its stamps: the diagonal, and one
+    dict of off-diagonal entries per row, column index to entry."""
     index = {b.id: i for i, b in enumerate(pu.net.buses)}
     n = len(index)
-    ybus = np.zeros((n, n), dtype=complex)
-    injection = np.zeros(n, dtype=complex)
+    diag = [0j] * n
+    off = [{} for _ in range(n)]
+    injection = [0j] * n
 
     tie, tie_z = _tie_z(pu, ufcl_state_ohm)
     taps = {}
@@ -118,21 +134,83 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
         y = 1.0 / z
         f, t = index[br.from_bus], index[br.to_bus]
         taps[br.id] = (f, t, complex(pu.i_base[br.from_bus] / z))
-        ybus[f, f] += y
-        ybus[t, t] += y
-        ybus[f, t] -= y
-        ybus[t, f] -= y
+        if f == t:
+            continue  # a branch looping on one bus carries no current
+        diag[f] += y
+        diag[t] += y
+        off[f][t] = off[f].get(t, 0j) - y
+        off[t][f] = off[t].get(f, 0j) - y
 
     for s in pu.net.sources:
         z = _source_z(pu, s)
         k = index[s.bus]
-        ybus[k, k] += 1.0 / z
+        diag[k] += 1.0 / z
         injection[k] += s.emf_pu / z
 
     for l in pu.net.loads:
-        ybus[index[l.bus], index[l.bus]] += 1.0 / pu.load_z_pu[l.id]
+        diag[index[l.bus]] += 1.0 / pu.load_z_pu[l.id]
 
-    return index, taps, ybus, injection
+    return index, taps, (diag, off), injection
+
+
+def _dense(y: _Stamps) -> np.ndarray:
+    """Y from its stamps, as a dense matrix."""
+    diag, off = y
+    ybus = np.diag(np.array(diag, dtype=complex))
+    for i, row in enumerate(off):
+        for j, v in row.items():
+            ybus[i, j] = v
+    return ybus
+
+
+def _solve(y: _Stamps, rhs: np.ndarray) -> np.ndarray:
+    """Y^-1 rhs, every column. Below SPARSE_MIN_BUSES, LAPACK on the dense
+    Y. From there up, an LDL^T of the complex symmetric Y without pivoting,
+    in minimum-degree order (Tinney and Walker 1967): each step eliminates
+    a bus of fewest remaining neighbours, fill included, so a radial
+    feeder factorises with no fill. The substitutions go one row operation
+    at a time, each over every column of rhs. Raises LinAlgError on an
+    exactly zero pivot, as LAPACK does on a singular Y.
+    """
+    diag, off = y
+    if len(diag) < SPARSE_MIN_BUSES:
+        return np.linalg.solve(_dense(y), rhs)
+    d, rows = list(diag), [dict(row) for row in off]
+    heap = [(len(row), k) for k, row in enumerate(rows)]
+    heapq.heapify(heap)
+    steps = []  # (k, [(i, L[i, k]) for each neighbour i]), in order
+    while heap:
+        degree, k = heapq.heappop(heap)
+        row = rows[k]
+        if row is None or len(row) != degree:
+            continue  # eliminated, or its degree has changed since
+        rows[k] = None
+        p = d[k]
+        if p == 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        # each update is v w / p, not v (w / p), so Y stays exactly
+        # symmetric: on the bundled grid, whose tie is 0.006 ohm, that cut
+        # the worst fault current's distance to the oracle 2.5-fold
+        for i, v in row.items():
+            other = rows[i]
+            del other[k]
+            for j, w in row.items():
+                if j == i:
+                    d[i] -= v * w / p
+                else:
+                    other[j] = other.get(j, 0j) - v * w / p
+            heapq.heappush(heap, (len(other), i))
+        steps.append((k, [(i, v / p) for i, v in row.items()]))
+    x = np.array(rhs, dtype=complex)
+    xs = list(x)  # row views, written in place
+    for k, col in steps:
+        for i, l in col:
+            xs[i] -= l * xs[k]
+    x /= np.array(d)[:, None]  # d now holds the pivots, D
+    for k, col in reversed(steps):
+        for i, l in col:
+            xs[k] -= l * xs[i]
+    return x
 
 
 def build_ybus(net: Network, ufcl_state_ohm: float = 0.0,
@@ -143,8 +221,8 @@ def build_ybus(net: Network, ufcl_state_ohm: float = 0.0,
     converted to per-unit in the tie's voltage zone. Returns (Y, bus index
     map).
     """
-    index, _, ybus, _ = _nodal(to_per_unit(net), ufcl_state_ohm)
-    return ybus, index
+    index, _, y, _ = _nodal(to_per_unit(net), ufcl_state_ohm)
+    return _dense(y), index
 
 
 class _BranchCurrents(Mapping):
@@ -200,8 +278,10 @@ class LimiterStates:
     One solve of Y, with the limiter at ufcl_state_ohm (the base), against
     [injections | e | a unit column per bus], where e = e_from - e_to of
     the limiter's tie; the e column is there only when the network has a
-    limiter. Any other R changes the tie admittance by dy, and the solution
-    becomes X(R) = X - w c (e^T X), with w the e column and
+    limiter. The solve is LAPACK's on the dense Y below SPARSE_MIN_BUSES
+    buses, and a minimum-degree sparse LDL^T from there up (_solve). Any
+    other R changes the tie admittance by dy, and the solution becomes
+    X(R) = X - w c (e^T X), with w the e column and
     c = dy / (1 + dy e^T w). The same compensation takes the DGs out:
     grid_level reads a bus's fault level with only the infinite_grid
     sources in service from this solve, by removing each other source's
@@ -213,12 +293,12 @@ class LimiterStates:
                  ufcl_state_ohm: float = 0.0) -> None:
         self._base_ohm = ufcl_state_ohm
         self._pu = pu = to_per_unit(net)
-        self._index, self._taps, ybus, injection = _nodal(pu, ufcl_state_ohm)
+        self._index, self._taps, y, injection = _nodal(pu, ufcl_state_ohm)
         self._tie, self._z0 = _tie_z(pu, ufcl_state_ohm)
         first = 1 if self._tie is None else 2
         self._col = {bus: j for j, bus in enumerate(dict.fromkeys(buses),
                                                     start=first)}
-        rhs = np.zeros((len(ybus), first + len(self._col)), dtype=complex)
+        rhs = np.zeros((len(injection), first + len(self._col)), complex)
         rhs[:, 0] = injection
         if self._tie is not None:
             self._f, self._t, _ = self._taps[self._tie.id]
@@ -227,17 +307,18 @@ class LimiterStates:
             if bus not in self._index:
                 raise ValueError(f"unknown fault bus {bus!r}")
             rhs[self._index[bus], j] = 1.0
-        self._x = np.linalg.solve(ybus, rhs)
+        self._x = _solve(y, rhs)
         # each relay branch's from and to bus index, flat, in net.relays
         # order: a fault reads only these entries of its voltage profile
         self._ends = np.array([i for r in pu.net.relays
                                for i in self._taps[r.branch][:2]], np.intp)
 
-    def _column(self, bus: str) -> tuple[int, int]:
-        """The bus's index and the column of its unit injection."""
+    def _column(self, bus: str, role: str = "fault bus") -> tuple[int, int]:
+        """The bus's index and the column of its unit injection; role names
+        the bus in the error for one the states were not built over."""
         if bus not in self._col:
-            raise ValueError(f"fault bus {bus!r}: the limiter states were "
-                             f"not built for it")
+            raise ValueError(f"{role} {bus!r}: the limiter states were not "
+                             f"built for it")
         return self._index[bus], self._col[bus]
 
     def solve(self, faults: list[FaultSpec],
@@ -319,7 +400,7 @@ class LimiterStates:
         pu = self._pu
         dgs = [s for s in pu.net.sources if s.kind != "infinite_grid"]
         rows, cols = zip(self._column(bus),
-                         *(self._column(s.bus) for s in dgs))
+                         *(self._column(s.bus, "source bus") for s in dgs))
         block = self._x[np.ix_(rows, (0, *cols))]
         for i, s in enumerate(dgs, start=1):
             z, zb = _source_z(pu, s), block[:, i + 1]

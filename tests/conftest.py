@@ -1,6 +1,10 @@
 """Shared fixtures and random-network builders for the test suite."""
 
+import functools
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,24 @@ def bundled_net():
 def expected():
     from _bundled_expected import EXPECTED
     return EXPECTED
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def feeder_net(buses, seed):
+    """The benchmark's generated feeder of that many buses and seed, every
+    DG in service; the network is frozen.
+
+    perfbench/feeder.py is imported read-only: compiled here, so that no
+    bytecode cache is written beside it."""
+    path = ROOT / "perfbench" / "feeder.py"
+    feeder = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location("feeder", path))
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         vars(feeder))
+    return load_network(json.dumps(feeder.make_feeder(buses, seed)))
 
 
 def random_connected_net(seed, max_buses=8):

@@ -1,23 +1,22 @@
 import functools
-import importlib.util
-import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_net, random_radial_net, random_tie_net
+from conftest import (feeder_net, random_connected_net, random_radial_net,
+                      random_tie_net)
 from protcoord import faultcalc
 from protcoord.faultcalc import (FaultSpec, LimiterStates, build_ybus,
                                  oracle_solve, solve_fault, solve_faults)
 from protcoord.netmodel import (Branch, Bus, Network, RelaySpec, ShuntLoad,
-                                Source, load_network, to_per_unit, validate)
+                                Source, to_per_unit, validate)
 from protcoord.relaycurve import curve_family
-from protcoord.studio import SCENARIOS, build_scenario_net
+from protcoord.studio import (SCENARIOS, Scenario, build_scenario_net,
+                              run_scenario)
 from protcoord.ufcl import size_ufcl
 
 
@@ -259,22 +258,9 @@ def test_batch_equals_single_on_large_networks():
         assert_batch_matches(net, 0.0)
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-@functools.cache
 def feeder_nets():
-    """The benchmark's 50-bus feeders, seeds 1-3, every DG in service.
-
-    perfbench/feeder.py is imported read-only: compiled here, so that no
-    bytecode cache is written beside it."""
-    path = ROOT / "perfbench" / "feeder.py"
-    feeder = importlib.util.module_from_spec(
-        importlib.util.spec_from_file_location("feeder", path))
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
-         vars(feeder))
-    return tuple(load_network(json.dumps(feeder.make_feeder(50, seed)))
-                 for seed in (1, 2, 3))
+    """The benchmark's 50-bus feeders, seeds 1-3, every DG in service."""
+    return tuple(feeder_net(50, seed) for seed in (1, 2, 3))
 
 
 def test_batch_equals_single_and_oracle_on_feeders():
@@ -282,6 +268,105 @@ def test_batch_equals_single_and_oracle_on_feeders():
         assert len(net.buses) == 50 and net.relays
         for r_ohm in (0.0, sized_ohms(net, net.ufcl.sizing_fault_bus)):
             assert_batch_matches(net, r_ohm)
+
+
+# --- the sparse route -------------------------------------------------------
+
+
+def assert_sparse_route_matches(net, r_ohm, monkeypatch, rel=1e-12):
+    """The sparse route, forced whatever the network's size, against the
+    oracle to 1e-9, and against the dense route to rel: the fault current
+    relative, and each post-fault bus voltage in per-unit. Its batch
+    equals its single solves bit for bit."""
+    faults = [FaultSpec(b.id) for b in net.buses]
+    dense = solve_faults(net, faults, ufcl_state_ohm=r_ohm)
+    with monkeypatch.context() as m:
+        m.setattr(faultcalc, "SPARSE_MIN_BUSES", 0)
+        m.setattr(faultcalc.np.linalg, "solve", None)  # no LAPACK call
+        assert_batch_matches(net, r_ohm)
+        batch = solve_faults(net, faults, ufcl_state_ohm=r_ohm)
+        singles = [solve_fault(net, f, ufcl_state_ohm=r_ohm) for f in faults]
+    for res, one, ref in zip(batch, singles, dense):
+        assert res.bus_voltages_pu.tobytes() == one.bus_voltages_pu.tobytes()
+        assert (res.fault_current_c, res.relay_currents) == \
+            (one.fault_current_c, one.relay_currents)
+        assert close(res.fault_current_c, ref.fault_current_c, rel=rel)
+        assert np.abs(res.bus_voltages_pu - ref.bus_voltages_pu).max() <= rel
+
+
+def test_sparse_route_on_random_networks(monkeypatch):
+    # random_connected_net's loops make the elimination fill in
+    for seed in range(100):
+        assert_sparse_route_matches(random_connected_net(seed), 0.0,
+                                    monkeypatch)
+        assert_sparse_route_matches(
+            random_radial_net(seed, with_dg=seed % 2 == 0), 0.0, monkeypatch)
+    for net, r_ohm in tie_states():
+        assert_sparse_route_matches(net, r_ohm, monkeypatch)
+    for net in large_nets():
+        assert_sparse_route_matches(net, 0.0, monkeypatch)
+
+
+@pytest.mark.parametrize("sid", sorted(SCENARIOS))
+def test_sparse_route_on_bundled(bundled_net, monkeypatch, sid):
+    # the tie and the DG branch, near 0.006 ohm (about 7000 pu admittance),
+    # leave each route up to 6.5e-13 from the oracle, and the two routes up
+    # to 1.3e-12 apart in the fault current and 3e-12 pu in the voltages
+    snet = build_scenario_net(bundled_net, SCENARIOS[sid])
+    for r_ohm in (0.0, 200.0):
+        assert_sparse_route_matches(snet, r_ohm, monkeypatch, rel=1e-11)
+
+
+def test_sparse_route_on_a_200_bus_feeder_study(monkeypatch):
+    # at the default SPARSE_MIN_BUSES: the study's own tables, upstream at
+    # the sized R* and downstream at R = 0, against the oracle
+    net = feeder_net(200, 1)
+    assert len(net.buses) == faultcalc.SPARSE_MIN_BUSES
+    dgs = frozenset(s.id for s in net.sources if s.kind != "infinite_grid")
+    with monkeypatch.context() as m:
+        m.setattr(faultcalc.np.linalg, "solve", None)
+        report = run_scenario(net, Scenario("feeder", dgs, ufcl_enabled=True,
+                                            fault_buses=tuple(net.bus_ids())))
+    sampled = report.fault_tables[::10]
+    assert {t.ufcl_state_ohm for t in sampled} == {0.0, report.sizing.r_star}
+    for t in sampled:
+        ref = oracle_solve(net, FaultSpec(t.fault_bus), t.ufcl_state_ohm)
+        assert close(t.fault_current_a, ref.fault_current_a), t.fault_bus
+        for r in t.readings:
+            assert close(r.current_a, ref.relay_currents[r.relay]), r.relay
+
+
+@pytest.mark.parametrize("min_buses", [0, 10**6], ids=["sparse", "dense"])
+def test_an_unearthed_island_is_singular_on_both_routes(bundled_net,
+                                                         monkeypatch,
+                                                         min_buses):
+    # two buses with no source or load, reached through the API, where
+    # validate does not run
+    net = replace(bundled_net,
+                  buses=(*bundled_net.buses, Bus("x1", 20000.0),
+                         Bus("x2", 20000.0)),
+                  branches=(*bundled_net.branches,
+                            Branch("x12", "x1", "x2", "line", 20j)))
+    assert validate(net)
+    monkeypatch.setattr(faultcalc, "SPARSE_MIN_BUSES", min_buses)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        solve_fault(net, FaultSpec("bus3"))
+
+
+@pytest.mark.parametrize("min_buses", [0, 10**6], ids=["sparse", "dense"])
+def test_a_branch_looping_on_one_bus_changes_nothing(bundled_net,
+                                                      monkeypatch,
+                                                      min_buses):
+    # validate rejects it; through the API it carries no current
+    net = replace(bundled_net, branches=(
+        *bundled_net.branches, Branch("loop", "bus4", "bus4", "line", 3 + 7j)))
+    monkeypatch.setattr(faultcalc, "SPARSE_MIN_BUSES", min_buses)
+    for bus in bundled_net.bus_ids():
+        got = solve_fault(net, FaultSpec(bus))
+        want = solve_fault(bundled_net, FaultSpec(bus))
+        assert (got.fault_current_c, got.relay_currents) == \
+            (want.fault_current_c, want.relay_currents)
+        assert got.branch_currents["loop"] == 0
 
 
 def assert_update_matches_oracle(net, r_star, base=0.0):
@@ -406,8 +491,8 @@ def test_grid_level_two_dgs_on_one_bus_and_none(bundled_net):
 
 def test_grid_level_needs_the_source_buses(bundled_net):
     s1 = build_scenario_net(bundled_net, SCENARIOS["s1_dg1"])
-    with pytest.raises(ValueError, match="'dgbus': the limiter states were "
-                                         "not built for it"):
+    with pytest.raises(ValueError, match="source bus 'dgbus': the limiter "
+                                         "states were not built for it"):
         LimiterStates(s1, ["bus3"]).grid_level("bus3")
 
 

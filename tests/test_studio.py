@@ -1,11 +1,10 @@
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import random_tie_net
+from conftest import feeder_net, random_tie_net
 from protcoord import bundled_dataset_path, faultcalc, studio
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
@@ -176,14 +175,15 @@ def test_downstream_faults_see_r_normal(bundled_net, sid):
 
 
 def count_factorisations(monkeypatch):
-    """Count faultcalc's dense solves of Y."""
+    """Count faultcalc's solves of Y, on either route; each call records
+    Y's size."""
     calls = []
-    solve = np.linalg.solve
+    solve = faultcalc._solve
 
-    def spy(a, b):
-        calls.append(a.shape)
-        return solve(a, b)
-    monkeypatch.setattr(faultcalc.np.linalg, "solve", spy)
+    def spy(y, rhs):
+        calls.append(len(rhs))
+        return solve(y, rhs)
+    monkeypatch.setattr(faultcalc, "_solve", spy)
     return calls
 
 
@@ -212,6 +212,17 @@ def test_factorisations_per_cli_sizing_off_the_recorded_bus(monkeypatch,
     result = CliRunner().invoke(cli, ["size-ufcl", "--fault-bus", bus])
     assert result.exit_code == 0, result.output
     assert len(calls) == 2
+
+
+def test_factorisations_per_feeder_study(monkeypatch):
+    # the benchmark's 200-bus feeder takes the sparse route: the study's
+    # limiter states, and the confirm at the sized R*
+    net = feeder_net(200, 1)
+    dgs = frozenset(s.id for s in net.sources if s.kind != "infinite_grid")
+    calls = count_factorisations(monkeypatch)
+    run_scenario(net, Scenario("feeder", dgs, ufcl_enabled=True,
+                               fault_buses=tuple(net.bus_ids())))
+    assert calls == [200, 200]
 
 
 def test_factorisations_per_undesignated_study(monkeypatch):
