@@ -9,7 +9,7 @@ Modules:
     netmodel     network types, file loading, validation, per-unit, partition
     faultcalc    nodal fault solution plus an independent dense oracle
     relaycurve   inverse-time characteristic evaluation
-    coordination CTI checking, pickup selection, TDS optimization
+    coordination CTI checking, TDS optimization
     ufcl         limiter downstream side and resistance sizing
     studio       scenario runner, report emission, CLI
 """

@@ -1,4 +1,4 @@
-"""CTI checking, pickup selection, and minimal-TDS coordination.
+"""CTI checking and minimal-TDS coordination.
 
 The coordination time interval (CTI) between a main relay and its backup
 must land inside the fixed band [CTI_MIN, CTI_MAX] = [0.3, 0.6] s,
@@ -7,7 +7,7 @@ their operate times per fault bus, whether a study evaluated them from the
 relay curves or they were supplied from outside, and returns one verdict
 row per pair; optimize_tds finds the smallest TDS per relay on a discrete
 grid from the fault currents each relay sees, by the classical
-downstream-first radial sweep.
+downstream-first radial sweep, grading each pick by check_pairs' own rule.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from graphlib import CycleError, TopologicalSorter
+from itertools import count, takewhile
 from typing import Mapping
 
 from .netmodel import CoordinationPair, Network
@@ -23,7 +24,7 @@ from .relaycurve import operate_time
 
 __all__ = [
     "CTI_MIN", "CTI_MAX", "CoordinationRow", "CoordinationReport",
-    "TdsInfeasibleError", "check_pairs", "set_pickups", "optimize_tds",
+    "TdsInfeasibleError", "check_pairs", "optimize_tds",
     "report_to_csv", "row_cells", "format_number", "CSV_COLUMNS",
 ]
 
@@ -103,38 +104,28 @@ def check_pairs(net: Network,
     return CoordinationReport(rows=tuple(rows))
 
 
-def set_pickups(load_currents: Mapping[str, float],
-                overload_factor: float = 1.25) -> dict[str, int]:
-    """Pickup per relay: overload factor times load current, nearest ampere.
-
-    The factor is expected to exceed 1 so pickups clear normal load.
-    """
-    return {rid: int(round(amps * overload_factor))
-            for rid, amps in load_currents.items()}
-
-
 def optimize_tds(net: Network, pairs: list[CoordinationPair],
                  currents: Mapping[str, Mapping[str, float]],
                  tds_min: float = 0.05, tds_step: float = 0.05,
                  tds_max: float = 3.0) -> dict[str, float]:
-    """Smallest grid TDS per relay meeting the CTI floor, downstream first.
+    """Smallest grid TDS per relay that check_pairs grades coordinated,
+    downstream first.
 
-    currents maps fault bus to relay to amperes. Mains take tds_min
-    (smaller is always better for their own pairs); each backup then takes
-    the smallest grid value keeping CTI >= CTI_MIN against every
-    already-assigned main. Pair chains must be radial. The assignment is
-    re-checked through check_pairs before returning; a relay with no
-    workable grid value raises TdsInfeasibleError.
+    currents maps fault bus to relay to amperes; the grid is tds_min +
+    k * tds_step up to tds_max. Mains take tds_min (smaller is always
+    better for their own pairs); each backup then takes the smallest grid
+    value at which _verdict, the rule check_pairs grades with, finds none
+    of its pairs too_fast or backup_first against the mains already
+    assigned. A main that never trips sets no floor; a backup that does
+    not trip while its main does is never coordinated. Pair chains must
+    be radial. A relay with no workable grid value raises
+    TdsInfeasibleError.
     """
     for bus in {p.fault_bus for p in pairs}:
         if bus not in currents:
             raise ValueError(f"no fault currents for bus {bus!r}")
-
-    grid = []
-    k = 0
-    while tds_min + k * tds_step <= tds_max + 1e-12:
-        grid.append(tds_min + k * tds_step)
-        k += 1
+    grid = list(takewhile(lambda tds: tds <= tds_max + 1e-12,
+                          (tds_min + k * tds_step for k in count())))
 
     # downstream-first order: every pair's main before its backup
     mains = {r.id: {p.main for p in pairs if p.backup == r.id}
@@ -148,46 +139,22 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
     assigned: dict[str, float] = {}
     for rid in order:
         relay = net.relay_by_id(rid)
-        floors = []  # minimum backup operate time per constraint
+        races = []  # (this relay's amperes, its main's operate time)
         for p in pairs:
-            if p.backup != rid:
-                continue
-            res = currents[p.fault_bus]
-            t_main = operate_time(
-                replace(net.relay_by_id(p.main), tds=assigned[p.main]),
-                res[p.main])
-            if t_main is None:
-                continue  # main never trips: no CTI to maintain
-            floors.append((p, res[rid], t_main + CTI_MIN))
-
-        choice = None
-        for tds in grid:
-            if all(
-                (t := operate_time(replace(relay, tds=tds), amps)) is not None
-                and t >= floor
-                for _, amps, floor in floors
-            ):
-                choice = tds
-                break
+            amps = currents[p.fault_bus]
+            if p.backup == rid and (t_main := operate_time(replace(
+                    net.relay_by_id(p.main), tds=assigned[p.main]),
+                    amps[p.main])) is not None:
+                races.append((amps[rid], t_main))
+        # with the main tripping, only ok and too_slow leave it coordinated
+        choice = next((tds for tds in grid if all(
+            _verdict(t_main, operate_time(replace(relay, tds=tds), amps))[1]
+            in ("ok", "too_slow") for amps, t_main in races)), None)
         if choice is None:
             raise TdsInfeasibleError(
                 f"relay {rid!r}: no tds in [{tds_min}, {tds_max}] "
                 f"step {tds_step} keeps CTI >= {CTI_MIN} for its pairs")
         assigned[rid] = choice
-
-    tuned = replace(net, pairs=tuple(pairs), relays=tuple(
-        replace(r, tds=assigned[r.id]) for r in net.relays))
-    times: dict[str, dict[str, float | None]] = {}
-    for p in pairs:
-        for rid in (p.main, p.backup):
-            times.setdefault(p.fault_bus, {})[rid] = operate_time(
-                tuned.relay_by_id(rid), currents[p.fault_bus][rid])
-    verification = check_pairs(tuned, times, currents)
-    bad = [r for r in verification.rows
-           if r.verdict in ("too_fast", "backup_first")]
-    if bad:
-        raise TdsInfeasibleError(
-            f"sweep result failed verification: {bad[0]}")
     return assigned
 
 

@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import Branch, Network, PuNetwork, Source, to_per_unit
+from .netmodel import (Branch, Network, PuNetwork, Source, reachable,
+                       to_per_unit)
 
 __all__ = [
     "FaultSpec", "FaultResult", "LevelMap", "LimiterStates",
@@ -286,7 +287,9 @@ class LimiterStates:
     grid_level reads a bus's fault level with only the infinite_grid
     sources in service from this solve, by removing each other source's
     shunt and injection. Raises ValueError for a bus the network lacks,
-    and on reading a bus that was not given at construction.
+    and on reading a bus that was not given at construction;
+    np.linalg.LinAlgError, a ValueError, naming a bus that no source or
+    load reaches, before any solve.
     """
 
     def __init__(self, net: Network, buses: Iterable[str],
@@ -307,6 +310,15 @@ class LimiterStates:
             if bus not in self._index:
                 raise ValueError(f"unknown fault bus {bus!r}")
             rhs[self._index[bus], j] = 1.0
+        # a component with neither a source nor a load has no path to
+        # ground, and its block of Y is singular however it rounds
+        grounded = reachable(y[1], [self._index[e.bus] for e in (
+            *net.sources, *net.loads)])
+        for bus, k in self._index.items():
+            if k not in grounded:
+                raise np.linalg.LinAlgError(
+                    f"Singular matrix: bus {bus!r} has no path to ground "
+                    f"through a source or a load")
         self._x = _solve(y, rhs)
         # each relay branch's from and to bus index, flat, in net.relays
         # order: a fault reads only these entries of its voltage profile

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 
 from .relaycurve import CurveConstants, curve_family
@@ -34,6 +35,7 @@ __all__ = [
     "Bus", "Branch", "Source", "ShuntLoad", "RelaySpec", "CoordinationPair",
     "UfclSpec", "Network", "PuNetwork", "Violation", "NetworkFormatError",
     "load_network", "validate", "to_per_unit", "partition_by_tie",
+    "reachable",
 ]
 
 class NetworkFormatError(ValueError):
@@ -324,10 +326,12 @@ def _adjacency(net: Network, skip: str | None = None) -> dict[str, set[str]]:
     return adj
 
 
-def _reachable(adj: dict[str, set[str]], start: str) -> frozenset:
-    """Buses reachable from start by a depth-first walk of adj."""
-    seen = {start}
-    stack = [start]
+def reachable(adj: Mapping | Sequence, starts: Iterable) -> frozenset:
+    """Nodes reachable from any of starts by one depth-first walk of adj,
+    which gives each node's neighbours: each bus id's neighbouring bus
+    ids, or each row index's column indices in a sparse matrix's rows."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
         for nxt in adj[stack.pop()]:
             if nxt not in seen:
@@ -423,7 +427,7 @@ def validate(net: Network) -> list[Violation]:
 
     # connectivity over the branch graph
     if net.buses:
-        seen = _reachable(_adjacency(net), net.buses[0].id)
+        seen = reachable(_adjacency(net), [net.buses[0].id])
         for b in sorted(set(net.bus_ids()) - seen):
             bad("graph connected", b, "bus unreachable from first bus")
 
@@ -531,11 +535,11 @@ def partition_by_tie(net: Network, tie: str) -> tuple[frozenset, frozenset]:
         raise ValueError(f"unknown tie branch {tie!r}") from None
     adj = _adjacency(net, skip=tie)
 
-    side_a = _reachable(adj, tie_branch.from_bus)
+    side_a = reachable(adj, [tie_branch.from_bus])
     if tie_branch.to_bus in side_a:
         raise ValueError(
             f"tie removal does not disconnect: {tie!r} is inside a loop")
-    side_b = _reachable(adj, tie_branch.to_bus)
+    side_b = reachable(adj, [tie_branch.to_bus])
     if side_a | side_b != set(b.id for b in net.buses):
         raise ValueError(
             f"tie removal leaves more than two components around {tie!r}")

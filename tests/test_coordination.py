@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -7,8 +8,7 @@ from hypothesis import strategies as st
 
 from protcoord.coordination import (CSV_COLUMNS, TdsInfeasibleError,
                                     check_pairs, format_number,
-                                    optimize_tds, report_to_csv,
-                                    set_pickups)
+                                    optimize_tds, report_to_csv)
 from protcoord.netmodel import (Branch, Bus, CoordinationPair, Network,
                                 RelaySpec)
 from protcoord.relaycurve import CurveConstants, operate_time
@@ -113,28 +113,30 @@ def test_scaling_currents_and_pickup_together_is_invariant(k, m):
         assert tk == pytest.approx(t1, rel=1e-9)
 
 
-# --- pickups ----------------------------------------------------------------
-
-
-def test_set_pickups_published_rows():
-    assert set_pickups({"relay1": 558.0}, 610.0 / 558.0) == {"relay1": 610}
-    assert set_pickups({"relay5": 26.6}, 40.0 / 26.6) == {"relay5": 40}
-
-
-def test_set_pickups_rounding():
-    assert set_pickups({"r": 100.0}, 1.0 + 1e-12) == {"r": 100}
-
-
 # --- optimize_tds -----------------------------------------------------------
 
 
-def test_optimize_tds_two_relay_example():
+@pytest.mark.parametrize("tds_min, tds_step, want_r1", [
+    (0.1, 0.05, 0.4),
+    # grids where the backup's time at t_main + CTI_MIN rounds just below
+    # it: the pick must be graded by check_pairs' rule, not a
+    # rearrangement of it
+    (0.03, 0.01, 0.34),
+    (0.15, 0.01, 0.46),
+])
+def test_optimize_tds_two_relay_example(tds_min, tds_step, want_r1):
     # identical curves, M=2 both: t = tds/(M-1) = tds; backup needs
-    # t_main + 0.3 = 0.4
+    # t_main + 0.3
     net = chain_net(2)
     res = {"f0": {"r0": 200.0, "r1": 200.0}}
-    got = optimize_tds(net, list(net.pairs), res, tds_min=0.1, tds_step=0.05)
-    assert got == {"r0": 0.1, "r1": pytest.approx(0.4)}
+    args = (net, list(net.pairs), res, tds_min, tds_step, 3.0)
+    got = optimize_tds(*args)
+    assert got == brute_force(*args)
+    assert got == {"r0": tds_min, "r1": pytest.approx(want_r1)}
+    tuned = replace(net, relays=tuple(replace(r, tds=got[r.id])
+                                      for r in net.relays))
+    rows = check_pairs(tuned, curve_times(tuned, res)).rows
+    assert [r.verdict for r in rows] == ["ok"]
 
 
 def test_optimize_tds_lone_relay_gets_minimum():
@@ -174,7 +176,6 @@ def brute_force(net, pairs, res, tds_min, tds_step, tds_max):
 
 
 def _time(net, rid, tds, amps):
-    from dataclasses import replace
     return operate_time(replace(net.relay_by_id(rid), tds=tds), amps)
 
 

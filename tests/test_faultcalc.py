@@ -336,20 +336,27 @@ def test_sparse_route_on_a_200_bus_feeder_study(monkeypatch):
             assert close(r.current_a, ref.relay_currents[r.relay]), r.relay
 
 
-@pytest.mark.parametrize("min_buses", [0, 10**6], ids=["sparse", "dense"])
+# the purely reactive island, whose pivot is exactly zero, is each route's
+# plain case; the others are named by their island impedance
+@pytest.mark.parametrize("min_buses, z_island", [
+    pytest.param(min_buses, z, id=route + ("" if z == 20j else f"-{z}"))
+    for z in (20j, 3 + 7j, 17.3 + 5.9j, 1.3 + 2.1j, 0.4 + 0.9j)
+    for route, min_buses in (("sparse", 0), ("dense", 10**6))])
 def test_an_unearthed_island_is_singular_on_both_routes(bundled_net,
                                                          monkeypatch,
-                                                         min_buses):
+                                                         min_buses, z_island):
     # two buses with no source or load, reached through the API, where
-    # validate does not run
+    # validate does not run; a resistive island branch leaves a pivot at
+    # round-off rather than zero, which must not pass for a solution
     net = replace(bundled_net,
                   buses=(*bundled_net.buses, Bus("x1", 20000.0),
                          Bus("x2", 20000.0)),
                   branches=(*bundled_net.branches,
-                            Branch("x12", "x1", "x2", "line", 20j)))
+                            Branch("x12", "x1", "x2", "line", z_island)))
     assert validate(net)
     monkeypatch.setattr(faultcalc, "SPARSE_MIN_BUSES", min_buses)
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^Singular matrix: bus 'x1'"):
         solve_fault(net, FaultSpec("bus3"))
 
 

@@ -279,6 +279,8 @@ def test_validate_rule_strings():
 
     assert "Re(impedance) >= 0" in rules(grid_net(
         loads=(ShuntLoad("l", "b", -100 + 10j),)))
+    assert "Re(impedance) >= 0" in rules(grid_net(
+        loads=(ShuntLoad("l", "b", -0.5 + 10j),)))
 
     assert "tds > 0" in rules(grid_net(relays=(
         RelaySpec("r", "ab", 1.0, 0.0, CurveConstants(1.0, 0.0, 1.0)),)))

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,6 +156,38 @@ def test_sizing_when_the_level_does_not_depend_on_r(bundled_net):
     for k in (0.99, 0.9, 0.5):
         with pytest.raises(SizingError, match="tie open"):
             size_ufcl(snet, "bus3", k * base)
+
+
+def read_only(level):
+    """Limiter states whose every bus reads the one LevelMap given."""
+    return SimpleNamespace(level=lambda bus: level)
+
+
+def test_sizing_stops_at_exactly_the_tolerance(bundled_net):
+    # the map's R=0 current is exactly SIZING_TOL above the target, in
+    # floating point too: 201 m against 200 m for a dyadic m near the
+    # solved current. The band is closed, so the search stops at R=0,
+    # where the solution agrees with the target
+    snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
+    base = solve_fault(snet, FaultSpec("bus3")).fault_current_a
+    m = round(base / 200.0 * 1024) / 1024
+    level = LevelMap(complex(201.0 * m), 0j, 1.0 + 0j)
+    assert (level.amps(0.0) - 200.0 * m) / (200.0 * m) == ufcl.SIZING_TOL
+    got = size_ufcl(snet, "bus3", 200.0 * m, states=read_only(level))
+    assert (got.r_star, got.iterations) == (0.0, 1)
+    assert got.achieved_current_a == base
+
+
+def test_sizing_rejects_a_tie_open_level_at_exactly_the_tolerance(
+        bundled_net):
+    # the current falls toward a tie-open level exactly SIZING_TOL above
+    # the target and never reaches the band: no finite R is enough
+    snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
+    tie_open = 1000.0 * (1.0 + ufcl.SIZING_TOL)
+    level = LevelMap(complex(2.0 * tie_open), complex(tie_open), 1.0 + 0j)
+    assert level.tie_open_a() == tie_open
+    with pytest.raises(SizingError, match="tie open"):
+        size_ufcl(snet, "bus3", 1000.0, states=read_only(level))
 
 
 def test_level_map_is_flat_where_the_tie_is_idle():
