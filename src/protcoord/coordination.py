@@ -2,11 +2,11 @@
 
 The coordination time interval (CTI) between a main relay and its backup
 must land inside the fixed band [CTI_MIN, CTI_MAX] = [0.3, 0.6] s,
-endpoints included. check_pairs grades declared main/backup pairs from
-their operate times per fault bus, whether a study evaluated them from the
-relay curves or they were supplied from outside, and returns one verdict
-row per pair; optimize_tds finds the smallest TDS per relay on a discrete
-grid from the fault currents each relay sees, by the classical
+endpoints included. check_pairs grades the main/backup pairs it is given
+from their operate times per fault bus, whether a study evaluated them
+from the relay curves or they were supplied from outside, and returns one
+verdict row per pair; optimize_tds finds the smallest TDS per relay on a
+discrete grid from the fault currents each relay sees, by the classical
 downstream-first radial sweep, grading each pick by check_pairs' own rule.
 """
 
@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass, replace
 from graphlib import CycleError, TopologicalSorter
 from itertools import count, takewhile
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .netmodel import CoordinationPair, Network
 from .relaycurve import operate_time
@@ -74,18 +74,18 @@ def _verdict(t_main: float | None,
     return cti, "too_slow"
 
 
-def check_pairs(net: Network,
+def check_pairs(pairs: Iterable[CoordinationPair],
                 times: Mapping[str, Mapping[str, float | None]],
                 currents: Mapping[str, Mapping[str, float]] | None = None,
                 ) -> CoordinationReport:
-    """Grade every declared pair at its fault bus.
+    """Grade every pair at its fault bus, one row each, in pairs' order.
 
     times maps fault bus to relay to operate seconds (None: the relay does
     not trip). currents, when given, maps fault bus to relay to amperes
     and fills the rows' current columns; without it they stay empty.
     """
     rows = []
-    for pair in net.pairs:
+    for pair in pairs:
         if pair.fault_bus not in times:
             raise ValueError(f"no operate times for bus {pair.fault_bus!r}")
         bus_times = times[pair.fault_bus]
@@ -112,15 +112,17 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
     downstream first.
 
     currents maps fault bus to relay to amperes; the grid is tds_min +
-    k * tds_step up to tds_max. Mains take tds_min (smaller is always
-    better for their own pairs); each backup then takes the smallest grid
-    value at which _verdict, the rule check_pairs grades with, finds none
-    of its pairs too_fast or backup_first against the mains already
-    assigned. A main that never trips sets no floor; a backup that does
+    k * tds_step up to tds_max, and a tds_step that is not > 0 raises
+    ValueError. Mains take tds_min (smaller is always better for their
+    own pairs); each backup then takes the smallest grid value at which
+    _verdict, the rule check_pairs grades with, finds none of its pairs
+    too_fast or backup_first against the mains already assigned. A main that never trips sets no floor; a backup that does
     not trip while its main does is never coordinated. Pair chains must
     be radial. A relay with no workable grid value raises
     TdsInfeasibleError.
     """
+    if not tds_step > 0:
+        raise ValueError(f"tds_step must be positive, got {tds_step}")
     for bus in {p.fault_bus for p in pairs}:
         if bus not in currents:
             raise ValueError(f"no fault currents for bus {bus!r}")

@@ -14,13 +14,15 @@ at ufcl_state_ohm): the matrix that `run --debug-csv` prints, at R = 0.
 
 The limiter changes one branch admittance, a rank-one change of Y, so one
 factorisation gives every limiter state (the compensation method, Tinney
-1972; Sherman-Morrison). LimiterStates holds that one solve: it reads any
-resistance's fault solutions from it and gives each bus's fault current
-as a closed-form LevelMap of R. Taking a DG out of service removes a
-shunt and an injection at its bus, rank-one changes too, so the same
-solve also gives each bus's bare-grid fault level, with only the
+1972; Sherman-Morrison). LimiterStates holds that one solve over the bus
+ids it is given: it reads any resistance's fault solutions from it and
+gives each bus's fault current as a closed-form LevelMap of R. Taking a
+DG out of service removes a shunt and an injection at its bus, rank-one
+changes too, so the same solve, which also carries a column for every
+DG's bus, gives each bus's bare-grid fault level, with only the
 infinite_grid sources in service (LimiterStates.grid_level). solve_faults
-is its read at the resistance it was factorised at.
+is its read at the resistance it was factorised at, and with solve_fault
+and oracle_solve the one-shot entry that takes FaultSpecs.
 
 _nodal stamps Y sparse: its diagonal and one dict of off-diagonal entries
 per row. The one solve takes one of two routes by the network's size.
@@ -279,15 +281,16 @@ class LimiterStates:
     One solve of Y, with the limiter at ufcl_state_ohm (the base), against
     [injections | e | a unit column per bus], where e = e_from - e_to of
     the limiter's tie; the e column is there only when the network has a
-    limiter. The solve is LAPACK's on the dense Y below SPARSE_MIN_BUSES
-    buses, and a minimum-degree sparse LDL^T from there up (_solve). Any
-    other R changes the tie admittance by dy, and the solution becomes
-    X(R) = X - w c (e^T X), with w the e column and
-    c = dy / (1 + dy e^T w). The same compensation takes the DGs out:
-    grid_level reads a bus's fault level with only the infinite_grid
-    sources in service from this solve, by removing each other source's
-    shunt and injection. Raises ValueError for a bus the network lacks,
-    and on reading a bus that was not given at construction;
+    limiter. The buses are the ones given, then the bus of every source
+    that is not an infinite_grid, each once. The solve is LAPACK's on the
+    dense Y below SPARSE_MIN_BUSES buses, and a minimum-degree sparse
+    LDL^T from there up (_solve). Any other R changes the tie admittance
+    by dy, and the solution becomes X(R) = X - w c (e^T X), with w the e
+    column and c = dy / (1 + dy e^T w). The same compensation takes the
+    DGs out: grid_level reads a bus's fault level with only the
+    infinite_grid sources in service from this solve, by removing each
+    other source's shunt and injection. Raises ValueError for a bus the
+    network lacks, and on reading a bus that is not among its buses;
     np.linalg.LinAlgError, a ValueError, naming a bus that no source or
     load reaches, before any solve.
     """
@@ -299,8 +302,9 @@ class LimiterStates:
         self._index, self._taps, y, injection = _nodal(pu, ufcl_state_ohm)
         self._tie, self._z0 = _tie_z(pu, ufcl_state_ohm)
         first = 1 if self._tie is None else 2
-        self._col = {bus: j for j, bus in enumerate(dict.fromkeys(buses),
-                                                    start=first)}
+        self._col = {bus: j for j, bus in enumerate(dict.fromkeys([*buses, *(
+            s.bus for s in net.sources if s.kind != "infinite_grid")]),
+            start=first)}
         rhs = np.zeros((len(injection), first + len(self._col)), complex)
         rhs[:, 0] = injection
         if self._tie is not None:
@@ -325,19 +329,18 @@ class LimiterStates:
         self._ends = np.array([i for r in pu.net.relays
                                for i in self._taps[r.branch][:2]], np.intp)
 
-    def _column(self, bus: str, role: str = "fault bus") -> tuple[int, int]:
-        """The bus's index and the column of its unit injection; role names
-        the bus in the error for one the states were not built over."""
+    def _column(self, bus: str) -> tuple[int, int]:
+        """The bus's index and the column of its unit injection."""
         if bus not in self._col:
-            raise ValueError(f"{role} {bus!r}: the limiter states were not "
-                             f"built for it")
+            raise ValueError(f"fault bus {bus!r}: the limiter states were "
+                             f"not built for it")
         return self._index[bus], self._col[bus]
 
-    def solve(self, faults: list[FaultSpec],
+    def solve(self, buses: Iterable[str],
               r_ohm: float) -> list[FaultResult]:
-        """The faults, each at a bus given at construction, solved with
-        the limiter at r_ohm; results are in the order of faults. At the
-        base resistance the solution is read as it was solved."""
+        """A fault at each of buses, each among the states' buses, solved
+        with the limiter at r_ohm; results are in the order of buses. At
+        the base resistance the solution is read as it was solved."""
         x, taps = self._x, self._taps
         if r_ohm != self._base_ohm:
             tie, z = _tie_z(self._pu, r_ohm)
@@ -349,16 +352,16 @@ class LimiterStates:
         relays = [(r.id, taps[r.branch][2]) for r in self._pu.net.relays]
         v_pre = x[:, 0]
         results = []
-        for fault in faults:
-            k, j = self._column(fault.bus)
+        for bus in buses:
+            k, j = self._column(bus)
             i_f = v_pre[k] / x[k, j]
             v_post = v_pre - i_f * x[:, j]
-            i_f_amps = complex(i_f * self._pu.i_base[fault.bus])
+            i_f_amps = complex(i_f * self._pu.i_base[bus])
             # a relay current within the solution's round-off of zero is 0
             floor = 1e-9 * max(1.0, abs(i_f_amps))
             ends = v_post.take(self._ends).tolist()
             results.append(FaultResult(
-                fault_bus=fault.bus,
+                fault_bus=bus,
                 fault_current_a=abs(i_f_amps),
                 relay_currents={
                     rid: a if (a := abs((vf - vt) * s)) > floor else 0.0
@@ -406,13 +409,13 @@ class LimiterStates:
         Z e_b e_b^T Z / (z - Z_bb). One such update per source, worked on
         the block of the solution at bus and the source buses (columns:
         prefault voltages and those buses' unit injections), each
-        followed by removing the injection. Every source bus must have
-        been given at construction.
+        followed by removing the injection. The states carry a column for
+        every source bus, so any bus among their buses can be read.
         """
         pu = self._pu
         dgs = [s for s in pu.net.sources if s.kind != "infinite_grid"]
         rows, cols = zip(self._column(bus),
-                         *(self._column(s.bus, "source bus") for s in dgs))
+                         *(self._column(s.bus) for s in dgs))
         block = self._x[np.ix_(rows, (0, *cols))]
         for i, s in enumerate(dgs, start=1):
             z, zb = _source_z(pu, s), block[:, i + 1]
@@ -431,8 +434,9 @@ def solve_faults(net: Network, faults: list[FaultSpec],
     contributions are inherently superposed, and the post-fault voltages
     feed every reported current. Results are in the order of faults.
     """
-    return LimiterStates(net, [f.bus for f in faults],
-                         ufcl_state_ohm).solve(faults, ufcl_state_ohm)
+    buses = [f.bus for f in faults]
+    return LimiterStates(net, buses, ufcl_state_ohm).solve(buses,
+                                                           ufcl_state_ohm)
 
 
 def solve_fault(net: Network, fault: FaultSpec,

@@ -12,9 +12,12 @@ is what upstream faults then see; downstream faults see r_normal. Sizing
 runs at the designated sizing bus, else at the first upstream fault bus.
 Its target is the recorded pre-DG fault level at the designated bus, and
 the bare-grid level (infinite_grid sources only) at any other bus. One
-factorisation of the scenario network (faultcalc.LimiterStates) reads the
-sizing map, the bare-grid target and every fault table, at whatever
-resistance each sees. The sizing adds one solve of its own, to confirm R*.
+factorisation of the scenario network (faultcalc.LimiterStates, built
+over the fault bus ids and the sizing bus, to which it adds by itself
+the DG buses the bare-grid level needs) reads the sizing map, the
+bare-grid target and every fault table, each group of buses at the
+resistance it sees. The sizing adds one solve of its own, to confirm R*.
+The pairs graded are the declared pairs at the faulted buses.
 
 Exit codes: 0 all pairs coordinate, 2 coordination violations, 1 error.
 """
@@ -34,7 +37,7 @@ import numpy as np
 from . import bundled_dataset_path
 from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
                            format_number, report_to_csv, row_cells)
-from .faultcalc import FaultSpec, LimiterStates, build_ybus
+from .faultcalc import LimiterStates, build_ybus
 from .netmodel import Network, RelaySpec, load_network, validate
 from .relaycurve import operate_time
 from .ufcl import SizingResult, downstream_buses, size_ufcl
@@ -154,17 +157,12 @@ def _sized_states(net: Network, buses: list[str], sizing_bus: str,
     """The limiter states over buses and sizing_bus, and the limiter
     sized at sizing_bus from them. The target is the recorded pre-DG fault
     level when sizing_bus is the designated sizing bus, else the
-    bare-grid level there, read from the same states, which then also
-    cover the buses of the sources that the bare grid lacks."""
-    u = net.ufcl
-    if (u is not None and u.sizing_reference_a is not None
-            and sizing_bus == u.sizing_fault_bus):
-        states = LimiterStates(net, [*buses, sizing_bus])
-        target = u.sizing_reference_a
-    else:
-        states = LimiterStates(net, [*buses, sizing_bus, *(
-            s.bus for s in net.sources if s.kind != "infinite_grid")])
-        target = states.grid_level(sizing_bus)
+    bare-grid level there, read from the same states."""
+    states, u = LimiterStates(net, [*buses, sizing_bus]), net.ufcl
+    target = (u.sizing_reference_a if u is not None
+              and u.sizing_reference_a is not None
+              and sizing_bus == u.sizing_fault_bus
+              else states.grid_level(sizing_bus))
     return states, size_ufcl(net, sizing_bus, target, states=states)
 
 
@@ -198,12 +196,12 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
         buses = list(dict.fromkeys(scenario.fault_buses
                                    or default_fault_buses(net)))
         states, sizing, ohms = _resolve_states(snet, scenario, buses)
-        # faults grouped by limiter ohms: one read of the states each
-        groups: dict[float, list[FaultSpec]] = {}
+        # fault buses grouped by limiter ohms: one read of the states each
+        groups: dict[float, list[str]] = {}
         for bus, r_ohm in ohms.items():
-            groups.setdefault(r_ohm, []).append(FaultSpec(bus))
-        results = {res.fault_bus: res for r_ohm, faults in groups.items()
-                   for res in states.solve(faults, r_ohm)}
+            groups.setdefault(r_ohm, []).append(bus)
+        results = {res.fault_bus: res for r_ohm, group in groups.items()
+                   for res in states.solve(group, r_ohm)}
 
         # one operate-time evaluation per relay and fault: the tables print
         # it and the pairs are graded from it
@@ -220,7 +218,7 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
                                      results[bus].bus_voltages_pu))
 
         graded = tuple(p for p in snet.pairs if p.fault_bus in results)
-        coordination = check_pairs(replace(snet, pairs=graded), times, {
+        coordination = check_pairs(graded, times, {
             bus: res.relay_currents for bus, res in results.items()})
     except (ValueError, KeyError, RuntimeError) as exc:
         raise ScenarioError(f"scenario {scenario.id}: {exc}") from exc
@@ -444,7 +442,7 @@ def _parse_times_csv(text: str,
 def check_cmd(network_path, times_path, full_precision):
     """Grade the declared pairs against externally supplied times."""
     net = _load_net(network_path)
-    report = check_pairs(net, _parse_times_csv(
+    report = check_pairs(net.pairs, _parse_times_csv(
         Path(times_path).read_text(encoding="utf-8-sig"), net))
     for line in _coordination_md(report, full_precision):
         click.echo(line)

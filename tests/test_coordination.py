@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -47,7 +48,7 @@ def test_compute_cti_published_rows():
 def graded(t_main, t_backup):
     net = chain_net(2)
     res = {"f0": {"r0": t_main, "r1": t_backup}}
-    report = check_pairs(net, res)
+    report = check_pairs(net.pairs, res)
     return report.rows[0]
 
 
@@ -67,7 +68,8 @@ def test_verdict_bands_inclusive(tm, tb, verdict):
 def test_check_pairs_from_fault_result():
     net = chain_net(2)
     currents = {"f0": {"r0": 200.0, "r1": 150.0}}
-    row = check_pairs(net, curve_times(net, currents), currents).rows[0]
+    row = check_pairs(net.pairs, curve_times(net, currents),
+                      currents).rows[0]
     # trivial curve: t = 1/(M-1)
     assert row.t_main_s == pytest.approx(1.0)
     assert row.t_backup_s == pytest.approx(2.0)
@@ -77,22 +79,20 @@ def test_check_pairs_from_fault_result():
 
 def test_check_pairs_missing_result():
     with pytest.raises(ValueError, match="no operate times for bus 'f0'"):
-        check_pairs(chain_net(2), {})
+        check_pairs(chain_net(2).pairs, {})
 
 
 def test_check_pairs_missing_relay_time():
     with pytest.raises(ValueError, match="r1"):
-        check_pairs(chain_net(2), {"f0": {"r0": 0.4}})
+        check_pairs(chain_net(2).pairs, {"f0": {"r0": 0.4}})
 
 
 def test_check_pairs_order_independent():
     net = chain_net(3)
     res = {"f0": {"r0": 0.2, "r1": 0.55, "r2": 9.9},
            "f1": {"r0": 0.1, "r1": 0.3, "r2": 0.75}}
-    fwd = check_pairs(net, res)
-    rev = check_pairs(
-        Network(buses=net.buses, branches=net.branches, sources=(),
-                relays=net.relays, pairs=tuple(reversed(net.pairs))), res)
+    fwd = check_pairs(net.pairs, res)
+    rev = check_pairs(reversed(net.pairs), res)
     by_key = {(r.main, r.backup): r.verdict for r in rev.rows}
     for row in fwd.rows:
         assert by_key[(row.main, row.backup)] == row.verdict
@@ -135,7 +135,7 @@ def test_optimize_tds_two_relay_example(tds_min, tds_step, want_r1):
     assert got == {"r0": tds_min, "r1": pytest.approx(want_r1)}
     tuned = replace(net, relays=tuple(replace(r, tds=got[r.id])
                                       for r in net.relays))
-    rows = check_pairs(tuned, curve_times(tuned, res)).rows
+    rows = check_pairs(tuned.pairs, curve_times(tuned, res)).rows
     assert [r.verdict for r in rows] == ["ok"]
 
 
@@ -244,13 +244,22 @@ def test_optimize_tds_rejects_cycles():
         optimize_tds(net, pairs, res)
 
 
+@pytest.mark.parametrize("tds_step", [0.0, -0.05, math.nan])
+def test_optimize_tds_needs_a_positive_step(tds_step):
+    # a grid that never reaches tds_max would be built without end
+    net = chain_net(2)
+    with pytest.raises(ValueError, match="tds_step must be positive"):
+        optimize_tds(net, list(net.pairs),
+                     {"f0": {"r0": 200.0, "r1": 200.0}}, tds_step=tds_step)
+
+
 # --- serialization ----------------------------------------------------------
 
 
 def test_csv_shape_and_formatting():
     net = chain_net(2)
     currents = {"f0": {"r0": 200.0, "r1": 150.0}}
-    report = check_pairs(net, curve_times(net, currents), currents)
+    report = check_pairs(net.pairs, curve_times(net, currents), currents)
     text = report_to_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)

@@ -379,18 +379,18 @@ def test_a_branch_looping_on_one_bus_changes_nothing(bundled_net,
 def assert_update_matches_oracle(net, r_star, base=0.0):
     """One factorisation at R = base, read at R* and far beyond by the
     rank-one update, against the oracle's solve at each R."""
-    faults = [FaultSpec(b.id) for b in net.buses]
-    states = LimiterStates(net, net.bus_ids(), base)
+    buses = net.bus_ids()
+    states = LimiterStates(net, buses, base)
     for r_ohm in (r_star, 1e4, 1e6):
-        for fault, res in zip(faults, states.solve(faults, r_ohm)):
-            ref = oracle_solve(net, fault, ufcl_state_ohm=r_ohm)
+        for bus, res in zip(buses, states.solve(buses, r_ohm)):
+            ref = oracle_solve(net, FaultSpec(bus), ufcl_state_ohm=r_ohm)
             assert close(res.fault_current_c, ref.fault_current_c), (
-                fault, r_ohm)
+                bus, r_ohm)
             for br in net.branches:
                 assert close(res.branch_currents[br.id],
-                             ref.branch_currents[br.id]), (fault, br.id)
+                             ref.branch_currents[br.id]), (bus, br.id)
             for rid, amps in res.relay_currents.items():
-                assert close(amps, ref.relay_currents[rid]), (fault, rid)
+                assert close(amps, ref.relay_currents[rid]), (bus, rid)
 
 
 def test_limiter_update_matches_oracle_on_tie_networks():
@@ -446,8 +446,8 @@ def test_batch_edges(bundled_net):
 
 @pytest.mark.parametrize("read", [
     lambda states: states.level("bus4"),
-    lambda states: states.solve([FaultSpec("bus4")], 0.0),
-    lambda states: states.solve([FaultSpec("bus3"), FaultSpec("bus4")], 50.0),
+    lambda states: states.solve(["bus4"], 0.0),
+    lambda states: states.solve(["bus3", "bus4"], 50.0),
 ], ids=["level", "solve_at_base", "solve_updated"])
 def test_limiter_states_read_only_their_buses(bundled_net, read):
     states = LimiterStates(bundled_net, ["bus3"])
@@ -496,11 +496,23 @@ def test_grid_level_two_dgs_on_one_bus_and_none(bundled_net):
         build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"]))
 
 
-def test_grid_level_needs_the_source_buses(bundled_net):
-    s1 = build_scenario_net(bundled_net, SCENARIOS["s1_dg1"])
-    with pytest.raises(ValueError, match="source bus 'dgbus': the limiter "
-                                         "states were not built for it"):
-        LimiterStates(s1, ["bus3"]).grid_level("bus3")
+def assert_grid_level_reads_one_bus(net):
+    # the states add every DG's bus to their columns themselves, so states
+    # over one bus read its bare-grid level bit for bit as states over all
+    every = LimiterStates(net, net.bus_ids())
+    for bus in net.bus_ids():
+        assert LimiterStates(net, [bus]).grid_level(bus) == \
+            every.grid_level(bus), bus
+
+
+def test_grid_level_from_states_over_one_bus(bundled_net):
+    for scenario in SCENARIOS.values():
+        assert_grid_level_reads_one_bus(
+            build_scenario_net(bundled_net, scenario))
+    for seed in range(100):
+        assert_grid_level_reads_one_bus(random_tie_net(seed)[0])
+    for net in feeder_nets():
+        assert_grid_level_reads_one_bus(net)
 
 
 # --- thevenin ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -170,3 +171,13 @@ def test_every_loaded_field_is_read():
     unread = [f"{cls.__name__}.{f.name}" for cls in records
               for f in fields(cls) if f.name not in reads]
     assert unread == []
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert [r.fault_bus for r in names["at_r"]] == ["bus3"]
+    assert names["bare"] > 0
+    assert capsys.readouterr().out.startswith("# Scenario s2_dg1_ufcl\n")
