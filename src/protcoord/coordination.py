@@ -6,8 +6,9 @@ endpoints included. check_pairs grades the main/backup pairs it is given
 from their operate times per fault bus, whether a study evaluated them
 from the relay curves or they were supplied from outside, and returns one
 verdict row per pair; optimize_tds finds the smallest TDS per relay on a
-discrete grid from the fault currents each relay sees, by the classical
-downstream-first radial sweep, grading each pick by check_pairs' own rule.
+dial grid of fixed step TDS_STEP, 0.05, from the fault currents each relay
+sees at the network's declared pairs, by the classical downstream-first
+radial sweep, grading each pick by check_pairs' own rule.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .netmodel import CoordinationPair, Network
 from .relaycurve import operate_time
 
 __all__ = [
-    "CTI_MIN", "CTI_MAX", "CoordinationRow", "CoordinationReport",
-    "TdsInfeasibleError", "check_pairs", "optimize_tds",
+    "CTI_MIN", "CTI_MAX", "TDS_STEP", "CoordinationRow",
+    "CoordinationReport", "TdsInfeasibleError", "check_pairs", "optimize_tds",
     "report_to_csv", "row_cells", "format_number", "CSV_COLUMNS",
 ]
 
 CTI_MIN, CTI_MAX = 0.3, 0.6  # seconds
+TDS_STEP = 0.05  # spacing of optimize_tds's dial grid
 
 CSV_COLUMNS = ("fault_bus", "main", "backup", "i_main_a", "i_backup_a",
                "t_main_s", "t_backup_s", "cti_s", "verdict")
@@ -104,30 +106,30 @@ def check_pairs(pairs: Iterable[CoordinationPair],
     return CoordinationReport(rows=tuple(rows))
 
 
-def optimize_tds(net: Network, pairs: list[CoordinationPair],
-                 currents: Mapping[str, Mapping[str, float]],
-                 tds_min: float = 0.05, tds_step: float = 0.05,
+def optimize_tds(net: Network, currents: Mapping[str, Mapping[str, float]],
+                 tds_min: float = 0.05,
                  tds_max: float = 3.0) -> dict[str, float]:
     """Smallest grid TDS per relay that check_pairs grades coordinated,
-    downstream first.
+    downstream first, over net.pairs.
 
     currents maps fault bus to relay to amperes; the grid is tds_min +
-    k * tds_step up to tds_max, and a tds_step that is not > 0 raises
+    k * TDS_STEP up to tds_max, and a tds_min that is not > 0 raises
     ValueError. Mains take tds_min (smaller is always better for their
     own pairs); each backup then takes the smallest grid value at which
     _verdict, the rule check_pairs grades with, finds none of its pairs
-    too_fast or backup_first against the mains already assigned. A main that never trips sets no floor; a backup that does
-    not trip while its main does is never coordinated. Pair chains must
-    be radial. A relay with no workable grid value raises
-    TdsInfeasibleError.
+    too_fast or backup_first against the mains already assigned. A main
+    that never trips sets no floor; a backup that does not trip while its
+    main does is never coordinated. Pair chains must be radial. A relay
+    with no workable grid value raises TdsInfeasibleError.
     """
-    if not tds_step > 0:
-        raise ValueError(f"tds_step must be positive, got {tds_step}")
+    if not tds_min > 0:
+        raise ValueError(f"tds_min must be positive, got {tds_min}")
+    pairs = net.pairs
     for bus in {p.fault_bus for p in pairs}:
         if bus not in currents:
             raise ValueError(f"no fault currents for bus {bus!r}")
     grid = list(takewhile(lambda tds: tds <= tds_max + 1e-12,
-                          (tds_min + k * tds_step for k in count())))
+                          (tds_min + k * TDS_STEP for k in count())))
 
     # downstream-first order: every pair's main before its backup
     mains = {r.id: {p.main for p in pairs if p.backup == r.id}
@@ -155,7 +157,7 @@ def optimize_tds(net: Network, pairs: list[CoordinationPair],
         if choice is None:
             raise TdsInfeasibleError(
                 f"relay {rid!r}: no tds in [{tds_min}, {tds_max}] "
-                f"step {tds_step} keeps CTI >= {CTI_MIN} for its pairs")
+                f"step {TDS_STEP} keeps CTI >= {CTI_MIN} for its pairs")
         assigned[rid] = choice
     return assigned
 

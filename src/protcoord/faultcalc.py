@@ -9,8 +9,8 @@ load-flow overlay. Each operating state builds its per-branch taps once
 (the from and to bus index and i_base[from] / z, keyed by branch id), and
 a fault's branch currents are computed on lookup from its own voltage
 profile and those taps, so a study pays only for the branches it reads.
-build_ybus returns the admittance matrix of one such state (the limiter
-at ufcl_state_ohm): the matrix that `run --debug-csv` prints, at R = 0.
+build_ybus returns the admittance matrix of the state with the limiter at
+R = 0: the matrix that `run --debug-csv` prints.
 
 The limiter changes one branch admittance, a rank-one change of Y, so one
 factorisation gives every limiter state (the compensation method, Tinney
@@ -20,9 +20,10 @@ gives each bus's fault current as a closed-form LevelMap of R. Taking a
 DG out of service removes a shunt and an injection at its bus, rank-one
 changes too, so the same solve, which also carries a column for every
 DG's bus, gives each bus's bare-grid fault level, with only the
-infinite_grid sources in service (LimiterStates.grid_level). solve_faults
-is its read at the resistance it was factorised at, and with solve_fault
-and oracle_solve the one-shot entry that takes FaultSpecs.
+infinite_grid sources in service (LimiterStates.grid_level). A batch of
+faults at one resistance R is LimiterStates(net, buses, R).solve(buses,
+R); solve_fault is that read for one FaultSpec, and with oracle_solve the
+one-shot entry.
 
 _nodal stamps Y sparse: its diagonal and one dict of off-diagonal entries
 per row. The one solve takes one of two routes by the network's size.
@@ -51,7 +52,7 @@ from .netmodel import (Branch, Network, PuNetwork, Source, reachable,
 
 __all__ = [
     "FaultSpec", "FaultResult", "LevelMap", "LimiterStates",
-    "build_ybus", "solve_fault", "solve_faults", "oracle_solve",
+    "build_ybus", "solve_fault", "oracle_solve",
 ]
 
 # induction machines present a slightly larger transient impedance than an
@@ -216,15 +217,11 @@ def _solve(y: _Stamps, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def build_ybus(net: Network, ufcl_state_ohm: float = 0.0,
-               ) -> tuple[np.ndarray, dict[str, int]]:
-    """Assemble the nodal admittance matrix (sources as shunt admittances).
-
-    ufcl_state_ohm is added in series with the limiter's tie branch,
-    converted to per-unit in the tie's voltage zone. Returns (Y, bus index
-    map).
+def build_ybus(net: Network) -> tuple[np.ndarray, dict[str, int]]:
+    """Assemble the nodal admittance matrix (sources as shunt admittances)
+    with the limiter at R = 0. Returns (Y, bus index map).
     """
-    index, _, y, _ = _nodal(to_per_unit(net), ufcl_state_ohm)
+    index, _, y, _ = _nodal(to_per_unit(net))
     return _dense(y), index
 
 
@@ -424,25 +421,15 @@ class LimiterStates:
         return abs(complex(block[0, 0] / block[0, 1] * pu.i_base[bus]))
 
 
-def solve_faults(net: Network, faults: list[FaultSpec],
-                 ufcl_state_ohm: float = 0.0) -> list[FaultResult]:
-    """Solve faults by Thevenin superposition.
-
-    All faults share one operating state (the limiter at ufcl_state_ohm)
-    and so one factorisation of Y: the prefault profile and each fault
-    bus's Thevenin column come from the same solve, so load and DG
-    contributions are inherently superposed, and the post-fault voltages
-    feed every reported current. Results are in the order of faults.
-    """
-    buses = [f.bus for f in faults]
-    return LimiterStates(net, buses, ufcl_state_ohm).solve(buses,
-                                                           ufcl_state_ohm)
-
-
 def solve_fault(net: Network, fault: FaultSpec,
                 ufcl_state_ohm: float = 0.0) -> FaultResult:
-    """Solve one fault: the one-fault case of solve_faults."""
-    return solve_faults(net, [fault], ufcl_state_ohm)[0]
+    """Solve one fault by Thevenin superposition, with the limiter at
+    ufcl_state_ohm: the prefault profile and the fault bus's Thevenin
+    column come from one solve of Y (LimiterStates over the one bus), so
+    load and DG contributions are inherently superposed, and the
+    post-fault voltages feed every reported current."""
+    return LimiterStates(net, [fault.bus], ufcl_state_ohm).solve(
+        [fault.bus], ufcl_state_ohm)[0]
 
 
 def oracle_solve(net: Network, fault: FaultSpec | None,

@@ -9,14 +9,14 @@ of the single-DG pair.
 
 For *_ufcl scenarios the limiter is sized first and the sized resistance
 is what upstream faults then see; downstream faults see r_normal. Sizing
-runs at the designated sizing bus, else at the first upstream fault bus.
-Its target is the recorded pre-DG fault level at the designated bus, and
-the bare-grid level (infinite_grid sources only) at any other bus. One
-factorisation of the scenario network (faultcalc.LimiterStates, built
-over the fault bus ids and the sizing bus, to which it adds by itself
-the DG buses the bare-grid level needs) reads the sizing map, the
-bare-grid target and every fault table, each group of buses at the
-resistance it sees. The sizing adds one solve of its own, to confirm R*.
+runs at the designated sizing bus, else at the first upstream fault bus;
+size_ufcl works out its target there (the recorded pre-DG level at the
+designated bus, the bare-grid level at any other). One factorisation of
+the scenario network (faultcalc.LimiterStates, built over the fault bus
+ids and the sizing bus, to which it adds by itself the DG buses the
+bare-grid level needs) reads the sizing map, the bare-grid target and
+every fault table, each group of buses at the resistance it sees. The
+sizing adds one solve of its own, to confirm R*.
 The pairs graded are the declared pairs at the faulted buses.
 
 Exit codes: 0 all pairs coordinate, 2 coordination violations, 1 error.
@@ -152,20 +152,6 @@ def _reading_order(net: Network, relays: dict[str, RelaySpec],
     return order + [rid for rid in relays if rid not in order]
 
 
-def _sized_states(net: Network, buses: list[str], sizing_bus: str,
-                  ) -> tuple[LimiterStates, SizingResult]:
-    """The limiter states over buses and sizing_bus, and the limiter
-    sized at sizing_bus from them. The target is the recorded pre-DG fault
-    level when sizing_bus is the designated sizing bus, else the
-    bare-grid level there, read from the same states."""
-    states, u = LimiterStates(net, [*buses, sizing_bus]), net.ufcl
-    target = (u.sizing_reference_a if u is not None
-              and u.sizing_reference_a is not None
-              and sizing_bus == u.sizing_fault_bus
-              else states.grid_level(sizing_bus))
-    return states, size_ufcl(net, sizing_bus, target, states=states)
-
-
 def _resolve_states(snet: Network, scenario: Scenario, buses: list[str],
                     ) -> tuple[LimiterStates, SizingResult | None,
                                dict[str, float]]:
@@ -183,7 +169,8 @@ def _resolve_states(snet: Network, scenario: Scenario, buses: list[str],
                              "against")
         sizing_bus = upstream[0]
 
-    states, sizing = _sized_states(snet, buses, sizing_bus)
+    states = LimiterStates(snet, [*buses, sizing_bus])
+    sizing = size_ufcl(snet, sizing_bus, states=states)
     return states, sizing, {
         bus: snet.ufcl.r_normal if bus in down else sizing.r_star
         for bus in buses}
@@ -388,7 +375,7 @@ def run_cmd(network_path, scenario_id, fault_buses, fmt, out_path,
 def size_cmd(network_path, fault_bus):
     """Size the limiter to restore the pre-DG fault level at one bus."""
     net = _load_net(network_path)
-    _, result = _sized_states(net, [], fault_bus)
+    result = size_ufcl(net, fault_bus)
     click.echo(f"r_star_ohm = {result.r_star!r}")
     click.echo(f"achieved_a = {result.achieved_current_a!r}")
     click.echo(f"target_a = {result.target_current_a!r}")

@@ -9,9 +9,12 @@ the side of the tie away from the grid: switching detection is assumed
 ideal.
 
 size_ufcl picks the resistance that restores the upstream short-circuit
-level to a target (usually the pre-DG level) within SIZING_TOL, 0.5 %
-relative: the fault current at an upstream bus is monotone non-increasing
-in R, so a doubling bracket plus bisection lands whenever the target lies
+level to its pre-DG value within SIZING_TOL, 0.5 % relative. It works
+out that target itself: the recorded sizing_reference_a at the designated
+sizing_fault_bus, and at any other bus the bare-grid level (infinite_grid
+sources only, LimiterStates.grid_level), read from the solve the search
+reads. The fault current at an upstream bus is monotone non-increasing in
+R, so a doubling bracket plus bisection lands whenever the target lies
 above the tie-open level, and the whole search is deterministic. The
 search is one loop with one evaluation of the fault level per step,
 capped at EVALUATION_CAP.
@@ -61,32 +64,40 @@ def downstream_buses(net: Network) -> frozenset:
     return partition_by_tie(net, net.ufcl.tie_branch)[1]
 
 
-def size_ufcl(net_with_dg: Network, fault_bus: str, target_a: float, *,
+def size_ufcl(net_with_dg: Network, fault_bus: str, *,
               states: LimiterStates | None = None) -> SizingResult:
-    """Resistance restoring the upstream fault level to target_a.
+    """Resistance restoring the upstream fault level at fault_bus to its
+    pre-DG value.
 
-    Evaluates |fault current| with the DG network and the limiter at R,
-    first at R=0, then doubling R from R_HI_SEED until the current drops to
-    the target, then bisecting. Relative current error <= SIZING_TOL
-    terminates. Each evaluation reads the LevelMap of states, the limiter
-    states of net_with_dg with fault_bus among their buses (built here when
-    not given); the result's current is solved directly at the accepted R.
-    Raises SizingError when the R=0 current is already below the target
-    (no resistance can raise a current), when the tie-open level is above
-    it (no finite resistance lowers the current that far), when the
-    evaluation budget of 200 runs out, or when the solution at the
-    accepted R misses the target that the read met.
+    The target is net_with_dg.ufcl.sizing_reference_a when fault_bus is
+    the designated sizing_fault_bus and a reference is recorded, else the
+    bare-grid level at fault_bus, states.grid_level; a target that is not
+    > 0 raises ValueError. Evaluates |fault current| with the DG network
+    and the limiter at R, first at R=0, then doubling R from R_HI_SEED
+    until the current drops to the target, then bisecting. Relative
+    current error <= SIZING_TOL terminates. Each evaluation reads the
+    LevelMap of states, the limiter states of net_with_dg with fault_bus
+    among their buses (built here when not given); the result's current
+    is solved directly at the accepted R. Raises SizingError when the R=0
+    current is already below the target (no resistance can raise a
+    current), when the tie-open level is above it (no finite resistance
+    lowers the current that far), when the evaluation budget of 200 runs
+    out, or when the solution at the accepted R misses the target that
+    the read met.
     """
-    if (net_with_dg.ufcl is not None
-            and fault_bus in downstream_buses(net_with_dg)):
+    u = net_with_dg.ufcl
+    if u is not None and fault_bus in downstream_buses(net_with_dg):
         raise ValueError(
             f"fault bus {fault_bus!r} is downstream of the limiter; "
             f"sizing needs an upstream bus")
-    if not target_a > 0:
-        raise ValueError(f"target must be positive, got {target_a}")
-
     if states is None:
         states = LimiterStates(net_with_dg, [fault_bus])
+    target_a = (u.sizing_reference_a if u is not None
+                and u.sizing_reference_a is not None
+                and fault_bus == u.sizing_fault_bus
+                else states.grid_level(fault_bus))
+    if not target_a > 0:
+        raise ValueError(f"target must be positive, got {target_a}")
     level = states.level(fault_bus)
 
     # hi stays infinite until some resistance brings the current under

@@ -162,7 +162,7 @@ def test_criterion_4_sizing_restores_level(bundled_net, expected, announce,
                     "s6_induction_dg1_ufcl"):
             snet = build_scenario_net(bundled_net, SCENARIOS[sid])
             target = snet.ufcl.sizing_reference_a
-            result = size_ufcl(snet, "bus3", target)
+            result = size_ufcl(snet, "bus3")
             resolved = abs(oracle_solve(
                 snet, FaultSpec("bus3"),
                 ufcl_state_ohm=result.r_star).fault_current_a)
@@ -174,7 +174,7 @@ def test_criterion_4_sizing_restores_level(bundled_net, expected, announce,
             bare = replace(net, sources=tuple(
                 s for s in net.sources if s.kind == "infinite_grid"))
             target = abs(solve_fault(bare, FaultSpec(bus)).fault_current_a)
-            r = size_ufcl(net, bus, target)
+            r = size_ufcl(net, bus)
             resolved = abs(oracle_solve(
                 net, FaultSpec(bus),
                 ufcl_state_ohm=r.r_star).fault_current_a)
@@ -184,9 +184,9 @@ def test_criterion_4_sizing_restores_level(bundled_net, expected, announce,
         # (one DG) and 196 ohm (two DG); the reconstructed network lands on
         # 200.0 ohm for both. Flag if it ever drifts outside 15%.
         snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
-        r2 = size_ufcl(snet, "bus3", snet.ufcl.sizing_reference_a).r_star
+        r2 = size_ufcl(snet, "bus3").r_star
         snet = build_scenario_net(bundled_net, SCENARIOS["s4_dg1_dg2_ufcl"])
-        r4 = size_ufcl(snet, "bus3", snet.ufcl.sizing_reference_a).r_star
+        r4 = size_ufcl(snet, "bus3").r_star
         assert abs(r2 - 184.0) / 184.0 <= 0.15
         assert abs(r4 - 196.0) / 196.0 <= 0.15
         with capsys.disabled():
@@ -331,8 +331,7 @@ def test_criterion_7_tds_optimization(announce):
                               CurveConstants(1.0, 0.0, 1.0))),
             pairs=(CoordinationPair("r0", "r1", "f0"),))
         res = _fed(two, {"r0": 200.0, "r1": 200.0})
-        got = optimize_tds(two, list(two.pairs), res,
-                           tds_min=0.1, tds_step=0.05)
+        got = optimize_tds(two, res, tds_min=0.1)
         assert got["r0"] == pytest.approx(0.1)
         assert got["r1"] == pytest.approx(0.4)
         want = _exhaustive(two, res, 0.1, 0.05, 3.0)
@@ -342,8 +341,7 @@ def test_criterion_7_tds_optimization(announce):
         # three-relay chain, coarser cap to keep the brute force honest
         three = _chain(3)
         res3 = _fed(three, {"r0": 600.0, "r1": 450.0, "r2": 300.0})
-        got3 = optimize_tds(three, list(three.pairs), res3,
-                            tds_max=1.5)
+        got3 = optimize_tds(three, res3, tds_max=1.5)
         want3 = _exhaustive(three, res3, 0.05, 0.05, 1.5)
         assert want3 is not None
         for rid in got3:

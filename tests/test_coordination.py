@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from protcoord.coordination import (CSV_COLUMNS, TdsInfeasibleError,
-                                    check_pairs, format_number,
-                                    optimize_tds, report_to_csv)
+from protcoord.coordination import (CSV_COLUMNS, TDS_STEP,
+                                    TdsInfeasibleError, check_pairs,
+                                    format_number, optimize_tds,
+                                    report_to_csv)
 from protcoord.netmodel import (Branch, Bus, CoordinationPair, Network,
                                 RelaySpec)
 from protcoord.relaycurve import CurveConstants, operate_time
@@ -116,20 +117,21 @@ def test_scaling_currents_and_pickup_together_is_invariant(k, m):
 # --- optimize_tds -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("tds_min, tds_step, want_r1", [
-    (0.1, 0.05, 0.4),
+@pytest.mark.parametrize("tds_min, want_r1", [
+    (0.1, 0.4),
     # grids where the backup's time at t_main + CTI_MIN rounds just below
-    # it: the pick must be graded by check_pairs' rule, not a
-    # rearrangement of it
-    (0.03, 0.01, 0.34),
-    (0.15, 0.01, 0.46),
+    # it (1.13 and 2.01 hold t_backup >= t_main + CTI_MIN, yet their CTI
+    # is 0.29999999999999993 and 0.2999999999999998): the pick must be
+    # graded by check_pairs' rule, not a rearrangement of it
+    (0.83, 1.18),
+    (1.71, 2.06),
 ])
-def test_optimize_tds_two_relay_example(tds_min, tds_step, want_r1):
+def test_optimize_tds_two_relay_example(tds_min, want_r1):
     # identical curves, M=2 both: t = tds/(M-1) = tds; backup needs
     # t_main + 0.3
     net = chain_net(2)
     res = {"f0": {"r0": 200.0, "r1": 200.0}}
-    args = (net, list(net.pairs), res, tds_min, tds_step, 3.0)
+    args = (net, res, tds_min, 3.0)
     got = optimize_tds(*args)
     assert got == brute_force(*args)
     assert got == {"r0": tds_min, "r1": pytest.approx(want_r1)}
@@ -141,15 +143,16 @@ def test_optimize_tds_two_relay_example(tds_min, tds_step, want_r1):
 
 def test_optimize_tds_lone_relay_gets_minimum():
     net = chain_net(1)
-    got = optimize_tds(net, [], {}, tds_min=0.05, tds_step=0.05)
+    got = optimize_tds(net, {}, tds_min=0.05)
     assert got == {"r0": 0.05}
 
 
-def brute_force(net, pairs, res, tds_min, tds_step, tds_max):
+def brute_force(net, res, tds_min, tds_max):
+    pairs = net.pairs
     grid = []
     k = 0
-    while tds_min + k * tds_step <= tds_max + 1e-12:
-        grid.append(tds_min + k * tds_step)
+    while tds_min + k * TDS_STEP <= tds_max + 1e-12:
+        grid.append(tds_min + k * TDS_STEP)
         k += 1
     # operate time of each pair's relays at every grid value, computed once
     table = {}
@@ -190,7 +193,7 @@ def test_optimize_tds_matches_brute_force_on_random_chains():
         res = {f"f{i}": {
             f"r{j}": pickups[j] * rng.uniform(2.0, 8.0) for j in range(n)}
             for i in range(n - 1)}
-        args = (net, list(net.pairs), res, 0.05, 0.05, 3.0)
+        args = (net, res, 0.05, 3.0)
         try:
             got = optimize_tds(*args)
         except TdsInfeasibleError:
@@ -208,28 +211,28 @@ def test_optimize_tds_infeasible_is_named():
     net = chain_net(2)
     res = {"f0": {"r0": 200.0, "r1": 2000000.0}}
     with pytest.raises(TdsInfeasibleError, match="r1"):
-        optimize_tds(net, list(net.pairs), res, tds_max=0.1)
+        optimize_tds(net, res, tds_max=0.1)
 
 
 def test_optimize_tds_backup_below_pickup_infeasible():
     net = chain_net(2)
     res = {"f0": {"r0": 200.0, "r1": 50.0}}
     with pytest.raises(TdsInfeasibleError):
-        optimize_tds(net, list(net.pairs), res)
+        optimize_tds(net, res)
 
 
 def test_optimize_tds_needs_currents_for_every_pair():
-    net = chain_net(2)
-    pairs = [CoordinationPair("r0", "r1", "bus3")]
+    net = replace(chain_net(2),
+                  pairs=(CoordinationPair("r0", "r1", "bus3"),))
     with pytest.raises(ValueError, match="no fault currents for bus 'bus3'"):
-        optimize_tds(net, pairs, {"f0": {"r0": 200.0, "r1": 200.0}})
+        optimize_tds(net, {"f0": {"r0": 200.0, "r1": 200.0}})
 
 
 def test_optimize_tds_main_below_pickup_sets_no_floor():
     # r0 sees half its pickup and never trips, so r1 has no CTI to keep
     net = chain_net(2)
     res = {"f0": {"r0": 50.0, "r1": 200.0}}
-    got = optimize_tds(net, list(net.pairs), res, tds_min=0.1, tds_step=0.05)
+    got = optimize_tds(net, res, tds_min=0.1)
     assert got == {"r0": 0.1, "r1": 0.1}
 
 
@@ -241,16 +244,17 @@ def test_optimize_tds_rejects_cycles():
                   relays=net.relays, pairs=tuple(pairs))
     res = {"f0": {"r0": 200.0, "r1": 200.0}}
     with pytest.raises(ValueError, match="radial"):
-        optimize_tds(net, pairs, res)
+        optimize_tds(net, res)
 
 
-@pytest.mark.parametrize("tds_step", [0.0, -0.05, math.nan])
-def test_optimize_tds_needs_a_positive_step(tds_step):
-    # a grid that never reaches tds_max would be built without end
+@pytest.mark.parametrize("tds_min", [-0.1, 0.0, math.nan])
+def test_optimize_tds_needs_a_positive_minimum(tds_min):
+    # validate rejects a dial that is not > 0, so the grid may hold none
     net = chain_net(2)
-    with pytest.raises(ValueError, match="tds_step must be positive"):
-        optimize_tds(net, list(net.pairs),
-                     {"f0": {"r0": 200.0, "r1": 200.0}}, tds_step=tds_step)
+    with pytest.raises(ValueError, match="tds_min must be positive"):
+        optimize_tds(net, {"f0": {"r0": 200.0, "r1": 200.0}},
+                     tds_min=tds_min)
+
 
 
 # --- serialization ----------------------------------------------------------

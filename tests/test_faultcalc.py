@@ -11,7 +11,7 @@ from conftest import (feeder_net, random_connected_net, random_radial_net,
                       random_tie_net)
 from protcoord import faultcalc
 from protcoord.faultcalc import (FaultSpec, LimiterStates, build_ybus,
-                                 oracle_solve, solve_fault, solve_faults)
+                                 oracle_solve, solve_fault)
 from protcoord.netmodel import (Branch, Bus, Network, RelaySpec, ShuntLoad,
                                 Source, to_per_unit, validate)
 from protcoord.relaycurve import curve_family
@@ -22,6 +22,12 @@ from protcoord.ufcl import size_ufcl
 
 def close(a, b, rel=1e-9, floor=1.0):
     return abs(a - b) <= rel * max(floor, abs(b))
+
+
+def solve_batch(net, faults, r_ohm=0.0):
+    """Every fault of faults at one limiter resistance, from one solve."""
+    buses = [f.bus for f in faults]
+    return LimiterStates(net, buses, r_ohm).solve(buses, r_ohm)
 
 
 # --- ybus stamping ----------------------------------------------------------
@@ -50,8 +56,9 @@ def test_ybus_hand_stamp_with_source():
 
 
 def test_ybus_ufcl_state_touches_only_tie_entries(bundled_net):
-    y0, ix = build_ybus(bundled_net, ufcl_state_ohm=0.0)
-    y1, _ = build_ybus(bundled_net, ufcl_state_ohm=184.0)
+    y0, ix = build_ybus(bundled_net)
+    _, _, stamps, _ = faultcalc._nodal(to_per_unit(bundled_net), 184.0)
+    y1 = faultcalc._dense(stamps)
     tie = bundled_net.branch_by_id(bundled_net.ufcl.tie_branch)
     touched = {(ix[tie.from_bus], ix[tie.from_bus]),
                (ix[tie.from_bus], ix[tie.to_bus]),
@@ -187,7 +194,7 @@ def test_induction_multiplier_one_equals_sync(bundled_net, monkeypatch):
 
 def assert_batch_matches(net, r_ohm):
     faults = [FaultSpec(b.id) for b in net.buses]
-    batch = solve_faults(net, faults, ufcl_state_ohm=r_ohm)
+    batch = solve_batch(net, faults, r_ohm)
     assert [res.fault_bus for res in batch] == [f.bus for f in faults]
     for fault, res in zip(faults, batch):
         one = solve_fault(net, fault, ufcl_state_ohm=r_ohm)
@@ -201,11 +208,13 @@ def assert_batch_matches(net, r_ohm):
 
 
 def sized_ohms(net, bus):
-    """The limiter resistance that restores the bare-grid level at bus."""
+    """The limiter resistance that restores the bare-grid level at bus,
+    the designated sizing bus."""
     bare = replace(net, sources=tuple(
         s for s in net.sources if s.kind == "infinite_grid"))
-    r_star = size_ufcl(net, bus, solve_fault(bare, FaultSpec(bus))
-                       .fault_current_a).r_star
+    target = solve_fault(bare, FaultSpec(bus)).fault_current_a
+    r_star = size_ufcl(replace(net, ufcl=replace(
+        net.ufcl, sizing_reference_a=target)), bus).r_star
     assert r_star > 0
     return r_star
 
@@ -279,12 +288,12 @@ def assert_sparse_route_matches(net, r_ohm, monkeypatch, rel=1e-12):
     relative, and each post-fault bus voltage in per-unit. Its batch
     equals its single solves bit for bit."""
     faults = [FaultSpec(b.id) for b in net.buses]
-    dense = solve_faults(net, faults, ufcl_state_ohm=r_ohm)
+    dense = solve_batch(net, faults, r_ohm)
     with monkeypatch.context() as m:
         m.setattr(faultcalc, "SPARSE_MIN_BUSES", 0)
         m.setattr(faultcalc.np.linalg, "solve", None)  # no LAPACK call
         assert_batch_matches(net, r_ohm)
-        batch = solve_faults(net, faults, ufcl_state_ohm=r_ohm)
+        batch = solve_batch(net, faults, r_ohm)
         singles = [solve_fault(net, f, ufcl_state_ohm=r_ohm) for f in faults]
     for res, one, ref in zip(batch, singles, dense):
         assert res.bus_voltages_pu.tobytes() == one.bus_voltages_pu.tobytes()
@@ -402,6 +411,28 @@ def test_limiter_update_matches_oracle_on_tie_networks():
     assert_update_matches_oracle(net, 0.0, base=37.0)
 
 
+@pytest.mark.parametrize("min_buses", [0, 10**6], ids=["sparse", "dense"])
+def test_limiter_update_matches_oracle_on_bundled(bundled_net, monkeypatch,
+                                                  min_buses):
+    # every bundled scenario's states at R = 0, read by the update at the
+    # sized resistance's range and beyond, on either route
+    monkeypatch.setattr(faultcalc, "SPARSE_MIN_BUSES", min_buses)
+    if min_buses == 0:
+        monkeypatch.setattr(faultcalc.np.linalg, "solve", None)
+    buses = bundled_net.bus_ids()
+    for sid, scen in SCENARIOS.items():
+        snet = build_scenario_net(bundled_net, scen)
+        states = LimiterStates(snet, buses)
+        for r_ohm in (200.0, 1000.0):
+            for bus, res in zip(buses, states.solve(buses, r_ohm)):
+                ref = oracle_solve(snet, FaultSpec(bus), ufcl_state_ohm=r_ohm)
+                assert close(res.fault_current_c, ref.fault_current_c), (
+                    sid, bus, r_ohm)
+                for rid, amps in res.relay_currents.items():
+                    assert close(amps, ref.relay_currents[rid]), (
+                        sid, bus, r_ohm, rid)
+
+
 def test_limiter_update_matches_oracle_on_feeders():
     for net in feeder_nets():
         assert net.relays
@@ -411,13 +442,12 @@ def test_limiter_update_matches_oracle_on_feeders():
 
 def test_branch_currents_mapping_contract(bundled_net):
     s2 = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
-    r_star = size_ufcl(s2, s2.ufcl.sizing_fault_bus,
-                       s2.ufcl.sizing_reference_a).r_star
+    r_star = size_ufcl(s2, s2.ufcl.sizing_fault_bus).r_star
     states = [(s2, 0.0), (s2, r_star)] + [(net, 0.0) for net in large_nets()]
     for net, r_ohm in states:
         branch_ids = [br.id for br in net.branches]
         faults = [FaultSpec(b.id) for b in net.buses]
-        for res in solve_faults(net, faults, ufcl_state_ohm=r_ohm):
+        for res in solve_batch(net, faults, r_ohm):
             currents = res.branch_currents
             assert list(currents) == branch_ids
             with pytest.raises(KeyError):
@@ -438,10 +468,10 @@ def test_branch_currents_mapping_contract(bundled_net):
 
 
 def test_batch_edges(bundled_net):
-    assert solve_faults(bundled_net, []) == []
+    assert solve_batch(bundled_net, []) == []
     with pytest.raises(ValueError, match="bus99"):
-        solve_faults(bundled_net, [FaultSpec("bus3"), FaultSpec("bus99"),
-                                   FaultSpec("bus4")])
+        solve_batch(bundled_net, [FaultSpec("bus3"), FaultSpec("bus99"),
+                                  FaultSpec("bus4")])
 
 
 @pytest.mark.parametrize("read", [
@@ -647,11 +677,11 @@ def test_oracle_kcl_on_random_radial_networks(bundled_net):
 
 
 def assert_reported_kcl(net, r_ohm=0.0):
-    """Every bus of an all-bus solve_faults balances, with the branch
+    """Every bus of an all-bus batch solve balances, with the branch
     currents as reported: amps on the from-side base, back to per-unit."""
     pu = to_per_unit(net)
     faults = [FaultSpec(b.id) for b in net.buses]
-    for res in solve_faults(net, faults, ufcl_state_ohm=r_ohm):
+    for res in solve_batch(net, faults, r_ohm):
         branch_pu = {br.id: res.branch_currents[br.id] / pu.i_base[br.from_bus]
                      for br in net.branches}
         residuals = kcl_residuals(net, res, res.fault_bus, branch_pu)

@@ -180,4 +180,6 @@ def test_readme_python_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), names)
     assert [r.fault_bus for r in names["at_r"]] == ["bus3"]
     assert names["bare"] > 0
+    # as golden size_ufcl_bus3.txt reads
+    assert (names["sizing"].r_star, names["sizing"].iterations) == (200.0, 10)
     assert capsys.readouterr().out.startswith("# Scenario s2_dg1_ufcl\n")

@@ -8,7 +8,7 @@ from conftest import feeder_net, random_tie_net
 from protcoord import bundled_dataset_path, faultcalc, studio
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
-                                 solve_fault, solve_faults)
+                                 solve_fault)
 from protcoord.netmodel import partition_by_tie
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
@@ -149,7 +149,9 @@ def test_run_scenario_sizes_at_first_upstream_fault_bus():
         assert close(got, target, rel=1e-11, floor=0.0), seed
         assert close(got, oracle_solve(bare, FaultSpec(up[-1]))
                      .fault_current_a, floor=0.0), seed
-        assert report.sizing == size_ufcl(net, up[-1], got), seed
+        assert report.sizing == size_ufcl(replace(net, ufcl=replace(
+            net.ufcl, sizing_fault_bus=up[-1], sizing_reference_a=got)),
+            up[-1]), seed
         states = {t.fault_bus: t.ufcl_state_ohm for t in report.fault_tables}
         assert states == {b: 0.0 if b in down else report.sizing.r_star
                           for b in buses}, seed
@@ -168,7 +170,7 @@ def test_downstream_faults_see_r_normal(bundled_net, sid):
     for t in report.fault_tables:
         want_ohm = 5.0 if t.fault_bus in down else report.sizing.r_star
         assert t.ufcl_state_ohm == want_ohm
-        [res] = solve_faults(snet, [FaultSpec(t.fault_bus)], want_ohm)
+        res = solve_fault(snet, FaultSpec(t.fault_bus), want_ohm)
         assert close(t.fault_current_a, res.fault_current_a), t.fault_bus
         for r in t.readings:
             assert close(r.current_a, res.relay_currents[r.relay]), r.relay

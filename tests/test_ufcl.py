@@ -1,13 +1,12 @@
 from dataclasses import replace
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from protcoord import ufcl
 from protcoord.faultcalc import (FaultSpec, LevelMap, LimiterStates,
-                                 build_ybus, solve_fault)
+                                 solve_fault)
 from protcoord.netmodel import partition_by_tie, validate
 from protcoord.studio import SCENARIOS, build_scenario_net, cli, run_scenario
 from protcoord.ufcl import SizingError, downstream_buses, size_ufcl
@@ -40,6 +39,12 @@ def solve_path(monkeypatch):
     return path
 
 
+def at_target(net, target_a):
+    """net with target_a recorded as the pre-DG level at its designated
+    sizing bus, the target size_ufcl then sizes to there."""
+    return replace(net, ufcl=replace(net.ufcl, sizing_reference_a=target_a))
+
+
 def test_classify_bundled_sides(bundled_net):
     assert downstream_buses(bundled_net) == {
         "bus5", "bus6", "dgbus"}
@@ -50,7 +55,7 @@ def test_classify_bundled_sides(bundled_net):
 def test_sizing_on_bundled_scenarios(bundled_net, expected, sid):
     snet = build_scenario_net(bundled_net, SCENARIOS[sid])
     want = expected["sizing"][sid]
-    got = size_ufcl(snet, "bus3", want["target_a"])
+    got = size_ufcl(at_target(snet, want["target_a"]), "bus3")
     assert got.r_star == want["r_star"]  # exact: frozen search path
     assert got.iterations == want["evaluations"]
     assert got.achieved_current_a == pytest.approx(want["achieved_a"],
@@ -82,7 +87,7 @@ def test_sizing_trivial_when_already_at_target(bundled_net):
     # no DG in service: fault level equals the target, zero resistance needed
     snet = build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"])
     base = abs(solve_fault(snet, FaultSpec(bus="bus3")).fault_current_a)
-    got = size_ufcl(snet, "bus3", base)
+    got = size_ufcl(at_target(snet, base), "bus3")
     assert got.r_star == 0.0
     assert got.iterations == 1
 
@@ -92,7 +97,7 @@ def test_sizing_target_above_reach(bundled_net):
     # ever lowers it, so this fails before any search starts
     snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
     with pytest.raises(SizingError, match="below the target"):
-        size_ufcl(snet, "bus3", 2200.0)
+        size_ufcl(at_target(snet, 2200.0), "bus3")
 
 
 def test_sizing_rejects_target_below_asymptote(bundled_net, monkeypatch):
@@ -103,7 +108,7 @@ def test_sizing_rejects_target_below_asymptote(bundled_net, monkeypatch):
     path = search_path(monkeypatch)
     with pytest.raises(SizingError, match=r"tie open \(955\.5\d* A\) is "
                                           r"above the target \(500 A\)"):
-        size_ufcl(snet, "bus3", 500.0)
+        size_ufcl(at_target(snet, 500.0), "bus3")
     assert path == [0.0]
 
 
@@ -114,7 +119,7 @@ def test_sizing_evaluation_cap_still_guards(bundled_net, monkeypatch):
     monkeypatch.setattr(LevelMap, "amps", lambda level, r_ohm: 1010.0)
     monkeypatch.setattr(LevelMap, "tie_open_a", lambda level: 0.0)
     with pytest.raises(SizingError, match="within 200 evaluations"):
-        size_ufcl(snet, "bus3", 1000.0)
+        size_ufcl(at_target(snet, 1000.0), "bus3")
 
 
 @pytest.mark.parametrize("sid", ["s2_dg1_ufcl", "s4_dg1_dg2_ufcl",
@@ -135,7 +140,7 @@ def test_sizing_confirms_the_read_with_a_solution(bundled_net, monkeypatch):
         981.81 if r_ohm == 10.0 else read(level, r_ohm)))
     with pytest.raises(SizingError, match=r"R=10 ohm \(1[0-9.]+ A\) misses "
                                           r"the target \(981\.81 A\)"):
-        size_ufcl(snet, "bus3", 981.81)
+        size_ufcl(snet, "bus3")
 
 
 def test_sizing_when_the_level_does_not_depend_on_r(bundled_net):
@@ -150,12 +155,12 @@ def test_sizing_when_the_level_does_not_depend_on_r(bundled_net):
     far = solve_fault(snet, FaultSpec("bus3"), ufcl_state_ohm=1e6)
     assert far.fault_current_a == pytest.approx(base, rel=1e-12)
     for k in (1.0, 0.999):
-        got = size_ufcl(snet, "bus3", k * base)
+        got = size_ufcl(at_target(snet, k * base), "bus3")
         assert (got.r_star, got.iterations) == (0.0, 1)
         assert got.achieved_current_a == base
     for k in (0.99, 0.9, 0.5):
         with pytest.raises(SizingError, match="tie open"):
-            size_ufcl(snet, "bus3", k * base)
+            size_ufcl(at_target(snet, k * base), "bus3")
 
 
 def read_only(level):
@@ -173,7 +178,8 @@ def test_sizing_stops_at_exactly_the_tolerance(bundled_net):
     m = round(base / 200.0 * 1024) / 1024
     level = LevelMap(complex(201.0 * m), 0j, 1.0 + 0j)
     assert (level.amps(0.0) - 200.0 * m) / (200.0 * m) == ufcl.SIZING_TOL
-    got = size_ufcl(snet, "bus3", 200.0 * m, states=read_only(level))
+    got = size_ufcl(at_target(snet, 200.0 * m), "bus3",
+                    states=read_only(level))
     assert (got.r_star, got.iterations) == (0.0, 1)
     assert got.achieved_current_a == base
 
@@ -187,7 +193,7 @@ def test_sizing_rejects_a_tie_open_level_at_exactly_the_tolerance(
     level = LevelMap(complex(2.0 * tie_open), complex(tie_open), 1.0 + 0j)
     assert level.tie_open_a() == tie_open
     with pytest.raises(SizingError, match="tie open"):
-        size_ufcl(snet, "bus3", 1000.0, states=read_only(level))
+        size_ufcl(at_target(snet, 1000.0), "bus3", states=read_only(level))
 
 
 def test_level_map_is_flat_where_the_tie_is_idle():
@@ -251,20 +257,13 @@ def test_level_map_tie_open_level(bundled_net):
 def test_sizing_rejects_downstream_bus(bundled_net):
     snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
     with pytest.raises(ValueError, match="upstream"):
-        size_ufcl(snet, "bus6", 900.0)
+        size_ufcl(snet, "bus6")
 
 
 def test_sizing_rejects_bad_target(bundled_net):
     snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
     with pytest.raises(ValueError):
-        size_ufcl(snet, "bus3", 0.0)
-
-
-def test_zero_state_matrix_identical(bundled_net):
-    y0, idx0 = build_ybus(bundled_net)
-    y1, idx1 = build_ybus(bundled_net, ufcl_state_ohm=0.0)
-    assert idx0 == idx1
-    assert np.array_equal(y0, y1)
+        size_ufcl(at_target(snet, 0.0), "bus3")
 
 
 def test_more_resistance_means_less_upstream_current(bundled_net):
@@ -286,9 +285,10 @@ def test_sizing_restores_target_on_random_networks():
         target = abs(solve_fault(bare, FaultSpec(bus=sizing_bus))
                      .fault_current_a)
         try:
-            got = size_ufcl(net, sizing_bus, target)
+            got = size_ufcl(net, sizing_bus)
         except SizingError:
             continue  # DG too strong: target below the tie-open level
+        assert got.target_current_a == pytest.approx(target, rel=1e-9)
         check = abs(solve_fault(net, FaultSpec(bus=sizing_bus),
                                 ufcl_state_ohm=got.r_star).fault_current_a)
         assert abs(check - target) / target <= 0.005
