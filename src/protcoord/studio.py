@@ -17,7 +17,10 @@ ids and the sizing bus, to which it adds by itself the DG buses the
 bare-grid level needs) reads the sizing map, the bare-grid target and
 every fault table, each group of buses at the resistance it sees. The
 sizing adds one solve of its own, to confirm R*.
-The pairs graded are the declared pairs at the faulted buses.
+One pass over the declared pairs picks the graded ones, those at the
+fault buses, in file order, and checks that each names relays the
+network has. A fault table reads the relays of its bus's pairs first,
+main before backup and each once, then the others in network order.
 
 Exit codes: 0 all pairs coordinate, 2 coordination violations, 1 error.
 """
@@ -38,7 +41,7 @@ from . import bundled_dataset_path
 from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
                            format_number, report_to_csv, row_cells)
 from .faultcalc import LimiterStates, build_ybus
-from .netmodel import Network, RelaySpec, load_network, validate
+from .netmodel import Network, load_network, validate
 from .relaycurve import operate_time
 from .ufcl import SizingResult, downstream_buses, size_ufcl
 
@@ -136,53 +139,43 @@ def build_scenario_net(net: Network, scenario: Scenario) -> Network:
     return replace(net, sources=tuple(kept))
 
 
-def _reading_order(net: Network, relays: dict[str, RelaySpec],
-                   fault_bus: str) -> list[str]:
-    # pair relays first, main before backup, mirroring the study tables
-    order: list[str] = []
-    for p in net.pairs:
-        if p.fault_bus == fault_bus:
-            for rid in (p.main, p.backup):
-                if rid not in relays:
-                    raise ValueError(f"pair {p.main}/{p.backup} at "
-                                     f"{fault_bus}: relay {rid!r} is not "
-                                     f"in the network")
-                if rid not in order:
-                    order.append(rid)
-    return order + [rid for rid in relays if rid not in order]
-
-
-def _resolve_states(snet: Network, scenario: Scenario, buses: list[str],
-                    ) -> tuple[LimiterStates, SizingResult | None,
-                               dict[str, float]]:
-    """The scenario's limiter states over the fault buses, the sizing if
-    the limiter is enabled, and each fault bus's limiter ohms."""
-    if not scenario.ufcl_enabled:
-        return LimiterStates(snet, buses), None, {bus: 0.0 for bus in buses}
-
-    down = downstream_buses(snet)
-    sizing_bus = snet.ufcl.sizing_fault_bus
-    if sizing_bus is None:
-        upstream = [b for b in buses if b not in down]
-        if not upstream:
-            raise ValueError("no upstream fault bus to size the limiter "
-                             "against")
-        sizing_bus = upstream[0]
-
-    states = LimiterStates(snet, [*buses, sizing_bus])
-    sizing = size_ufcl(snet, sizing_bus, states=states)
-    return states, sizing, {
-        bus: snet.ufcl.r_normal if bus in down else sizing.r_star
-        for bus in buses}
-
-
 def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
     """Solve every configured fault and grade the declared pairs."""
     snet = build_scenario_net(net, scenario)
     try:
         buses = list(dict.fromkeys(scenario.fault_buses
                                    or default_fault_buses(net)))
-        states, sizing, ohms = _resolve_states(snet, scenario, buses)
+        relays = {r.id: r for r in snet.relays}
+        # one pass over the pairs: those at the fault buses are graded, and
+        # each bus's table reads their relays first, main before backup
+        graded, pair_relays = [], {bus: [] for bus in buses}
+        for p in snet.pairs:
+            if p.fault_bus in pair_relays:
+                for rid in (p.main, p.backup):
+                    if rid not in relays:
+                        raise ValueError(f"pair {p.main}/{p.backup} at "
+                                         f"{p.fault_bus}: relay {rid!r} is "
+                                         f"not in the network")
+                graded.append(p)
+                pair_relays[p.fault_bus] += (p.main, p.backup)
+
+        # one factorisation reads the sizing and every fault table
+        sizing, ohms = None, dict.fromkeys(buses, 0.0)
+        if scenario.ufcl_enabled:
+            down = downstream_buses(snet)
+            sizing_bus = snet.ufcl.sizing_fault_bus
+            if sizing_bus is None:
+                upstream = [b for b in buses if b not in down]
+                if not upstream:
+                    raise ValueError("no upstream fault bus to size the "
+                                     "limiter against")
+                sizing_bus = upstream[0]
+            states = LimiterStates(snet, [*buses, sizing_bus])
+            sizing = size_ufcl(snet, sizing_bus, states=states)
+            ohms = {bus: snet.ufcl.r_normal if bus in down else sizing.r_star
+                    for bus in buses}
+        else:
+            states = LimiterStates(snet, buses)
         # fault buses grouped by limiter ohms: one read of the states each
         groups: dict[float, list[str]] = {}
         for bus, r_ohm in ohms.items():
@@ -192,19 +185,17 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
 
         # one operate-time evaluation per relay and fault: the tables print
         # it and the pairs are graded from it
-        relays = {r.id: r for r in snet.relays}
         tables, times = [], {}
         for bus in buses:
             amps = results[bus].relay_currents
-            times[bus] = {rid: operate_time(relays[rid], amps[rid])
-                          for rid in _reading_order(snet, relays, bus)}
+            times[bus] = {rid: operate_time(relays[rid], amps[rid]) for rid
+                          in dict.fromkeys([*pair_relays[bus], *relays])}
             readings = tuple(RelayReading(rid, amps[rid], t)
                              for rid, t in times[bus].items())
             tables.append(FaultTable(bus, results[bus].fault_current_a,
                                      ohms[bus], readings,
                                      results[bus].bus_voltages_pu))
 
-        graded = tuple(p for p in snet.pairs if p.fault_bus in results)
         coordination = check_pairs(graded, times, {
             bus: res.relay_currents for bus, res in results.items()})
     except (ValueError, KeyError, RuntimeError) as exc:

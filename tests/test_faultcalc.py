@@ -326,10 +326,13 @@ def test_sparse_route_on_bundled(bundled_net, monkeypatch, sid):
         assert_sparse_route_matches(snet, r_ohm, monkeypatch, rel=1e-11)
 
 
-def test_sparse_route_on_a_200_bus_feeder_study(monkeypatch):
+# the bench's feeder seeds; their R*, 2560, 640 and 1280 ohm, are read by
+# the rank-one update from the states factorised at R = 0
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparse_route_on_a_200_bus_feeder_study(monkeypatch, seed):
     # at the default SPARSE_MIN_BUSES: the study's own tables, upstream at
     # the sized R* and downstream at R = 0, against the oracle
-    net = feeder_net(200, 1)
+    net = feeder_net(200, seed)
     assert len(net.buses) == faultcalc.SPARSE_MIN_BUSES
     dgs = frozenset(s.id for s in net.sources if s.kind != "infinite_grid")
     with monkeypatch.context() as m:

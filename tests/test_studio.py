@@ -9,7 +9,7 @@ from protcoord import bundled_dataset_path, faultcalc, studio
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
                                  solve_fault)
-from protcoord.netmodel import partition_by_tie
+from protcoord.netmodel import CoordinationPair, partition_by_tie
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
                               emit_report, run_scenario)
@@ -244,6 +244,24 @@ def test_run_scenario_names_a_pair_relay_the_network_lacks(bundled_net):
     assert err.type is ScenarioError
     assert str(err.value) == ("scenario s1_dg1: pair relay2/relayX at bus3: "
                               "relay 'relayX' is not in the network")
+
+
+def test_a_bus_with_two_pairs_reads_each_relay_once(bundled_net):
+    # a second bus3 pair, appended, whose backup is the first pair's main:
+    # bus3's table reads the pairs' relays in file order, main before
+    # backup and each once, then the rest in network order; the rows keep
+    # file order, the new pair last
+    extra = CoordinationPair("relay5", "relay2", "bus3")
+    net = replace(bundled_net, pairs=(*bundled_net.pairs, extra))
+    report = run_scenario(net, SCENARIOS["s1_dg1"])
+    bus3 = next(t for t in report.fault_tables if t.fault_bus == "bus3")
+    assert [r.relay for r in bus3.readings] == [
+        "relay2", "relay1", "relay5", "relay3", "relay4", "relay6"]
+    assert [(r.fault_bus, r.main, r.backup)
+            for r in report.coordination.rows] == [
+        ("bus3", "relay2", "relay1"), ("bus4", "relay3", "relay2"),
+        ("bus6", "relay6", "relay4"), ("dgbus", "relay5", "relay4"),
+        ("bus3", "relay5", "relay2")]
 
 
 def test_run_scenario_needs_an_upstream_fault_bus():
