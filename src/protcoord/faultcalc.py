@@ -7,8 +7,8 @@ solved by superposition on the nodal admittance matrix. Relay currents
 come straight out of the post-fault voltage profile; there is no separate
 load-flow overlay. Each operating state builds its per-branch taps once
 (the from and to bus index and i_base[from] / z, keyed by branch id), and
-a fault's branch currents are computed on lookup from its own voltage
-profile and those taps, so a study pays only for the branches it reads.
+a fault reads its relay currents from its own voltage profile at those
+taps, so a study pays only for the relay branches.
 build_ybus returns the admittance matrix of the state with the limiter at
 R = 0: the matrix that `run --debug-csv` prints.
 
@@ -35,14 +35,15 @@ the same stamps dense.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
-the first. The two routes share the per-unit conversion and the result
-record, FaultResult, and nothing else.
+the first. The two routes share only to_per_unit and the base record,
+FaultResult; the oracle's OracleResult adds the complex fault current and
+every branch's current.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,7 @@ from .netmodel import (Branch, Network, PuNetwork, Source, reachable,
                        to_per_unit)
 
 __all__ = [
-    "FaultSpec", "FaultResult", "LevelMap", "LimiterStates",
+    "FaultSpec", "FaultResult", "OracleResult", "LevelMap", "LimiterStates",
     "build_ybus", "solve_fault", "oracle_solve",
 ]
 
@@ -77,24 +78,29 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultResult:
-    """Solved fault: currents in amps on each element's from-side base.
+    """Solved fault: what a study reads of it.
 
-    relay_currents holds magnitudes (relays act on |I|); fault_current_c
-    keeps the complex fault current so superposition checks can add
-    per-source responses without losing angle. bus_voltages_pu is the
-    post-fault voltage profile in per-unit, in net.buses order. The
-    oracle also solves the unfaulted network: fault_bus None, no current.
-    branch_currents is read-only, in net.branches order; LimiterStates
-    computes each one on lookup from a copy of the fault's own voltage
-    profile, so a later write into bus_voltages_pu does not reach it.
+    fault_current_a is |I_f| in amps on the fault bus's base, and
+    relay_currents the magnitude each relay sees (relays act on |I|), in
+    amps on its branch's from-side base. bus_voltages_pu is the post-fault
+    voltage profile in per-unit, in net.buses order.
     """
 
     fault_bus: str | None
     fault_current_a: float
     relay_currents: dict[str, float]
-    branch_currents: Mapping[str, complex]
-    fault_current_c: complex
     bus_voltages_pu: np.ndarray = field(compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class OracleResult(FaultResult):
+    """oracle_solve's record: the base record plus the complex fault
+    current and every branch's complex current, in amps on its from-side
+    base, in net.branches order. The oracle also solves the unfaulted
+    network: fault_bus None, no fault current."""
+
+    fault_current_c: complex
+    branch_currents: dict[str, complex]
 
 
 def _tie_z(pu: PuNetwork, r_ohm: float) -> tuple[Branch | None, complex]:
@@ -225,35 +231,6 @@ def build_ybus(net: Network) -> tuple[np.ndarray, dict[str, int]]:
     return _dense(y), index
 
 
-class _BranchCurrents(Mapping):
-    """Branch id -> complex amps of one voltage profile, each computed on
-    lookup from the state's taps; read-only, in net.branches order. It
-    keeps a private copy of the profile, made a list at the first
-    lookup."""
-
-    __slots__ = ("_taps", "_v")
-
-    def __init__(self, taps: dict[str, tuple[int, int, complex]],
-                 v: np.ndarray) -> None:
-        self._taps = taps
-        self._v = v.copy()
-
-    def __getitem__(self, branch_id: str) -> complex:
-        f, t, s = self._taps[branch_id]
-        if not isinstance(self._v, list):
-            self._v = self._v.tolist()
-        return (self._v[f] - self._v[t]) * s
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._taps)
-
-    def __len__(self) -> int:
-        return len(self._taps)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 @dataclass(frozen=True)
 class LevelMap:
     """Complex fault current at one bus, in amps, against the limiter
@@ -286,8 +263,11 @@ class LimiterStates:
     column and c = dy / (1 + dy e^T w). The same compensation takes the
     DGs out: grid_level reads a bus's fault level with only the
     infinite_grid sources in service from this solve, by removing each
-    other source's shunt and injection. Raises ValueError for a bus the
-    network lacks, and on reading a bus that is not among its buses;
+    other source's shunt and injection. A fault read by solve is a
+    FaultResult: its fault current, each relay's current from the fault's
+    voltage profile at the relay branch's taps, and that profile. Raises
+    ValueError for a bus the network lacks, and on reading a bus that is
+    not among its buses;
     np.linalg.LinAlgError, a ValueError, naming a bus that no source or
     load reaches, before any solve.
     """
@@ -364,8 +344,6 @@ class LimiterStates:
                     rid: a if (a := abs((vf - vt) * s)) > floor else 0.0
                     for (rid, s), vf, vt in zip(relays, ends[::2],
                                                 ends[1::2])},
-                branch_currents=_BranchCurrents(taps, v_post),
-                fault_current_c=i_f_amps,
                 bus_voltages_pu=v_post))
         return results
 
@@ -433,7 +411,7 @@ def solve_fault(net: Network, fault: FaultSpec,
 
 
 def oracle_solve(net: Network, fault: FaultSpec | None,
-                 ufcl_state_ohm: float = 0.0) -> FaultResult:
+                 ufcl_state_ohm: float = 0.0) -> OracleResult:
     """Second, independent solution route, for checking solve_fault.
 
     Formulates the circuit with an explicit EMF node per source and the
@@ -507,11 +485,11 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     i_fault_a = 0j
     if fault is not None:
         i_fault_a = complex(x[dim - 1] * pu.i_base[fault.bus])
-    return FaultResult(
+    return OracleResult(
         fault_bus=None if fault is None else fault.bus,
         fault_current_a=abs(i_fault_a),
         relay_currents={r.id: abs(branch_currents[r.branch])
                         for r in net.relays},
-        branch_currents=branch_currents,
+        bus_voltages_pu=x[:n_bus],
         fault_current_c=i_fault_a,
-        bus_voltages_pu=x[:n_bus])
+        branch_currents=branch_currents)

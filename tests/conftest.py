@@ -10,7 +10,7 @@ import pytest
 
 from protcoord import bundled_dataset_path
 from protcoord.netmodel import (Branch, Bus, Network, ShuntLoad, Source,
-                                UfclSpec, load_network)
+                                UfclSpec, load_network, to_per_unit)
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +25,25 @@ def expected():
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def branch_amps(net, bus_voltages_pu, r_ohm=0.0):
+    """Each branch's complex current in amps on its from-side base, in
+    net.branches order, from a post-fault voltage profile in per-unit
+    (net.buses order): the voltage across the branch over the branch's
+    own impedance, with the limiter resistance r_ohm in series on the
+    ufcl block's tie."""
+    pu = to_per_unit(net)
+    v = dict(zip(net.bus_ids(), bus_voltages_pu))
+    tie = None if net.ufcl is None else net.ufcl.tie_branch
+    amps = {}
+    for br in net.branches:
+        z = pu.branch_z_pu[br.id]
+        if br.id == tie:
+            z += r_ohm / pu.z_base[br.from_bus]
+        amps[br.id] = complex((v[br.from_bus] - v[br.to_bus]) / z
+                              * pu.i_base[br.from_bus])
+    return amps
 
 
 @functools.cache

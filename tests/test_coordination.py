@@ -141,6 +141,23 @@ def test_optimize_tds_two_relay_example(tds_min, want_r1):
     assert [r.verdict for r in rows] == ["ok"]
 
 
+@pytest.mark.parametrize("tds_min, tds_max, i_backup", [
+    (0.05, 0.1, 120.0),
+    # 0.1 + 4 * 0.05 is 0.30000000000000004, a hair above tds_max
+    (0.1, 0.3, 170.0),
+])
+def test_optimize_tds_can_pick_exactly_tds_max(tds_min, tds_max, i_backup):
+    # the main trips at tds_min (M = 2: t = tds); the backup, at M =
+    # i_backup / 100, is too fast one grid step below tds_max and
+    # coordinated at it, the grid's last value
+    net = chain_net(2)
+    res = {"f0": {"r0": 200.0, "r1": i_backup}}
+    args = (net, res, tds_min, tds_max)
+    got = optimize_tds(*args)
+    assert got == brute_force(*args)
+    assert got == {"r0": tds_min, "r1": pytest.approx(tds_max)}
+
+
 def test_optimize_tds_lone_relay_gets_minimum():
     net = chain_net(1)
     got = optimize_tds(net, {}, tds_min=0.05)

@@ -233,6 +233,11 @@ def rules(net):
     return {v.rule for v in validate(net)}
 
 
+def test_a_purely_reactive_load_validates():
+    # Re = 0 is no negative resistance: the rule is Re(impedance) >= 0
+    assert validate(grid_net(loads=(ShuntLoad("l", "b", 50j),))) == []
+
+
 def test_validate_rule_strings():
     from protcoord.netmodel import CoordinationPair, RelaySpec
     from protcoord.relaycurve import CurveConstants
