@@ -4,34 +4,33 @@ Single-phase positive-sequence nodal model: every source is an EMF behind
 its internal impedance, loads are constant shunt impedances, and a fault
 is a three-phase short circuit at a bus through zero fault impedance,
 solved by superposition on the nodal admittance matrix. Relay currents
-come straight out of the post-fault voltage profile; there is no separate
-load-flow overlay. Each operating state builds its per-branch taps once
-(the from and to bus index and i_base[from] / z, keyed by branch id), and
-a fault reads its relay currents from its own voltage profile at those
-taps, so a study pays only for the relay branches.
+come straight out of the post-fault voltage across each relay branch;
+there is no separate load-flow overlay. Each operating state builds its
+per-branch taps once (the from and to bus index and i_base[from] / z,
+keyed by branch id), and a fault reads its relay currents at those taps,
+so a study pays only for the relay branches.
 build_ybus returns the admittance matrix of the state with the limiter at
 R = 0: the matrix that `run --debug-csv` prints.
 
 The limiter changes one branch admittance, a rank-one change of Y, so one
 factorisation gives every limiter state (the compensation method, Tinney
-1972; Sherman-Morrison). LimiterStates holds that one solve over the bus
-ids it is given: it reads any resistance's fault solutions from it and
-gives each bus's fault current as a closed-form LevelMap of R. Taking a
-DG out of service removes a shunt and an injection at its bus, rank-one
-changes too, so the same solve, which also carries a column for every
-DG's bus, gives each bus's bare-grid fault level, with only the
-infinite_grid sources in service (LimiterStates.grid_level). A batch of
-faults at one resistance R is LimiterStates(net, buses, R).solve(buses,
-R); solve_fault is that read for one FaultSpec, and with oracle_solve the
-one-shot entry.
+1972; Sherman-Morrison). LimiterStates holds that one factorisation: it
+reads any resistance's fault solutions from it and gives each bus's fault
+current as a closed-form LevelMap of R. Taking a DG out of service
+removes a shunt and an injection at its bus, rank-one changes too, so the
+same solve, which also carries a column for every DG's bus, gives each
+bus's bare-grid fault level, with only the infinite_grid sources in
+service (LimiterStates.grid_level). A batch of faults at one resistance R
+is LimiterStates(net, buses, R).solve(buses, R); solve_fault is that read
+for one FaultSpec, and with oracle_solve the one-shot entry.
 
 _nodal stamps Y sparse: its diagonal and one dict of off-diagonal entries
-per row. The one solve takes one of two routes by the network's size.
-Below SPARSE_MIN_BUSES buses it is LAPACK's, on Y made dense, which wins
-on small networks. From SPARSE_MIN_BUSES up it is an LDL^T of the sparse Y
-in minimum-degree order (Tinney and Walker, Proc. IEEE 55(11), 1967),
-whose cost grows with Y's nonzeros rather than with n^3. build_ybus makes
-the same stamps dense.
+per row. There is one solution route at every size, in pure Python: an
+LDL^T of the sparse Y in minimum-degree order (Tinney and Walker, Proc.
+IEEE 55(11), 1967), whose cost grows with Y's nonzeros rather than with
+n^3, substitutions against a few narrow columns, and Z = Y^-1's diagonal
+read from the factors (Takahashi, Fagan and Chen, 8th PICA, 1973). A
+study never imports numpy; build_ybus and oracle_solve import it on call.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
@@ -43,13 +42,16 @@ every branch's current.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 from .netmodel import (Branch, Network, PuNetwork, Source, reachable,
                        to_per_unit)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FaultSpec", "FaultResult", "OracleResult", "LevelMap", "LimiterStates",
@@ -62,11 +64,23 @@ INDUCTION_Z_MULT = 1.05
 # a tie whose current in the faulted state is below this share of the
 # fault current (per-unit) carries round-off: the limiter changes nothing
 IDLE_TIE_TOL = 1e-9
-# from this many buses up, Y is factorised sparse; below, by LAPACK dense
-SPARSE_MIN_BUSES = 200
 
 # Y as stamped: its diagonal, and per row a dict of column -> entry
 _Stamps = tuple[list[complex], list[dict[int, complex]]]
+# Y = L D L^T: per elimination step (k, [(i, L[i, k]) for each neighbour
+# i]), in order; the same flat, [(k, i, L[i, k])]; and 1 / D
+_Factors = tuple[list[tuple[int, list]], list[tuple], list[complex]]
+
+
+def __getattr__(name: str):
+    # perfbench/tracer.py's Tracer.install reads faultcalc.np to wrap
+    # np.linalg; the module itself never binds it, so that a study does
+    # not import numpy. Goes once the tracer wraps the solve itself
+    # (ROADMAP item 1)
+    if name == "np":
+        import numpy
+        return numpy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -83,13 +97,18 @@ class FaultResult:
     fault_current_a is |I_f| in amps on the fault bus's base, and
     relay_currents the magnitude each relay sees (relays act on |I|), in
     amps on its branch's from-side base. bus_voltages_pu is the post-fault
-    voltage profile in per-unit, in net.buses order.
+    voltage profile in per-unit, in net.buses order, made by profile on
+    its first read: a study that reads only currents never pays for it.
     """
 
     fault_bus: str | None
     fault_current_a: float
     relay_currents: dict[str, float]
-    bus_voltages_pu: np.ndarray = field(compare=False, repr=False)
+    profile: Callable[[], list[complex]] = field(compare=False, repr=False)
+
+    @cached_property
+    def bus_voltages_pu(self) -> list[complex]:
+        return self.profile()
 
 
 @dataclass(frozen=True)
@@ -163,41 +182,25 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
     return index, taps, (diag, off), injection
 
 
-def _dense(y: _Stamps) -> np.ndarray:
-    """Y from its stamps, as a dense matrix."""
-    diag, off = y
-    ybus = np.diag(np.array(diag, dtype=complex))
-    for i, row in enumerate(off):
-        for j, v in row.items():
-            ybus[i, j] = v
-    return ybus
-
-
-def _solve(y: _Stamps, rhs: np.ndarray) -> np.ndarray:
-    """Y^-1 rhs, every column. Below SPARSE_MIN_BUSES, LAPACK on the dense
-    Y. From there up, an LDL^T of the complex symmetric Y without pivoting,
-    in minimum-degree order (Tinney and Walker 1967): each step eliminates
-    a bus of fewest remaining neighbours, fill included, so a radial
-    feeder factorises with no fill. The substitutions go one row operation
-    at a time, each over every column of rhs. Raises LinAlgError on an
-    exactly zero pivot, as LAPACK does on a singular Y.
+def _factor(y: _Stamps) -> _Factors:
+    """LDL^T of the complex symmetric Y without pivoting, in minimum-degree
+    order (Tinney and Walker 1967): each step eliminates a bus of fewest
+    remaining neighbours, fill included, so a radial feeder factorises
+    with no fill. Raises ValueError on an exactly zero pivot.
     """
-    diag, off = y
-    if len(diag) < SPARSE_MIN_BUSES:
-        return np.linalg.solve(_dense(y), rhs)
-    d, rows = list(diag), [dict(row) for row in off]
+    d, rows = list(y[0]), [dict(row) for row in y[1]]
     heap = [(len(row), k) for k, row in enumerate(rows)]
     heapq.heapify(heap)
-    steps = []  # (k, [(i, L[i, k]) for each neighbour i]), in order
+    pop, push = heapq.heappop, heapq.heappush
+    steps = []
     while heap:
-        degree, k = heapq.heappop(heap)
+        degree, k = pop(heap)
         row = rows[k]
         if row is None or len(row) != degree:
             continue  # eliminated, or its degree has changed since
         rows[k] = None
-        p = d[k]
-        if p == 0:
-            raise np.linalg.LinAlgError("Singular matrix")
+        if (p := d[k]) == 0:
+            raise ValueError("Singular matrix")
         # each update is v w / p, not v (w / p), so Y stays exactly
         # symmetric: on the bundled grid, whose tie is 0.006 ohm, that cut
         # the worst fault current's distance to the oracle 2.5-fold
@@ -209,26 +212,57 @@ def _solve(y: _Stamps, rhs: np.ndarray) -> np.ndarray:
                     d[i] -= v * w / p
                 else:
                     other[j] = other.get(j, 0j) - v * w / p
-            heapq.heappush(heap, (len(other), i))
+            push(heap, (len(other), i))
         steps.append((k, [(i, v / p) for i, v in row.items()]))
-    x = np.array(rhs, dtype=complex)
-    xs = list(x)  # row views, written in place
-    for k, col in steps:
-        for i, l in col:
-            xs[i] -= l * xs[k]
-    x /= np.array(d)[:, None]  # d now holds the pivots, D
-    for k, col in reversed(steps):
-        for i, l in col:
-            xs[k] -= l * xs[i]
+    ops = [(k, i, l) for k, col in steps for i, l in col]
+    return steps, ops, [1.0 / p for p in d]  # d now holds the pivots, D
+
+
+def _substitute(factors: _Factors, x: list[complex]) -> list[complex]:
+    """Y^-1 x from the factors, x overwritten. The forward pass skips zero
+    entries, so a unit column runs only along its bus's elimination path
+    there."""
+    _, ops, d_inv = factors
+    for k, i, l in ops:
+        if xk := x[k]:
+            x[i] -= l * xk
+    x = [a * r for a, r in zip(x, d_inv)]
+    for k, i, l in reversed(ops):
+        x[k] -= l * x[i]
     return x
+
+
+def _z_diagonal(factors: _Factors) -> list[complex]:
+    """Z = Y^-1's diagonal from the factors (Takahashi, Fagan and Chen
+    1973). In reverse elimination order, for each neighbour j of the bus
+    k eliminated, Z[k, j] = -sum_i L[i, k] Z[i, j], then Z[k, k] = 1 / D[k]
+    - sum_i L[i, k] Z[i, k]. A bus's neighbours are a clique of the filled
+    pattern, all eliminated after it, so every Z[i, j] a sum reads is
+    known: Z is worked on the filled pattern only."""
+    steps, _, d_inv = factors
+    diag, off = list(d_inv), [{} for _ in d_inv]
+    for k, col in reversed(steps):
+        zk = off[k]
+        for j, _ in col:
+            s = 0j
+            for i, l in col:
+                s -= l * (diag[j] if i == j else off[i][j])
+            zk[j] = off[j][k] = s
+        for i, l in col:
+            diag[k] -= l * zk[i]
+    return diag
 
 
 def build_ybus(net: Network) -> tuple[np.ndarray, dict[str, int]]:
     """Assemble the nodal admittance matrix (sources as shunt admittances)
-    with the limiter at R = 0. Returns (Y, bus index map).
+    with the limiter at R = 0. Returns (Y, bus index map); imports numpy.
     """
-    index, _, y, _ = _nodal(to_per_unit(net))
-    return _dense(y), index
+    import numpy as np
+    index, _, (diag, off), _ = _nodal(to_per_unit(net))
+    ybus = np.diag(np.array(diag, dtype=complex))
+    for i, row in enumerate(off):
+        ybus[i, list(row)] = list(row.values())
+    return ybus, index
 
 
 @dataclass(frozen=True)
@@ -252,24 +286,32 @@ class LevelMap:
 class LimiterStates:
     """Fault solutions at every limiter resistance from one factorisation.
 
-    One solve of Y, with the limiter at ufcl_state_ohm (the base), against
-    [injections | e | a unit column per bus], where e = e_from - e_to of
-    the limiter's tie; the e column is there only when the network has a
-    limiter. The buses are the ones given, then the bus of every source
-    that is not an infinite_grid, each once. The solve is LAPACK's on the
-    dense Y below SPARSE_MIN_BUSES buses, and a minimum-degree sparse
-    LDL^T from there up (_solve). Any other R changes the tie admittance
-    by dy, and the solution becomes X(R) = X - w c (e^T X), with w the e
-    column and c = dy / (1 + dy e^T w). The same compensation takes the
-    DGs out: grid_level reads a bus's fault level with only the
-    infinite_grid sources in service from this solve, by removing each
-    other source's shunt and injection. A fault read by solve is a
-    FaultResult: its fault current, each relay's current from the fault's
-    voltage profile at the relay branch's taps, and that profile. Raises
-    ValueError for a bus the network lacks, and on reading a bus that is
-    not among its buses;
-    np.linalg.LinAlgError, a ValueError, naming a bus that no source or
-    load reaches, before any solve.
+    One LDL^T of Y with the limiter at ufcl_state_ohm (the base), solved
+    against narrow columns: the injections, whose solution v is the
+    prefault voltages; e_from - e_to of each relay branch, so that a
+    column's entry at k is the voltage across the branch per unit
+    current injected at k; and a unit column per bus of a source that is
+    not an infinite_grid. Z's diagonal comes from the factors. The
+    limiter's tie has the column w = Z e, e = e_from - e_to, its relay's
+    when it has one. The columns past v are substituted on their first
+    read and kept, so states read only at their base solve for e only
+    when a relay sits on the tie, and only grid_level solves for the DG
+    buses. None of it depends on the buses asked for, so a batch reads
+    bit for bit what a single solve reads.
+
+    Any other R changes the tie admittance by dy: with
+    c = dy / (1 + dy e^T w), v_R[i] = v[i] - w[i] c (v_f - v_t) and
+    Z_R[i, k] = Z[i, k] - w[i] c w[k], so a fault at bus k reads O(1)
+    entries per relay, a branch's column at k by symmetry. The same
+    compensation takes the DGs out: grid_level reads a bus's fault level
+    with only the infinite_grid sources in service by removing each other
+    source's shunt and injection. A fault read by solve is a FaultResult:
+    its fault current, each relay's current from the post-fault voltage
+    across its branch and the branch's tap, and its voltage profile, one
+    substitution made on first read. Raises ValueError for a bus the
+    network lacks, on reading a bus that is not among its buses, and,
+    naming it, for a bus that no source or load reaches, before any
+    solve.
     """
 
     def __init__(self, net: Network, buses: Iterable[str],
@@ -278,73 +320,84 @@ class LimiterStates:
         self._pu = pu = to_per_unit(net)
         self._index, self._taps, y, injection = _nodal(pu, ufcl_state_ohm)
         self._tie, self._z0 = _tie_z(pu, ufcl_state_ohm)
-        first = 1 if self._tie is None else 2
-        self._col = {bus: j for j, bus in enumerate(dict.fromkeys([*buses, *(
-            s.bus for s in net.sources if s.kind != "infinite_grid")]),
-            start=first)}
-        rhs = np.zeros((len(injection), first + len(self._col)), complex)
-        rhs[:, 0] = injection
         if self._tie is not None:
             self._f, self._t, _ = self._taps[self._tie.id]
-            rhs[self._f, 1], rhs[self._t, 1] = 1.0, -1.0
-        for bus, j in self._col.items():
-            if bus not in self._index:
-                raise ValueError(f"unknown fault bus {bus!r}")
-            rhs[self._index[bus], j] = 1.0
+        self._buses = dict.fromkeys(buses)
+        if unknown := [b for b in self._buses if b not in self._index]:
+            raise ValueError(f"unknown fault bus {unknown[0]!r}")
         # a component with neither a source nor a load has no path to
         # ground, and its block of Y is singular however it rounds
         grounded = reachable(y[1], [self._index[e.bus] for e in (
             *net.sources, *net.loads)])
         for bus, k in self._index.items():
             if k not in grounded:
-                raise np.linalg.LinAlgError(
-                    f"Singular matrix: bus {bus!r} has no path to ground "
-                    f"through a source or a load")
-        self._x = _solve(y, rhs)
-        # each relay branch's from and to bus index, flat, in net.relays
-        # order: a fault reads only these entries of its voltage profile
-        self._ends = np.array([i for r in pu.net.relays
-                               for i in self._taps[r.branch][:2]], np.intp)
+                raise ValueError(f"Singular matrix: bus {bus!r} has no path "
+                                 f"to ground through a source or a load")
+        self._factors = _factor(y)
+        self._v = _substitute(self._factors, injection)
+        self._zdiag = _z_diagonal(self._factors)
+        self._cols: dict[tuple[int, int | None], list[complex]] = {}
 
-    def _column(self, bus: str) -> tuple[int, int]:
-        """The bus's index and the column of its unit injection."""
-        if bus not in self._col:
+    def _row(self, bus: str) -> int:
+        """The bus's index, for a bus among the states' buses."""
+        if bus not in self._buses:
             raise ValueError(f"fault bus {bus!r}: the limiter states were "
                              f"not built for it")
-        return self._index[bus], self._col[bus]
+        return self._index[bus]
+
+    def _col(self, i: int, j: int | None = None) -> list[complex]:
+        """Z (e_i - e_j), or Z e_i without j: Z's column of the bus i, or
+        of the branch from i to j, substituted on its first read and
+        kept: a profile's read keeps its fault bus's column too."""
+        if (col := self._cols.get((i, j))) is None:
+            e = [0j] * len(self._v)
+            e[i] = 1 + 0j
+            if j is not None:
+                e[j] -= 1  # a branch looping on one bus: a zero column
+            col = self._cols[i, j] = _substitute(self._factors, e)
+        return col
+
+    def _profile(self, k: int, i_f: complex, c: complex,
+                 cv: complex) -> list[complex]:
+        """The post-fault profile of the fault at bus index k, its current
+        i_f in per-unit, with the limiter's update (c, cv) applied."""
+        w = self._col(self._f, self._t) if c else [0j] * len(self._v)
+        return [v - wi * cv - i_f * (zi - wi * c * w[k])
+                for v, wi, zi in zip(self._v, w, self._col(k))]
 
     def solve(self, buses: Iterable[str],
               r_ohm: float) -> list[FaultResult]:
         """A fault at each of buses, each among the states' buses, solved
-        with the limiter at r_ohm; results are in the order of buses. At
-        the base resistance the solution is read as it was solved."""
-        x, taps = self._x, self._taps
+        with the limiter at r_ohm; results are in the order of buses."""
+        v, zd, taps, pu = self._v, self._zdiag, self._taps, self._pu
+        c, cv, w = 0j, 0j, [0j] * len(v)  # at the base: no update
         if r_ohm != self._base_ohm:
-            tie, z = _tie_z(self._pu, r_ohm)
-            f, t, w = self._f, self._t, x[:, 1]
+            tie, z = _tie_z(pu, r_ohm)
+            f, t, w = self._f, self._t, self._col(self._f, self._t)
             dy = 1.0 / z - 1.0 / self._z0
             c = dy / (1.0 + dy * (w[f] - w[t]))
-            x = x - np.outer(w, c * (x[f] - x[t]))
-            taps = {**taps, tie.id: (f, t, self._pu.i_base[tie.from_bus] / z)}
-        relays = [(r.id, taps[r.branch][2]) for r in self._pu.net.relays]
-        v_pre = x[:, 0]
+            cv = c * (v[f] - v[t])
+            taps = {**taps, tie.id: (f, t, pu.i_base[tie.from_bus] / z)}
+        # per relay: its branch's column, the prefault voltage across the
+        # branch at r_ohm, e_b^T w with e_b = e_from - e_to, and its tap
+        relays = [(r.id, self._col(a, b), v[a] - v[b] - (w[a] - w[b]) * cv,
+                   w[a] - w[b], s) for r in pu.net.relays
+                  for a, b, s in (taps[r.branch],)]
         results = []
         for bus in buses:
-            k, j = self._column(bus)
-            i_f = v_pre[k] / x[k, j]
-            v_post = v_pre - i_f * x[:, j]
-            i_f_amps = complex(i_f * self._pu.i_base[bus])
+            k = self._row(bus)
+            ck = c * w[k]
+            i_f = (v[k] - w[k] * cv) / (zd[k] - w[k] * ck)
+            i_f_amps = complex(i_f * pu.i_base[bus])
             # a relay current within the solution's round-off of zero is 0
             floor = 1e-9 * max(1.0, abs(i_f_amps))
-            ends = v_post.take(self._ends).tolist()
             results.append(FaultResult(
                 fault_bus=bus,
                 fault_current_a=abs(i_f_amps),
-                relay_currents={
-                    rid: a if (a := abs((vf - vt) * s)) > floor else 0.0
-                    for (rid, s), vf, vt in zip(relays, ends[::2],
-                                                ends[1::2])},
-                bus_voltages_pu=v_post))
+                relay_currents={rid: a if (a := abs(
+                    (dv - i_f * (col[k] - dw * ck)) * s)) > floor else 0.0
+                    for rid, col, dv, dw, s in relays},
+                profile=partial(self._profile, k, i_f, c, cv)))
         return results
 
     def level(self, bus: str) -> LevelMap:
@@ -360,16 +413,17 @@ class LimiterStates:
         """
         if self._tie is None:
             raise ValueError("no tie branch to carry the limiter resistance")
-        (k, j), f, t, x = self._column(bus), self._f, self._t, self._x
-        v, z_kk, w_k = x[k, 0], x[k, j], x[k, 1]
-        p, h = x[f, 0] - x[t, 0], x[f, 1] - x[t, 1] - self._z0
-        i_f = v / z_kk
+        k, f, t, v = self._row(bus), self._f, self._t, self._v
+        w = self._col(f, t)
+        v_k, z_kk, w_k = v[k], self._zdiag[k], w[k]
+        p, h = v[f] - v[t], w[f] - w[t] - self._z0
+        i_f = v_k / z_kk
         i0 = complex(i_f * self._pu.i_base[bus])
         # the faulted tie's current, (p - w_k i_f) / z0, against i_f
         if abs(p - w_k * i_f) <= IDLE_TIE_TOL * abs(self._z0 * i_f):
             return LevelMap(i0, 0j, 0j)
         q = self._z0 ** 2 * self._pu.z_base[self._tie.from_bus]
-        alpha = (w_k * p - v * h) / (q * v)
+        alpha = (w_k * p - v_k * h) / (q * v_k)
         beta = (w_k * w_k - z_kk * h) / (q * z_kk)
         m = 1.0 - beta * self._base_ohm
         return LevelMap(i0 * (1.0 - alpha * self._base_ohm) / m,
@@ -384,27 +438,30 @@ class LimiterStates:
         Z e_b e_b^T Z / (z - Z_bb). One such update per source, worked on
         the block of the solution at bus and the source buses (columns:
         prefault voltages and those buses' unit injections), each
-        followed by removing the injection. The states carry a column for
-        every source bus, so any bus among their buses can be read.
+        followed by removing the injection. Z[k, k] is the diagonal's,
+        and every other entry is read from a source bus's column.
         """
-        pu = self._pu
+        pu, k = self._pu, self._row(bus)
         dgs = [s for s in pu.net.sources if s.kind != "infinite_grid"]
-        rows, cols = zip(self._column(bus),
-                         *(self._column(s.bus) for s in dgs))
-        block = self._x[np.ix_(rows, (0, *cols))]
+        cols = [self._col(self._index[s.bus]) for s in dgs]
+        rows = (k, *(self._index[s.bus] for s in dgs))
+        block = [[self._v[r], self._zdiag[k] if j == 0 else cols[j - 1][k],
+                  *(col[r] for col in cols)] for j, r in enumerate(rows)]
         for i, s in enumerate(dgs, start=1):
-            z, zb = _source_z(pu, s), block[:, i + 1]
-            block += np.outer(zb / (z - zb[i]), block[i])
-            block[:, 0] -= s.emf_pu / z * block[:, i + 1]
-        return abs(complex(block[0, 0] / block[0, 1] * pu.i_base[bus]))
+            z, pivot = _source_z(pu, s), block[i][:]
+            for row in block:
+                a = row[i + 1] / (z - pivot[i + 1])
+                row[:] = [x + a * y for x, y in zip(row, pivot)]
+                row[0] -= s.emf_pu / z * row[i + 1]
+        return abs(complex(block[0][0] / block[0][1] * pu.i_base[bus]))
 
 
 def solve_fault(net: Network, fault: FaultSpec,
                 ufcl_state_ohm: float = 0.0) -> FaultResult:
     """Solve one fault by Thevenin superposition, with the limiter at
-    ufcl_state_ohm: the prefault profile and the fault bus's Thevenin
-    column come from one solve of Y (LimiterStates over the one bus), so
-    load and DG contributions are inherently superposed, and the
+    ufcl_state_ohm: the prefault voltages and the fault bus's Thevenin
+    impedance come from one factorisation of Y (LimiterStates over the one
+    bus), so load and DG contributions are inherently superposed, and the
     post-fault voltages feed every reported current."""
     return LimiterStates(net, [fault.bus], ufcl_state_ohm).solve(
         [fault.bus], ufcl_state_ohm)[0]
@@ -418,10 +475,11 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     source currents as unknowns; the fault is a zero-volt constraint
     row whose current unknown is the fault current. Solved by dense
     inversion, once per fault, of a matrix with a row per bus and two per
-    source. Kept simple and slow on purpose, not small: it takes a
-    network of any size, and exists to disagree with solve_fault if
-    either route is wrong.
+    source; imports numpy. Kept simple and slow on purpose, not small: it
+    takes a network of any size, and exists to disagree with solve_fault
+    if either route is wrong.
     """
+    import numpy as np
     pu = to_per_unit(net)
     bus_ix = {b.id: i for i, b in enumerate(net.buses)}
     n_bus = len(net.buses)
@@ -490,6 +548,6 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
         fault_current_a=abs(i_fault_a),
         relay_currents={r.id: abs(branch_currents[r.branch])
                         for r in net.relays},
-        bus_voltages_pu=x[:n_bus],
+        profile=x[:n_bus].tolist,
         fault_current_c=i_fault_a,
         branch_currents=branch_currents)

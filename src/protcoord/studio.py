@@ -31,11 +31,12 @@ import csv
 import io
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import bundled_dataset_path
 from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
@@ -91,14 +92,18 @@ class RelayReading:
 @dataclass(frozen=True)
 class FaultTable:
     """One fault's readings. bus_voltages_pu is the solve's post-fault
-    profile in per-unit, in net.buses order: what `run --debug-csv`
-    prints."""
+    profile in per-unit, in net.buses order, made by profile on its first
+    read: what `run --debug-csv` prints."""
 
     fault_bus: str
     fault_current_a: float
     ufcl_state_ohm: float
     readings: tuple[RelayReading, ...]
-    bus_voltages_pu: np.ndarray = field(compare=False, repr=False)
+    profile: Callable[[], list[complex]] = field(compare=False, repr=False)
+
+    @cached_property
+    def bus_voltages_pu(self) -> list[complex]:
+        return self.profile()
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
                              for rid, t in times[bus].items())
             tables.append(FaultTable(bus, results[bus].fault_current_a,
                                      ohms[bus], readings,
-                                     results[bus].bus_voltages_pu))
+                                     results[bus].profile))
 
         coordination = check_pairs(graded, times, {
             bus: res.relay_currents for bus, res in results.items()})
@@ -285,15 +290,12 @@ def _debug_dump(snet: Network, report: StudyReport) -> str:
     voltage profile of the report's fault table number k (1-based) appears
     as rows (i, -k, re, im).
     """
-    ybus, _ = build_ybus(snet)
-    out = ["row,col,re,im"]
-    for i, j in zip(*np.nonzero(ybus)):  # row by row
-        y = complex(ybus[i, j])
-        out.append(f"{i},{j},{y.real!r},{y.imag!r}")
-    for k, table in enumerate(report.fault_tables, start=1):
-        for i, v in enumerate(map(complex, table.bus_voltages_pu)):
-            out.append(f"{i},{-k},{v.real!r},{v.imag!r}")
-    return "\n".join(out) + "\n"
+    cells = [(i, j, y) for i, row in enumerate(build_ybus(snet)[0].tolist())
+             for j, y in enumerate(row) if y]  # row by row
+    cells += [(i, -k, v) for k, t in enumerate(report.fault_tables, start=1)
+              for i, v in enumerate(t.bus_voltages_pu)]
+    return "row,col,re,im\n" + "".join(
+        f"{i},{j},{y.real!r},{y.imag!r}\n" for i, j, y in cells)
 
 
 class _StudioGroup(click.Group):

@@ -3,11 +3,13 @@
 import functools
 import importlib.util
 import json
+import os
 import random
 from pathlib import Path
 
 import pytest
 
+import protcoord
 from protcoord import bundled_dataset_path
 from protcoord.netmodel import (Branch, Bus, Network, ShuntLoad, Source,
                                 UfclSpec, load_network, to_per_unit)
@@ -25,6 +27,15 @@ def expected():
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def package_env():
+    """os.environ with the imported protcoord's folder first on
+    PYTHONPATH, for a fresh interpreter that must import the same
+    package."""
+    src = str(Path(protcoord.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def branch_amps(net, bus_voltages_pu, r_ohm=0.0):
@@ -46,18 +57,22 @@ def branch_amps(net, bus_voltages_pu, r_ohm=0.0):
     return amps
 
 
+def bench_module(name):
+    """perfbench/<name>.py, imported read-only: compiled here, so that no
+    bytecode cache is written beside it."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path))
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         vars(module))
+    return module
+
+
 @functools.cache
 def feeder_net(buses, seed):
     """The benchmark's generated feeder of that many buses and seed, every
-    DG in service; the network is frozen.
-
-    perfbench/feeder.py is imported read-only: compiled here, so that no
-    bytecode cache is written beside it."""
-    path = ROOT / "perfbench" / "feeder.py"
-    feeder = importlib.util.module_from_spec(
-        importlib.util.spec_from_file_location("feeder", path))
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
-         vars(feeder))
+    DG in service; the network is frozen."""
+    feeder = bench_module("feeder")
     return load_network(json.dumps(feeder.make_feeder(buses, seed)))
 
 

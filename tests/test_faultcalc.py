@@ -55,10 +55,20 @@ def test_ybus_hand_stamp_with_source():
     assert ybus[1, 1] == pytest.approx(-2j, abs=1e-12)
 
 
+def dense(stamps):
+    """Y from _nodal's stamps, as a dense matrix."""
+    diag, off = stamps
+    ybus = np.diag(np.array(diag, dtype=complex))
+    for i, row in enumerate(off):
+        for j, v in row.items():
+            ybus[i, j] = v
+    return ybus
+
+
 def test_ybus_ufcl_state_touches_only_tie_entries(bundled_net):
     y0, ix = build_ybus(bundled_net)
     _, _, stamps, _ = faultcalc._nodal(to_per_unit(bundled_net), 184.0)
-    y1 = faultcalc._dense(stamps)
+    y1 = dense(stamps)
     tie = bundled_net.branch_by_id(bundled_net.ufcl.tie_branch)
     touched = {(ix[tie.from_bus], ix[tie.from_bus]),
                (ix[tie.from_bus], ix[tie.to_bus]),
@@ -217,9 +227,10 @@ def test_induction_multiplier_one_equals_sync(bundled_net, monkeypatch):
 
 
 def numbers(res):
-    """What a study reads of a fault solution, comparable bit for bit."""
+    """What a study reads of a fault solution, comparable bit for bit: the
+    voltages by their reprs, which tell -0.0 from 0.0."""
     return (res.fault_bus, res.fault_current_a, res.relay_currents,
-            res.bus_voltages_pu.tobytes())
+            repr(res.bus_voltages_pu))
 
 
 def assert_batch_matches(net, r_ohm):
@@ -315,61 +326,66 @@ def test_batch_equals_single_and_oracle_on_feeders():
 # --- the sparse route -------------------------------------------------------
 
 
-def assert_sparse_route_matches(net, r_ohm, monkeypatch, rel=1e-12):
-    """The sparse route, forced whatever the network's size, against the
-    oracle to 1e-9, and against the dense route to rel: the fault current
+def lapack_faults(net, r_ohm):
+    """Each bus's fault current in amps and post-fault voltage profile,
+    from LAPACK's inverse of the dense Y of _nodal's stamps: the dense
+    route that small networks once took, kept here as a reference."""
+    pu = to_per_unit(net)
+    index, _, stamps, injection = faultcalc._nodal(pu, r_ohm)
+    z = np.linalg.inv(dense(stamps))
+    v = z @ np.array(injection)
+    out = {}
+    for bus, k in index.items():
+        i_f = v[k] / z[k, k]
+        out[bus] = (abs(i_f * pu.i_base[bus]), v - i_f * z[:, k])
+    return out
+
+
+def assert_sparse_route_matches(net, r_ohm, rel=1e-12):
+    """The one route, the sparse LDL^T at every size, against the oracle
+    to 1e-9, and against LAPACK on the dense Y to rel: the fault current
     relative, and each post-fault bus voltage in per-unit. Its batch
     equals its single solves bit for bit."""
-    faults = [FaultSpec(b.id) for b in net.buses]
-    dense = solve_batch(net, faults, r_ohm)
-    with monkeypatch.context() as m:
-        m.setattr(faultcalc, "SPARSE_MIN_BUSES", 0)
-        m.setattr(faultcalc.np.linalg, "solve", None)  # no LAPACK call
-        assert_batch_matches(net, r_ohm)
-        batch = solve_batch(net, faults, r_ohm)
-        singles = [solve_fault(net, f, ufcl_state_ohm=r_ohm) for f in faults]
-    for res, one, ref in zip(batch, singles, dense):
-        assert numbers(res) == numbers(one)
-        assert close(res.fault_current_a, ref.fault_current_a, rel=rel)
-        assert np.abs(res.bus_voltages_pu - ref.bus_voltages_pu).max() <= rel
+    assert_batch_matches(net, r_ohm)
+    dense_route = lapack_faults(net, r_ohm)
+    for res in solve_batch(net, [FaultSpec(b.id) for b in net.buses], r_ohm):
+        amps, volts = dense_route[res.fault_bus]
+        assert close(res.fault_current_a, amps, rel=rel)
+        assert np.abs(np.array(res.bus_voltages_pu) - volts).max() <= rel
 
 
-def test_sparse_route_on_random_networks(monkeypatch):
+def test_sparse_route_on_random_networks():
     # random_connected_net's loops make the elimination fill in
     for seed in range(100):
-        assert_sparse_route_matches(random_connected_net(seed), 0.0,
-                                    monkeypatch)
+        assert_sparse_route_matches(random_connected_net(seed), 0.0)
         assert_sparse_route_matches(
-            random_radial_net(seed, with_dg=seed % 2 == 0), 0.0, monkeypatch)
+            random_radial_net(seed, with_dg=seed % 2 == 0), 0.0)
     for net, r_ohm in tie_states():
-        assert_sparse_route_matches(net, r_ohm, monkeypatch)
+        assert_sparse_route_matches(net, r_ohm)
     for net in large_nets():
-        assert_sparse_route_matches(net, 0.0, monkeypatch)
+        assert_sparse_route_matches(net, 0.0)
 
 
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
-def test_sparse_route_on_bundled(bundled_net, monkeypatch, sid):
+def test_sparse_route_on_bundled(bundled_net, sid):
     # the tie and the DG branch, near 0.006 ohm (about 7000 pu admittance),
-    # leave each route up to 6.5e-13 from the oracle, and the two routes up
+    # leave the route and LAPACK each up to 6.5e-13 from the oracle, and up
     # to 1.3e-12 apart in the fault current and 3e-12 pu in the voltages
     snet = build_scenario_net(bundled_net, SCENARIOS[sid])
     for r_ohm in (0.0, 200.0):
-        assert_sparse_route_matches(snet, r_ohm, monkeypatch, rel=1e-11)
+        assert_sparse_route_matches(snet, r_ohm, rel=1e-11)
 
 
 # the bench's feeder seeds; their R*, 2560, 640 and 1280 ohm, are read by
 # the rank-one update from the states factorised at R = 0
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_sparse_route_on_a_200_bus_feeder_study(monkeypatch, seed):
-    # at the default SPARSE_MIN_BUSES: the study's own tables, upstream at
-    # the sized R* and downstream at R = 0, against the oracle
+def test_sparse_route_on_a_200_bus_feeder_study(seed):
+    # the study's own tables, upstream at the sized R* and downstream at
+    # R = 0, against the oracle
     net = feeder_net(200, seed)
-    assert len(net.buses) == faultcalc.SPARSE_MIN_BUSES
     dgs = frozenset(s.id for s in net.sources if s.kind != "infinite_grid")
-    with monkeypatch.context() as m:
-        m.setattr(faultcalc.np.linalg, "solve", None)
-        report = run_scenario(net, Scenario("feeder", dgs, ufcl_enabled=True,
-                                            fault_buses=tuple(net.bus_ids())))
+    report = run_scenario(net, Scenario("feeder", dgs, ufcl_enabled=True,
+                                        fault_buses=tuple(net.bus_ids())))
     sampled = report.fault_tables[::10]
     assert {t.ufcl_state_ohm for t in sampled} == {0.0, report.sizing.r_star}
     for t in sampled:
@@ -379,41 +395,59 @@ def test_sparse_route_on_a_200_bus_feeder_study(monkeypatch, seed):
             assert close(r.current_a, ref.relay_currents[r.relay]), r.relay
 
 
-# the purely reactive island, whose pivot is exactly zero, is each route's
+def meshed(net):
+    """net with a branch from bus4 back to bus1, closing the upstream
+    chain bus1-bus2-bus3-bus4 into a loop: eliminating bus1, bus3 or bus4
+    first fills in a branch across the loop."""
+    return replace(net, branches=(
+        *net.branches, Branch("b41", "bus4", "bus1", "line", 3 + 2j)))
+
+
+# The tests below ran once on each of two routes, LAPACK on the dense Y
+# and the sparse LDL^T. One route is left, so their ids now name the
+# pattern it factorises: "sparse" the bundled grid as given, radial, with
+# no fill, and "dense" the same grid meshed, whose elimination fills in.
+PATTERNS = {"sparse": lambda net: net, "dense": meshed}
+
+
+# the purely reactive island, whose pivot would be exactly zero, is the
 # plain case; the others are named by their island impedance
-@pytest.mark.parametrize("min_buses, z_island", [
-    pytest.param(min_buses, z, id=route + ("" if z == 20j else f"-{z}"))
+@pytest.mark.parametrize("pattern, z_island", [
+    pytest.param(pattern, z, id=pattern + ("" if z == 20j else f"-{z}"))
     for z in (20j, 3 + 7j, 17.3 + 5.9j, 1.3 + 2.1j, 0.4 + 0.9j)
-    for route, min_buses in (("sparse", 0), ("dense", 10**6))])
+    for pattern in ("sparse", "dense")])
 def test_an_unearthed_island_is_singular_on_both_routes(bundled_net,
-                                                         monkeypatch,
-                                                         min_buses, z_island):
+                                                         pattern, z_island):
     # two buses with no source or load, reached through the API, where
     # validate does not run; a resistive island branch leaves a pivot at
     # round-off rather than zero, which must not pass for a solution
-    net = replace(bundled_net,
-                  buses=(*bundled_net.buses, Bus("x1", 20000.0),
-                         Bus("x2", 20000.0)),
-                  branches=(*bundled_net.branches,
+    net = PATTERNS[pattern](bundled_net)
+    net = replace(net, buses=(*net.buses, Bus("x1", 20000.0),
+                              Bus("x2", 20000.0)),
+                  branches=(*net.branches,
                             Branch("x12", "x1", "x2", "line", z_island)))
     assert validate(net)
-    monkeypatch.setattr(faultcalc, "SPARSE_MIN_BUSES", min_buses)
-    with pytest.raises(np.linalg.LinAlgError,
-                       match="^Singular matrix: bus 'x1'"):
+    with pytest.raises(ValueError, match="^Singular matrix: bus 'x1'"):
         solve_fault(net, FaultSpec("bus3"))
 
 
-@pytest.mark.parametrize("min_buses", [0, 10**6], ids=["sparse", "dense"])
-def test_a_branch_looping_on_one_bus_changes_nothing(bundled_net,
-                                                      monkeypatch,
-                                                      min_buses):
+def test_a_zero_pivot_is_singular():
+    # the factorisation's own guard, behind the path-to-ground check: an
+    # exactly singular Y, two buses joined by one branch and no shunt
+    y = ([2 + 0j, 2 + 0j], [{1: -2 + 0j}, {0: -2 + 0j}])
+    with pytest.raises(ValueError, match="^Singular matrix$"):
+        faultcalc._factor(y)
+
+
+@pytest.mark.parametrize("pattern", ["sparse", "dense"])
+def test_a_branch_looping_on_one_bus_changes_nothing(bundled_net, pattern):
     # validate rejects it; through the API it carries no current
-    net = replace(bundled_net, branches=(
-        *bundled_net.branches, Branch("loop", "bus4", "bus4", "line", 3 + 7j)))
-    monkeypatch.setattr(faultcalc, "SPARSE_MIN_BUSES", min_buses)
-    for bus in bundled_net.bus_ids():
+    base = PATTERNS[pattern](bundled_net)
+    net = replace(base, branches=(
+        *base.branches, Branch("loop", "bus4", "bus4", "line", 3 + 7j)))
+    for bus in base.bus_ids():
         got = solve_fault(net, FaultSpec(bus))
-        want = solve_fault(bundled_net, FaultSpec(bus))
+        want = solve_fault(base, FaultSpec(bus))
         assert numbers(got) == numbers(want)
 
 
@@ -444,17 +478,14 @@ def test_limiter_update_matches_oracle_on_tie_networks():
     assert_update_matches_oracle(net, 0.0, base=37.0)
 
 
-@pytest.mark.parametrize("min_buses", [0, 10**6], ids=["sparse", "dense"])
-def test_limiter_update_matches_oracle_on_bundled(bundled_net, monkeypatch,
-                                                  min_buses):
+@pytest.mark.parametrize("pattern", ["sparse", "dense"])
+def test_limiter_update_matches_oracle_on_bundled(bundled_net, pattern):
     # every bundled scenario's states at R = 0, read by the update at the
-    # sized resistance's range and beyond, on either route
-    monkeypatch.setattr(faultcalc, "SPARSE_MIN_BUSES", min_buses)
-    if min_buses == 0:
-        monkeypatch.setattr(faultcalc.np.linalg, "solve", None)
-    buses = bundled_net.bus_ids()
+    # sized resistance's range and beyond, radial and meshed
+    net = PATTERNS[pattern](bundled_net)
+    buses = net.bus_ids()
     for sid, scen in SCENARIOS.items():
-        snet = build_scenario_net(bundled_net, scen)
+        snet = build_scenario_net(net, scen)
         states = LimiterStates(snet, buses)
         for r_ohm in (200.0, 1000.0):
             for bus, res in zip(buses, states.solve(buses, r_ohm)):
@@ -604,13 +635,13 @@ def test_adding_dg_never_raises_thevenin(seed):
 def test_per_source_contributions_sum_to_total(seed):
     net = random_connected_net(seed)
     bus = net.buses[seed % len(net.buses)].id
-    total = solve_fault(net, FaultSpec(bus)).bus_voltages_pu
+    total = np.array(solve_fault(net, FaultSpec(bus)).bus_voltages_pu)
     parts = 0j
     for s in net.sources:
         solo = replace(net, sources=tuple(
             src if src.id == s.id else replace(src, emf_pu=0.0)
             for src in net.sources))
-        parts += solve_fault(solo, FaultSpec(bus)).bus_voltages_pu
+        parts += np.array(solve_fault(solo, FaultSpec(bus)).bus_voltages_pu)
     assert np.abs(parts - total).max() <= \
         1e-9 * max(1.0, np.abs(total).max())
 

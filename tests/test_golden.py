@@ -1,5 +1,10 @@
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conftest import package_env
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import golden  # noqa: E402
@@ -12,3 +17,28 @@ def test_cli_output_matches_golden_corpus():
     differ = [name for name, args in cases.items()
               if files.get(name) != golden.record(args).encode()]
     assert (sorted(set(files) - set(cases)), differ) == ([], [])
+
+
+# a fresh interpreter running one command line, as `protcoord` does, that
+# says on stderr's last line whether numpy was loaded when it exited
+NUMPY_PROBE = """\
+import sys
+from protcoord.studio import cli
+try:
+    cli.main(args=sys.argv[1:], prog_name="protcoord")
+finally:
+    sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}\\n")
+"""
+
+
+@pytest.mark.parametrize("case", ["run_s2_dg1_ufcl_md", "run_s2_dg1_ufcl_csv",
+                                  "size_ufcl_bus3", "validate", "check"])
+def test_cli_never_imports_numpy(case):
+    # only `run --debug-csv`, through build_ybus, reaches numpy
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE,
+                           *golden.cases()[case]], capture_output=True,
+                          text=True, env=package_env())
+    want = (golden.GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert want.startswith(f"exit {proc.returncode}\n--- stdout\n"
+                           f"{proc.stdout}--- stderr\n")
+    assert proc.stderr.endswith("\nnumpy loaded: False\n")

@@ -2,12 +2,17 @@ import ast
 import importlib
 import inspect
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy
 import pytest
 
 import protcoord
+from conftest import bench_module, package_env
+from protcoord import faultcalc
 from protcoord.faultcalc import FaultResult
 from protcoord.netmodel import _RECORDS, Network, UfclSpec
 from protcoord.relaycurve import CurveConstants
@@ -128,6 +133,27 @@ def test_bench_tracer_sites_resolve():
                   if not callable(getattr(importlib.import_module(mod),
                                           attr, None))}
     assert unresolved == STALE_BENCH_SITES
+
+
+def test_bench_tracer_installs():
+    # the traced bench wraps np.linalg through faultcalc.np, a name that
+    # faultcalc resolves on read and never binds itself, so that importing
+    # the studio leaves numpy unloaded; a broken read would show only when
+    # the traced bench runs
+    tracer = bench_module("tracer").Tracer()
+    tracer.install()
+    try:
+        assert faultcalc.np.linalg.solve.__wrapped__ is numpy.linalg.solve
+    finally:
+        tracer.uninstall()
+    assert vars(faultcalc).pop("np") is numpy  # as uninstall put it back
+    assert faultcalc.np is numpy
+    with pytest.raises(AttributeError, match="has no attribute 'numpy'"):
+        faultcalc.numpy
+    code = "import sys, protcoord.studio; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=package_env())
+    assert proc.stdout == "False\n"
 
 
 def test_no_private_cross_module_imports():

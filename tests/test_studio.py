@@ -177,15 +177,15 @@ def test_downstream_faults_see_r_normal(bundled_net, sid):
 
 
 def count_factorisations(monkeypatch):
-    """Count faultcalc's solves of Y, on either route; each call records
-    Y's size."""
+    """Count faultcalc's factorisations of Y; each call records Y's
+    size."""
     calls = []
-    solve = faultcalc._solve
+    factor = faultcalc._factor
 
-    def spy(y, rhs):
-        calls.append(len(rhs))
-        return solve(y, rhs)
-    monkeypatch.setattr(faultcalc, "_solve", spy)
+    def spy(y):
+        calls.append(len(y[0]))
+        return factor(y)
+    monkeypatch.setattr(faultcalc, "_factor", spy)
     return calls
 
 
@@ -217,8 +217,8 @@ def test_factorisations_per_cli_sizing_off_the_recorded_bus(monkeypatch,
 
 
 def test_factorisations_per_feeder_study(monkeypatch):
-    # the benchmark's 200-bus feeder takes the sparse route: the study's
-    # limiter states, and the confirm at the sized R*
+    # the benchmark's 200-bus feeder: the study's limiter states, and the
+    # confirm at the sized R*
     net = feeder_net(200, 1)
     dgs = frozenset(s.id for s in net.sources if s.kind != "infinite_grid")
     calls = count_factorisations(monkeypatch)
@@ -448,7 +448,7 @@ def test_cli_run_debug_csv_prints_the_reports_voltages(tmp_path,
     for k, table in enumerate(tables, start=1):
         got = [complex(float(re), float(im))
                for _, j, re, im in rows if int(j) == -k]
-        assert got == table.bus_voltages_pu.tolist(), table.fault_bus
+        assert got == table.bus_voltages_pu, table.fault_bus
     assert sum(int(j) < 0 for _, j, _, _ in rows) == \
         len(tables) * len(tables[0].bus_voltages_pu)
 
