@@ -27,7 +27,9 @@ Exit codes: 0 all pairs coordinate, 2 coordination violations, 1 error.
 
 from __future__ import annotations
 
+import argparse
 import csv
+import gc
 import io
 import math
 import sys
@@ -35,8 +37,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-
-import click
 
 from . import bundled_dataset_path
 from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
@@ -260,7 +260,7 @@ def emit_report(report: StudyReport, format: str = "md",
 
 
 def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(1)
 
 
@@ -277,8 +277,7 @@ def _load_net(path: str | None) -> Network:
     file, net = _read_net(path)
     problems = validate(net)
     if problems:
-        for v in problems:
-            click.echo(str(v), err=True)
+        print(*problems, sep="\n", file=sys.stderr)
         _fail(f"{file}: {len(problems)} validation problem(s)")
     return net
 
@@ -298,81 +297,31 @@ def _debug_dump(snet: Network, report: StudyReport) -> str:
         f"{i},{j},{y.real!r},{y.imag!r}\n" for i, j, y in cells)
 
 
-class _StudioGroup(click.Group):
-    """Exit 2 is reserved for coordination verdicts, so command line
-    mistakes (unknown flags, bad choices) must exit 1 instead of click's
-    default 2. This is also the commands' one error boundary: an OSError,
-    ValueError or RuntimeError from any of them ends in one error line and
-    exit 1."""
-
-    def main(self, *args, **kwargs):
-        kwargs.setdefault("standalone_mode", False)
-        try:
-            return super().main(*args, **kwargs)
-        except click.exceptions.Exit as exc:
-            sys.exit(exc.exit_code)
-        except click.Abort:
-            sys.exit(1)
-        except click.ClickException as exc:
-            exc.show()
-            sys.exit(1)
-        # after the click clauses: Exit and Abort are RuntimeErrors too
-        except (OSError, ValueError, RuntimeError) as exc:
-            _fail(str(exc))
-
-
-@click.group(cls=_StudioGroup)
-def cli():
-    """Overcurrent coordination studies on DG networks with a tie-line
-    fault current limiter."""
-
-
-@cli.command("run")
-@click.option("--network", "network_path", default=None,
-              help="Network JSON (defaults to the bundled study grid).")
-@click.option("--scenario", "scenario_id", required=True,
-              type=click.Choice(sorted(SCENARIOS)))
-@click.option("--fault-bus", "fault_buses", multiple=True,
-              help="Override the scenario fault buses (repeatable).")
-@click.option("--format", "fmt", type=click.Choice(["md", "csv"]),
-              default="md", show_default=True)
-@click.option("--out", "out_path", default=None,
-              help="Write the report here instead of stdout.")
-@click.option("--full-precision", is_flag=True,
-              help="Full float precision instead of 4 significant digits.")
-@click.option("--debug-csv", "debug_path", default=None,
-              help="Dump Ybus and post-fault voltages (row,col,re,im).")
-def run_cmd(network_path, scenario_id, fault_buses, fmt, out_path,
-            full_precision, debug_path):
+def _run_cmd(opts: argparse.Namespace) -> int:
     """Run one study scenario and report currents, times and verdicts."""
-    net = _load_net(network_path)
-    scenario = SCENARIOS[scenario_id]
-    if fault_buses:
-        scenario = replace(scenario, fault_buses=tuple(fault_buses))
+    net = _load_net(opts.network)
+    scenario = SCENARIOS[opts.scenario]
+    if opts.fault_bus:
+        scenario = replace(scenario, fault_buses=tuple(opts.fault_bus))
     report = run_scenario(net, scenario)
-    if debug_path:
-        Path(debug_path).write_text(_debug_dump(
+    if opts.debug_csv:
+        Path(opts.debug_csv).write_text(_debug_dump(
             build_scenario_net(net, scenario), report))
-    text = emit_report(report, fmt, full_precision)
-    if out_path:
-        Path(out_path).write_text(text)
+    text = emit_report(report, opts.format, opts.full_precision)
+    if opts.out:
+        Path(opts.out).write_text(text)
     else:
-        click.echo(text, nl=False)
-    sys.exit(0 if report.coordination.all_ok else 2)
+        sys.stdout.write(text)
+    return 0 if report.coordination.all_ok else 2
 
 
-@cli.command("size-ufcl")
-@click.option("--network", "network_path", default=None,
-              help="Network JSON (defaults to the bundled study grid).")
-@click.option("--fault-bus", "fault_bus", required=True)
-def size_cmd(network_path, fault_bus):
+def _size_cmd(opts: argparse.Namespace) -> None:
     """Size the limiter to restore the pre-DG fault level at one bus."""
-    net = _load_net(network_path)
-    result = size_ufcl(net, fault_bus)
-    click.echo(f"r_star_ohm = {result.r_star!r}")
-    click.echo(f"achieved_a = {result.achieved_current_a!r}")
-    click.echo(f"target_a = {result.target_current_a!r}")
-    click.echo(f"iterations = {result.iterations}")
+    result = size_ufcl(_load_net(opts.network), opts.fault_bus)
+    print(f"r_star_ohm = {result.r_star!r}")
+    print(f"achieved_a = {result.achieved_current_a!r}")
+    print(f"target_a = {result.target_current_a!r}")
+    print(f"iterations = {result.iterations}")
 
 
 def _parse_times_csv(text: str,
@@ -412,36 +361,106 @@ def _parse_times_csv(text: str,
     return out
 
 
-@cli.command("check")
-@click.option("--network", "network_path", default=None,
-              help="Network JSON (defaults to the bundled study grid).")
-@click.option("--times", "times_path", required=True,
-              help="CSV of externally supplied operate times "
-                   "(fault_bus, relay, t_s; blank t_s = no trip).")
-@click.option("--full-precision", is_flag=True)
-def check_cmd(network_path, times_path, full_precision):
+def _check_cmd(opts: argparse.Namespace) -> int:
     """Grade the declared pairs against externally supplied times."""
-    net = _load_net(network_path)
+    net = _load_net(opts.network)
     report = check_pairs(net.pairs, _parse_times_csv(
-        Path(times_path).read_text(encoding="utf-8-sig"), net))
-    for line in _coordination_md(report, full_precision):
-        click.echo(line)
-    sys.exit(0 if report.all_ok else 2)
+        Path(opts.times).read_text(encoding="utf-8-sig"), net))
+    for line in _coordination_md(report, opts.full_precision):
+        print(line)
+    return 0 if report.all_ok else 2
 
 
-@cli.command("validate")
-@click.option("--network", "network_path", default=None,
-              help="Network JSON (defaults to the bundled study grid).")
-def validate_cmd(network_path):
+def _validate_cmd(opts: argparse.Namespace) -> None:
     """Load a network file and report every invariant violation."""
-    _, net = _read_net(network_path)
+    _, net = _read_net(opts.network)
     problems = validate(net)
-    for v in problems:
-        click.echo(str(v))
     if problems:
+        print(*problems, sep="\n")
         _fail(f"{len(problems)} validation problem(s)")
-    click.echo(f"ok: {len(net.buses)} buses, {len(net.branches)} branches, "
-               f"{len(net.sources)} sources, {len(net.relays)} relays")
+    print(f"ok: {len(net.buses)} buses, {len(net.branches)} branches, "
+          f"{len(net.sources)} sources, {len(net.relays)} relays")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exit 2 is reserved for coordination verdicts, so a command line
+    mistake (an unknown flag or command, a bad choice, an abbreviated
+    option) ends in the usage line, one error line and exit 1."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs, allow_abbrev=False)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
+def _parser(prog: str) -> _Parser:
+    """Overcurrent coordination studies on DG networks with a tie-line
+    fault current limiter."""
+    # the docstring is the --help text; a parse holds each option by its
+    # name and its command's function as `command`
+    parser = _Parser(prog=prog, description=_parser.__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, fn):
+        sub = commands.add_parser(name, help=fn.__doc__,
+                                  description=fn.__doc__)
+        sub.set_defaults(command=fn)
+        sub.add_argument("--network", help="Network JSON (defaults to the "
+                         "bundled study grid).")
+        return sub.add_argument
+
+    option = command("run", _run_cmd)
+    option("--scenario", required=True, choices=sorted(SCENARIOS))
+    option("--fault-bus", action="append",
+           help="Override the scenario fault buses (repeatable).")
+    option("--format", choices=["md", "csv"], default="md",
+           help="[default: md]")
+    option("--out", help="Write the report here instead of stdout.")
+    option("--full-precision", action="store_true",
+           help="Full float precision instead of 4 significant digits.")
+    option("--debug-csv",
+           help="Dump Ybus and post-fault voltages (row,col,re,im).")
+    command("size-ufcl", _size_cmd)("--fault-bus", required=True)
+    option = command("check", _check_cmd)
+    option("--times", required=True,
+           help="CSV of externally supplied operate times "
+                "(fault_bus, relay, t_s; blank t_s = no trip).")
+    option("--full-precision", action="store_true")
+    command("validate", _validate_cmd)
+    return parser
+
+
+class _Cli:
+    """The `protcoord` command line.
+
+    main() parses, runs one command and ends in sys.exit: 0 or 2 by the
+    verdicts of `run` and `check`, 1 for an error. It is also the
+    commands' one error boundary: an OSError, ValueError or RuntimeError
+    from any of them ends in one error line and exit 1. Calling the object
+    itself is the process entry (the console script and `python -m
+    protcoord.studio`): it first moves every object the imports made to
+    the collector's permanent generation, so neither a collection during
+    the command nor the one at exit walks them. main() does not freeze,
+    because tests and perfbench call it in a process that goes on running.
+    """
+
+    name = "protcoord"  # the program name in usage lines
+
+    def __call__(self):
+        gc.freeze()
+        self.main()
+
+    def main(self, args=None, prog_name=None):
+        opts = _parser(prog_name or self.name).parse_args(args)
+        try:
+            sys.exit(opts.command(opts))  # None: exit 0
+        except (OSError, ValueError, RuntimeError) as exc:
+            _fail(str(exc))
+
+
+cli = _Cli()
 
 
 if __name__ == "__main__":

@@ -20,14 +20,16 @@ def test_cli_output_matches_golden_corpus():
 
 
 # a fresh interpreter running one command line, as `protcoord` does, that
-# says on stderr's last line whether numpy was loaded when it exited
+# says on stderr's last line whether numpy or click was loaded when it
+# exited
 NUMPY_PROBE = """\
 import sys
 from protcoord.studio import cli
 try:
     cli.main(args=sys.argv[1:], prog_name="protcoord")
 finally:
-    sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}\\n")
+    sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}, "
+                     f"click loaded: {'click' in sys.modules}\\n")
 """
 
 
@@ -41,4 +43,31 @@ def test_cli_never_imports_numpy(case):
     want = (golden.GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert want.startswith(f"exit {proc.returncode}\n--- stdout\n"
                            f"{proc.stdout}--- stderr\n")
-    assert proc.stderr.endswith("\nnumpy loaded: False\n")
+    assert proc.stderr.endswith("\nnumpy loaded: False, click loaded: False\n")
+
+
+# the console script's own call, as pip writes it, which then says whether
+# the heap was frozen
+CONSOLE_SCRIPT = """\
+import gc, sys
+from protcoord.studio import cli
+try:
+    sys.exit(cli())
+finally:
+    sys.stderr.write(f"\\nfrozen: {gc.get_freeze_count() > 0}\\n")
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "console_script"])
+@pytest.mark.parametrize("case", ["run_s2_dg1_ufcl_md", "validate"])
+def test_process_entries_match_golden(entry, case):
+    # both process entries end as the in-process command does
+    command = {"module": ["-m", "protcoord.studio"],
+               "console_script": ["-c", CONSOLE_SCRIPT]}[entry]
+    proc = subprocess.run([sys.executable, *command, *golden.cases()[case]],
+                          capture_output=True, text=True, env=package_env())
+    want = (golden.GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert want.startswith(f"exit {proc.returncode}\n--- stdout\n"
+                           f"{proc.stdout}--- stderr\n")
+    if entry == "console_script":
+        assert proc.stderr.endswith("\nfrozen: True\n")

@@ -744,11 +744,55 @@ def test_cli_reads_network_with_bom(tmp_path, command):
     assert got.output == want.output
 
 
-def test_cli_usage_errors_exit_one():
-    result = CliRunner().invoke(cli, ["run", "--scenario", "nope"])
-    assert result.exit_code == 1
-    result = CliRunner().invoke(cli, ["--no-such-flag"])
-    assert result.exit_code == 1
+@pytest.mark.parametrize("args", [
+    ["--no-such-flag"],
+    ["run", "--scenario", "s0_no_dg", "--no-such-flag"],
+    ["nope"],
+    [],
+    ["run", "--scenario", "nope"],
+    ["run", "--scenario", "s0_no_dg", "--format", "xml"],
+    ["run"],
+    ["size-ufcl"],
+    ["check"],
+    ["run", "--scen", "s0_no_dg"],
+], ids=["unknown_flag", "unknown_command_flag", "unknown_command",
+        "no_command", "bad_scenario", "bad_format", "no_scenario",
+        "no_fault_bus", "no_times", "abbreviated_option"])
+def test_cli_usage_errors_exit_one(args):
+    # exit 2 is a verdict, so a command line mistake exits 1; an
+    # abbreviated option is a mistake, not the option it starts
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    errors = [ln for ln in result.stderr.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1, result.stderr
+    assert result.stderr.startswith("usage: protcoord")
+    assert result.stderr.endswith(errors[0] + "\n")
+
+
+@pytest.mark.parametrize("args, shown", [
+    (["--help"], "Load a network file and report every invariant violation."),
+    (["run", "--help"], "Override the scenario fault buses (repeatable)."),
+], ids=["top", "run"])
+def test_cli_help_exits_zero(args, shown):
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: protcoord")
+    assert shown in result.stdout
+    assert result.stderr == ""
+
+
+def test_cli_main_never_freezes_the_heap(monkeypatch):
+    # only the process entry, cli(), freezes: tests and the bench call
+    # cli.main in a process that goes on running
+    frozen = []
+    monkeypatch.setattr(studio.gc, "freeze", lambda: frozen.append(1))
+    result = CliRunner().invoke(cli, ["validate"])
+    assert result.exit_code == 0
+    assert frozen == []
 
 
 def test_cli_full_precision_changes_formatting():

@@ -4,14 +4,14 @@
 
 Regenerates tests/golden/ from the checkout's src/, and is the only way
 those files should change. Each case in cases() is one command line, run
-in-process through click's CliRunner. Its record is the exit code, the
-stdout and the stderr, stored byte for byte in tests/golden/<case>.txt;
+in-process through click's CliRunner (click 8.2 or later, which keeps
+stderr apart from stdout). Its record is the exit code, the stdout and
+the stderr, stored byte for byte in tests/golden/<case>.txt;
 tests/test_golden.py compares every case with its file.
 """
 
 from __future__ import annotations
 
-import inspect
 import sys
 from pathlib import Path
 
@@ -39,10 +39,7 @@ def record(args: list[str]) -> str:
 
     from protcoord.studio import cli
 
-    # click before 8.2 mixes stderr into stdout unless told not to
-    mixed = "mix_stderr" in inspect.signature(CliRunner).parameters
-    result = (CliRunner(mix_stderr=False) if mixed else CliRunner()).invoke(
-        cli, args)
+    result = CliRunner().invoke(cli, args)
     if not isinstance(result.exception, (SystemExit, type(None))):
         raise result.exception
     return (f"exit {result.exit_code}\n--- stdout\n{result.stdout}"
