@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from graphlib import CycleError, TopologicalSorter
 from itertools import count, takewhile
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .netmodel import CoordinationPair, Network
 from .relaycurve import operate_time
@@ -40,8 +40,7 @@ class TdsInfeasibleError(ValueError):
     """No TDS on the grid satisfies the CTI floor for some relay."""
 
 
-@dataclass(frozen=True)
-class CoordinationRow:
+class CoordinationRow(NamedTuple):
     fault_bus: str
     main: str
     backup: str
@@ -53,8 +52,7 @@ class CoordinationRow:
     verdict: str
 
 
-@dataclass(frozen=True)
-class CoordinationReport:
+class CoordinationReport(NamedTuple):
     rows: tuple[CoordinationRow, ...]
 
     @property

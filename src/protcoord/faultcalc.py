@@ -6,9 +6,10 @@ is a three-phase short circuit at a bus through zero fault impedance,
 solved by superposition on the nodal admittance matrix. Relay currents
 come straight out of the post-fault voltage across each relay branch;
 there is no separate load-flow overlay. Each operating state builds its
-per-branch taps once (the from and to bus index and i_base[from] / z,
-keyed by branch id), and a fault reads its relay currents at those taps,
-so a study pays only for the relay branches.
+taps once, for the relay branches and the limiter's tie only (the from
+and to bus index and i_base[from] / z, keyed by branch id), and a fault
+reads its relay currents at those taps, so a study pays only for the
+relay branches.
 build_ybus returns the admittance matrix of the state with the limiter at
 R = 0: the matrix that `run --debug-csv` prints.
 
@@ -45,7 +46,7 @@ import heapq
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .netmodel import (Branch, Network, PuNetwork, Source, reachable,
                        to_per_unit)
@@ -83,8 +84,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     """A three-phase short circuit at bus, through zero fault impedance."""
 
     bus: str
@@ -145,10 +145,11 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
            ) -> tuple[dict[str, int], dict[str, tuple[int, int, complex]],
                       _Stamps, list[complex]]:
     """One operating state, with the limiter at ufcl_state_ohm and the
-    induction multiplier applied: the bus index, one tap per branch id,
-    (from index, to index, i_base[from] / z), that turns a voltage profile
-    in per-unit into the branch's current in amps, and Y and the Norton
-    source injections in per-unit. Y is its stamps: the diagonal, and one
+    induction multiplier applied: the bus index, a tap per id of a relay's
+    branch or of the tie (from index, to index, i_base[from] / z) that
+    turns a voltage profile in per-unit into the branch's current in amps,
+    and Y and the Norton source injections in per-unit. LimiterStates
+    reads no other branch's tap. Y is its stamps: the diagonal, and one
     dict of off-diagonal entries per row, column index to entry."""
     index = {b.id: i for i, b in enumerate(pu.net.buses)}
     n = len(index)
@@ -157,12 +158,13 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
     injection = [0j] * n
 
     tie, tie_z = _tie_z(pu, ufcl_state_ohm)
-    taps = {}
+    relayed, taps = {r.branch for r in pu.net.relays}, {}
     for br in pu.net.branches:
         z = tie_z if br is tie else pu.branch_z_pu[br.id]
         y = 1.0 / z
         f, t = index[br.from_bus], index[br.to_bus]
-        taps[br.id] = (f, t, complex(pu.i_base[br.from_bus] / z))
+        if br is tie or br.id in relayed:
+            taps[br.id] = (f, t, complex(pu.i_base[br.from_bus] / z))
         if f == t:
             continue  # a branch looping on one bus carries no current
         diag[f] += y
@@ -265,8 +267,7 @@ def build_ybus(net: Network) -> tuple[np.ndarray, dict[str, int]]:
     return ybus, index
 
 
-@dataclass(frozen=True)
-class LevelMap:
+class LevelMap(NamedTuple):
     """Complex fault current at one bus, in amps, against the limiter
     resistance R in ohms: I_f(R) = (a + b R) / (1 + d R)."""
 
@@ -391,13 +392,13 @@ class LimiterStates:
             i_f_amps = complex(i_f * pu.i_base[bus])
             # a relay current within the solution's round-off of zero is 0
             floor = 1e-9 * max(1.0, abs(i_f_amps))
+            # fault_bus, fault_current_a, relay_currents, profile
             results.append(FaultResult(
-                fault_bus=bus,
-                fault_current_a=abs(i_f_amps),
-                relay_currents={rid: a if (a := abs(
+                bus, abs(i_f_amps),
+                {rid: a if (a := abs(
                     (dv - i_f * (col[k] - dw * ck)) * s)) > floor else 0.0
-                    for rid, col, dv, dw, s in relays},
-                profile=partial(self._profile, k, i_f, c, cv)))
+                 for rid, col, dv, dw, s in relays},
+                partial(self._profile, k, i_f, c, cv)))
         return results
 
     def level(self, bus: str) -> LevelMap:

@@ -28,6 +28,7 @@ import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 from .relaycurve import CurveConstants, curve_family
 
@@ -139,8 +140,7 @@ class Network:
         raise KeyError(f"unknown relay {relay_id!r}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     subject: str
     message: str
@@ -462,8 +462,7 @@ def validate(net: Network) -> list[Violation]:
 # per-unit
 
 
-@dataclass(frozen=True)
-class PuNetwork:
+class PuNetwork(NamedTuple):
     """A network with every impedance on the common power base.
 
     z_base and i_base map each bus to its impedance base (ohms) and current
@@ -513,9 +512,7 @@ def to_per_unit(net: Network) -> PuNetwork:
                 for s in net.sources}
     load_z = {l.id: l.impedance / z_base[l.bus] for l in net.loads}
 
-    return PuNetwork(net=net, z_base=z_base, i_base=i_base,
-                     branch_z_pu=branch_z, source_z_pu=source_z,
-                     load_z_pu=load_z)
+    return PuNetwork(net, z_base, i_base, branch_z, source_z, load_z)
 
 
 # ---------------------------------------------------------------------------

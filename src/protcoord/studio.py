@@ -37,6 +37,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bundled_dataset_path
 from .coordination import (CSV_COLUMNS, CoordinationReport, check_pairs,
@@ -82,8 +83,7 @@ SCENARIOS = {
 }
 
 
-@dataclass(frozen=True)
-class RelayReading:
+class RelayReading(NamedTuple):
     relay: str
     current_a: float
     time_s: float | None
@@ -192,14 +192,15 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
         # it and the pairs are graded from it
         tables, times = [], {}
         for bus in buses:
-            amps = results[bus].relay_currents
-            times[bus] = {rid: operate_time(relays[rid], amps[rid]) for rid
-                          in dict.fromkeys([*pair_relays[bus], *relays])}
-            readings = tuple(RelayReading(rid, amps[rid], t)
-                             for rid, t in times[bus].items())
-            tables.append(FaultTable(bus, results[bus].fault_current_a,
-                                     ohms[bus], readings,
-                                     results[bus].profile))
+            res, first, readings = results[bus], pair_relays[bus], []
+            amps = res.relay_currents
+            times[bus] = bus_times = {}
+            # a bus without pairs reads its relays in network order
+            for rid in dict.fromkeys([*first, *relays]) if first else relays:
+                t = bus_times[rid] = operate_time(relays[rid], amps[rid])
+                readings.append(RelayReading(rid, amps[rid], t))
+            tables.append(FaultTable(bus, res.fault_current_a, ohms[bus],
+                                     tuple(readings), res.profile))
 
         coordination = check_pairs(graded, times, {
             bus: res.relay_currents for bus, res in results.items()})
@@ -385,12 +386,25 @@ def _validate_cmd(opts: argparse.Namespace) -> None:
 class _Parser(argparse.ArgumentParser):
     """Exit 2 is reserved for coordination verdicts, so a command line
     mistake (an unknown flag or command, a bad choice, an abbreviated
-    option) ends in the usage line, one error line and exit 1."""
+    option) ends in the usage line, one error line and exit 1. An unknown
+    option is named before the required arguments it leaves missing:
+    argparse checks those first, so `run --scen s0_no_dg` would report
+    --scenario missing rather than --scen unrecognized."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs, allow_abbrev=False)
 
+    def parse_known_args(self, args=None, namespace=None):
+        self._given = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
+        # argparse takes no value that starts with "-" for an option, so
+        # each such word but "-" and "--" is an option string, known or not
+        unknown = [a for a in self._given if a.strip("-") and a[0] == "-"
+                   and a.split("=")[0] not in self._option_string_actions]
+        if unknown and message.startswith("the following arguments are"):
+            message = f"unrecognized arguments: {unknown[0]}"
         self.print_usage(sys.stderr)
         self.exit(1, f"error: {message}\n")
 

@@ -30,7 +30,7 @@ checks the read and gives the reported current.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .faultcalc import FaultSpec, LimiterStates, solve_fault
 from .netmodel import Network, partition_by_tie
@@ -49,8 +49,7 @@ class SizingError(RuntimeError):
     hit, or the solution at the accepted resistance misses the target."""
 
 
-@dataclass(frozen=True)
-class SizingResult:
+class SizingResult(NamedTuple):
     r_star: float  # ohms
     achieved_current_a: float
     target_current_a: float

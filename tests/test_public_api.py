@@ -4,7 +4,7 @@ import inspect
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy
@@ -201,6 +201,53 @@ def test_every_loaded_field_is_read():
     unread = [f"{cls.__name__}.{f.name}" for cls in records
               for f in fields(cls) if f.name not in reads]
     assert unread == []
+
+
+# records that nothing rebuilds with dataclasses.replace, reads through
+# dataclasses.fields or caches a value on are NamedTuples, cheaper to
+# build and to define; each keeps its field names in this order
+VALUE_RECORDS = {
+    "studio.RelayReading": ("relay", "current_a", "time_s"),
+    "coordination.CoordinationRow": (
+        "fault_bus", "main", "backup", "i_main_a", "i_backup_a", "t_main_s",
+        "t_backup_s", "cti_s", "verdict"),
+    "coordination.CoordinationReport": ("rows",),
+    "ufcl.SizingResult": ("r_star", "achieved_current_a", "target_current_a",
+                          "iterations"),
+    "faultcalc.LevelMap": ("a", "b", "d"),
+    "faultcalc.FaultSpec": ("bus",),
+    "netmodel.PuNetwork": ("net", "z_base", "i_base", "branch_z_pu",
+                           "source_z_pu", "load_z_pu"),
+    "netmodel.Violation": ("rule", "subject", "message"),
+}
+# records the loader builds from their fields, that cache a value, or that
+# studio, the tests or the bench rebuild with dataclasses.replace
+DATACLASS_RECORDS = {
+    "netmodel.Bus", "netmodel.Branch", "netmodel.Source", "netmodel.ShuntLoad",
+    "netmodel.RelaySpec", "netmodel.CoordinationPair", "netmodel.UfclSpec",
+    "relaycurve.CurveConstants", "netmodel.Network", "studio.Scenario",
+    "faultcalc.FaultResult", "faultcalc.OracleResult", "studio.FaultTable",
+    "studio.StudyReport",
+}
+
+
+def test_record_kinds():
+    records = {f"{name}.{cls.__name__}": cls for name in MODULES
+               for cls in vars(importlib.import_module(f"protcoord.{name}"))
+               .values()
+               if inspect.isclass(cls) and cls.__module__ == f"protcoord.{name}"
+               and (is_dataclass(cls) or issubclass(cls, tuple))}
+    assert {n for n, cls in records.items() if is_dataclass(cls)} \
+        == DATACLASS_RECORDS
+    assert all(records[n].__dataclass_params__.frozen
+               for n in DATACLASS_RECORDS)
+    assert {n for n, cls in records.items() if issubclass(cls, tuple)} \
+        == set(VALUE_RECORDS)
+    for name, names in VALUE_RECORDS.items():
+        record = records[name](*range(len(names)))
+        assert record._fields == names
+        with pytest.raises(AttributeError):
+            setattr(record, names[0], None)
 
 
 def test_readme_python_example_runs(capsys):

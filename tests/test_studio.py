@@ -773,6 +773,21 @@ def test_cli_usage_errors_exit_one(args):
     assert result.stderr.endswith(errors[0] + "\n")
 
 
+@pytest.mark.parametrize("args, named", [
+    (["run", "--scen", "s0_no_dg"], "--scen"),
+    (["--no-such-flag"], "--no-such-flag"),
+    (["run", "--format=csv", "--scenaro=s0_no_dg"], "--scenaro=s0_no_dg"),
+], ids=["abbreviated_option", "unknown_flag", "misspelt_option"])
+def test_cli_names_the_unknown_option_before_a_missing_one(args, named):
+    # argparse checks required arguments first: a mistyped --scenario
+    # would be reported as missing, which hides the word to fix
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 1, result.output
+    errors = [ln for ln in result.stderr.splitlines()
+              if ln.startswith("error:")]
+    assert errors == [f"error: unrecognized arguments: {named}"]
+
+
 @pytest.mark.parametrize("args, shown", [
     (["--help"], "Load a network file and report every invariant violation."),
     (["run", "--help"], "Override the scenario fault buses (repeatable)."),
