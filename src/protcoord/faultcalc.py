@@ -35,17 +35,17 @@ study never imports numpy; build_ybus and oracle_solve import it on call.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
-the first. The two routes share only to_per_unit and the base record,
-FaultResult; the oracle's OracleResult adds the complex fault current and
-every branch's current.
+the first. The two routes share only to_per_unit. The oracle's record,
+OracleResult, is not a FaultResult: it holds FaultResult's fields first,
+in the same order, then the complex fault current and every branch's
+current, so code that reads a FaultResult reads it the same way.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .netmodel import (Branch, Network, PuNetwork, Source, reachable,
@@ -90,36 +90,41 @@ class FaultSpec(NamedTuple):
     bus: str
 
 
-@dataclass(frozen=True)
-class FaultResult:
+class FaultResult(NamedTuple):
     """Solved fault: what a study reads of it.
 
     fault_current_a is |I_f| in amps on the fault bus's base, and
     relay_currents the magnitude each relay sees (relays act on |I|), in
     amps on its branch's from-side base. bus_voltages_pu is the post-fault
     voltage profile in per-unit, in net.buses order, made by profile on
-    its first read: a study that reads only currents never pays for it.
+    each read: a study that reads only currents never pays for it, and a
+    reader that wants it twice keeps it (studio.FaultTable caches it).
     """
 
     fault_bus: str | None
     fault_current_a: float
     relay_currents: dict[str, float]
-    profile: Callable[[], list[complex]] = field(compare=False, repr=False)
+    profile: Callable[[], list[complex]]
 
-    @cached_property
+    @property
     def bus_voltages_pu(self) -> list[complex]:
         return self.profile()
 
 
-@dataclass(frozen=True)
-class OracleResult(FaultResult):
-    """oracle_solve's record: the base record plus the complex fault
+class OracleResult(NamedTuple):
+    """oracle_solve's record: FaultResult's fields, then the complex fault
     current and every branch's complex current, in amps on its from-side
     base, in net.branches order. The oracle also solves the unfaulted
     network: fault_bus None, no fault current."""
 
+    fault_bus: str | None
+    fault_current_a: float
+    relay_currents: dict[str, float]
+    profile: Callable[[], list[complex]]
     fault_current_c: complex
     branch_currents: dict[str, complex]
+
+    bus_voltages_pu = FaultResult.bus_voltages_pu
 
 
 def _tie_z(pu: PuNetwork, r_ohm: float) -> tuple[Branch | None, complex]:
@@ -130,7 +135,10 @@ def _tie_z(pu: PuNetwork, r_ohm: float) -> tuple[Branch | None, complex]:
         if r_ohm != 0.0:
             raise ValueError("no tie branch to carry the limiter resistance")
         return None, 0j
-    tie = pu.net.branch_by_id(pu.net.ufcl.tie_branch)
+    if (name := pu.net.ufcl.tie_branch) not in pu.branch_z_pu:
+        # worded as partition_by_tie words it
+        raise ValueError(f"unknown tie branch {name!r}")
+    tie = pu.net.branch_by_id(name)
     return tie, pu.branch_z_pu[tie.id] + r_ohm / pu.z_base[tie.from_bus]
 
 
@@ -189,8 +197,12 @@ def _factor(y: _Stamps) -> _Factors:
     order (Tinney and Walker 1967): each step eliminates a bus of fewest
     remaining neighbours, fill included, so a radial feeder factorises
     with no fill. Raises ValueError on an exactly zero pivot.
+
+    Consumes its stamps: the elimination works in y's own diagonal and row
+    dicts, so y is not Y afterwards. Its callers factorise stamps that
+    _nodal has just built for them and read them no more.
     """
-    d, rows = list(y[0]), [dict(row) for row in y[1]]
+    d, rows = y
     heap = [(len(row), k) for k, row in enumerate(rows)]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -309,9 +321,10 @@ class LimiterStates:
     source's shunt and injection. A fault read by solve is a FaultResult:
     its fault current, each relay's current from the post-fault voltage
     across its branch and the branch's tap, and its voltage profile, one
-    substitution made on first read. Raises ValueError for a bus the
-    network lacks, on reading a bus that is not among its buses, and,
-    naming it, for a bus that no source or load reaches, before any
+    substitution made on each read. The stamps are read only by the
+    ground check, before _factor consumes them. Raises ValueError for a
+    bus the network lacks, on reading a bus that is not among its buses,
+    and, naming it, for a bus that no source or load reaches, before any
     solve.
     """
 
@@ -371,6 +384,7 @@ class LimiterStates:
         """A fault at each of buses, each among the states' buses, solved
         with the limiter at r_ohm; results are in the order of buses."""
         v, zd, taps, pu = self._v, self._zdiag, self._taps, self._pu
+        profile = self._profile  # one bound method for every fault's partial
         c, cv, w = 0j, 0j, [0j] * len(v)  # at the base: no update
         if r_ohm != self._base_ohm:
             tie, z = _tie_z(pu, r_ohm)
@@ -398,7 +412,7 @@ class LimiterStates:
                 {rid: a if (a := abs(
                     (dv - i_f * (col[k] - dw * ck)) * s)) > floor else 0.0
                  for rid, col, dv, dw, s in relays},
-                partial(self._profile, k, i_f, c, cv)))
+                partial(profile, k, i_f, c, cv)))
         return results
 
     def level(self, bus: str) -> LevelMap:

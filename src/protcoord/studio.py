@@ -189,21 +189,25 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
                    for res in states.solve(group, r_ohm)}
 
         # one operate-time evaluation per relay and fault: the tables print
-        # it and the pairs are graded from it
-        tables, times = [], {}
+        # it, and the pairs are graded from it at the buses that have pairs,
+        # the only buses check_pairs reads. A reading is made by
+        # tuple.__new__, which RelayReading(...) calls behind a Python-level
+        # __new__ that costs more than the tuple itself
+        tables, times, currents, new = [], {}, {}, tuple.__new__
         for bus in buses:
             res, first, readings = results[bus], pair_relays[bus], []
             amps = res.relay_currents
-            times[bus] = bus_times = {}
             # a bus without pairs reads its relays in network order
             for rid in dict.fromkeys([*first, *relays]) if first else relays:
-                t = bus_times[rid] = operate_time(relays[rid], amps[rid])
-                readings.append(RelayReading(rid, amps[rid], t))
+                readings.append(new(RelayReading, (
+                    rid, a := amps[rid], operate_time(relays[rid], a))))
+            if first:
+                times[bus] = {r.relay: r.time_s for r in readings}
+                currents[bus] = amps
             tables.append(FaultTable(bus, res.fault_current_a, ohms[bus],
                                      tuple(readings), res.profile))
 
-        coordination = check_pairs(graded, times, {
-            bus: res.relay_currents for bus, res in results.items()})
+        coordination = check_pairs(graded, times, currents)
     except (ValueError, KeyError, RuntimeError) as exc:
         raise ScenarioError(f"scenario {scenario.id}: {exc}") from exc
 

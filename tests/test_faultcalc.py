@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import (branch_amps, feeder_net, random_connected_net,
                       random_radial_net, random_tie_net)
 from protcoord import faultcalc
-from protcoord.faultcalc import (FaultSpec, LimiterStates, build_ybus,
-                                 oracle_solve, solve_fault)
+from protcoord.faultcalc import (FaultResult, FaultSpec, LimiterStates,
+                                 OracleResult, build_ybus, oracle_solve,
+                                 solve_fault)
 from protcoord.netmodel import (Branch, Bus, Network, RelaySpec, ShuntLoad,
                                 Source, to_per_unit, validate)
 from protcoord.relaycurve import curve_family
@@ -687,6 +688,17 @@ def kcl_residuals(net, bus_voltages_pu, r_ohm=0.0):
                 acc -= (s.emf_pu - v[b.id]) / z
         res[b.id] = acc
     return res
+
+
+def test_an_oracle_result_reads_as_a_fault_result(bundled_net):
+    # OracleResult is no FaultResult subclass: it leads with the same
+    # fields, so unpacking or indexing either reads the same four values
+    assert OracleResult._fields[:4] == FaultResult._fields
+    ref = oracle_solve(bundled_net, FaultSpec("bus3"))
+    bus, amps, relays, profile = ref[:4]
+    assert (bus, amps, relays) == ("bus3", ref.fault_current_a,
+                                   ref.relay_currents)
+    assert profile() == ref.bus_voltages_pu
 
 
 def test_oracle_agrees_on_bundled_everywhere(bundled_net):

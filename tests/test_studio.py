@@ -246,6 +246,39 @@ def test_run_scenario_names_a_pair_relay_the_network_lacks(bundled_net):
                               "relay 'relayX' is not in the network")
 
 
+@pytest.mark.parametrize("sid", ["s0_no_dg", "s2_dg1_ufcl"])
+def test_an_unknown_tie_branch_is_named_on_every_route(bundled_net, sid):
+    # through the API, which does not validate: a study with the limiter
+    # out meets the tie in faultcalc, one with it in partitions the network
+    # first, and both word it as partition_by_tie does, with no quotes
+    # from a KeyError around it
+    net = replace(bundled_net, ufcl=replace(bundled_net.ufcl,
+                                            tie_branch="nosuch"))
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(net, SCENARIOS[sid])
+    assert str(err.value) == f"scenario {sid}: unknown tie branch 'nosuch'"
+    with pytest.raises(ValueError, match="^unknown tie branch 'nosuch'$"):
+        solve_fault(net, FaultSpec("bus3"))
+
+
+def test_a_fault_table_reads_its_profile_once(bundled_net):
+    # the table keeps the profile it reads; the solve's record makes it
+    # anew on each read, from the same solve, to the same bits
+    snet = build_scenario_net(bundled_net, SCENARIOS["s1_dg1"])
+    table = run_scenario(bundled_net, SCENARIOS["s1_dg1"]).fault_tables[0]
+    calls = []
+
+    def profile():
+        calls.append(None)
+        return table.profile()
+    counted = replace(table, profile=profile)
+    first = counted.bus_voltages_pu
+    assert counted.bus_voltages_pu is first
+    assert len(calls) == 1
+    res = solve_fault(snet, FaultSpec(table.fault_bus))
+    assert repr(first) == repr(res.bus_voltages_pu)
+
+
 def test_a_bus_with_two_pairs_reads_each_relay_once(bundled_net):
     # a second bus3 pair, appended, whose backup is the first pair's main:
     # bus3's table reads the pairs' relays in file order, main before
