@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import replace
 from graphlib import CycleError, TopologicalSorter
 from itertools import count, takewhile
 from typing import Iterable, Mapping, NamedTuple
@@ -144,13 +143,13 @@ def optimize_tds(net: Network, currents: Mapping[str, Mapping[str, float]],
         races = []  # (this relay's amperes, its main's operate time)
         for p in pairs:
             amps = currents[p.fault_bus]
-            if p.backup == rid and (t_main := operate_time(replace(
-                    net.relay_by_id(p.main), tds=assigned[p.main]),
+            if p.backup == rid and (t_main := operate_time(
+                    net.relay_by_id(p.main)._replace(tds=assigned[p.main]),
                     amps[p.main])) is not None:
                 races.append((amps[rid], t_main))
         # with the main tripping, only ok and too_slow leave it coordinated
         choice = next((tds for tds in grid if all(
-            _verdict(t_main, operate_time(replace(relay, tds=tds), amps))[1]
+            _verdict(t_main, operate_time(relay._replace(tds=tds), amps))[1]
             in ("ok", "too_slow") for amps, t_main in races)), None)
         if choice is None:
             raise TdsInfeasibleError(

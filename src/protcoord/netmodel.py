@@ -14,7 +14,7 @@ Network file format (JSON):
     optional fields   branch kind (default "line"), referred_side (default
                       "from"), emf_pu (default 1.0), ufcl.r_normal (default
                       0.0), ufcl.sizing_fault_bus, ufcl.sizing_reference_a
-The record dataclasses below are the schema: load_network builds each
+The record NamedTuples below are the schema: load_network builds each
 record from its class's fields (see _record) and ignores any other key.
 The ufcl object names only its tie branch: the limiter's resistance is
 sized by the study, and its downstream side is found from the topology.
@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 from .relaycurve import CurveConstants, curve_family
@@ -43,14 +42,12 @@ class NetworkFormatError(ValueError):
     """Raised when a network document cannot be loaded."""
 
 
-@dataclass(frozen=True)
-class Bus:
+class Bus(NamedTuple):
     id: str
     nominal_voltage: float  # volts, line-to-line
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     id: str
     from_bus: str
     to_bus: str
@@ -59,8 +56,7 @@ class Branch:
     referred_side: str = "from"  # transformer ohms stated on this side
 
 
-@dataclass(frozen=True)
-class Source:
+class Source(NamedTuple):
     id: str
     bus: str
     kind: str  # infinite_grid | sync_dg | induction_dg
@@ -68,15 +64,13 @@ class Source:
     emf_pu: float = 1.0
 
 
-@dataclass(frozen=True)
-class ShuntLoad:
+class ShuntLoad(NamedTuple):
     id: str
     bus: str
     impedance: complex  # ohms
 
 
-@dataclass(frozen=True)
-class RelaySpec:
+class RelaySpec(NamedTuple):
     id: str
     branch: str
     pickup_a: float
@@ -84,15 +78,13 @@ class RelaySpec:
     curve: CurveConstants
 
 
-@dataclass(frozen=True)
-class CoordinationPair:
+class CoordinationPair(NamedTuple):
     main: str
     backup: str
     fault_bus: str
 
 
-@dataclass(frozen=True)
-class UfclSpec:
+class UfclSpec(NamedTuple):
     """Unidirectional fault current limiter on a tie branch.
 
     Upstream faults see the limiter's resistance, downstream faults see
@@ -113,8 +105,7 @@ class UfclSpec:
     sizing_reference_a: float | None = None
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(NamedTuple):
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     sources: tuple[Source, ...]
@@ -152,8 +143,9 @@ class Violation(NamedTuple):
 # ---------------------------------------------------------------------------
 # loading
 
-# file defaults for fields the dataclasses leave required
+# file defaults for fields the records leave required
 _DEFAULTS = {(Branch, "kind"): "line"}
+_REQUIRED = object()  # the default of a field that has none
 
 # allowed values of a text field, and the message printed for any other
 _CHOICES = {
@@ -210,11 +202,13 @@ _CONVERTERS = {"str": lambda value, name, where: str(value),
 
 def _schema(cls) -> tuple:
     """(name, converter, default, choices) for each field of cls."""
-    # annotations are text here ("float", "str | None"); the base type
-    # picks the converter
-    return tuple((f.name, _CONVERTERS[f.type.removesuffix(" | None")],
-                  _DEFAULTS.get((cls, f.name), f.default),
-                  _CHOICES.get((cls, f.name))) for f in fields(cls))
+    # annotations are text here ("float", "str | None"), which a NamedTuple
+    # holds in a ForwardRef; the base type picks the converter
+    return tuple(
+        (name, _CONVERTERS[t.__forward_arg__.removesuffix(" | None")],
+         _DEFAULTS.get((cls, name), cls._field_defaults.get(name, _REQUIRED)),
+         _CHOICES.get((cls, name)))
+        for name, t in cls.__annotations__.items())
 
 
 _FIELDS = {cls: _schema(cls)
@@ -233,7 +227,7 @@ def _record(cls, obj, where: str):
     for name, convert, default, choices in _FIELDS[cls]:
         value = obj.get(name)
         if value is None and (name not in obj or default is None):
-            if default is MISSING:
+            if default is _REQUIRED:
                 owner = "curve " if cls is CurveConstants else ""
                 raise NetworkFormatError(
                     f"{where}: {owner}missing field {name!r}")
@@ -249,7 +243,7 @@ def _record(cls, obj, where: str):
 def load_network(text: str) -> Network:
     """Parse a network document (JSON text) into a Network.
 
-    Each record is built from its dataclass's fields (see _record). Parse
+    Each record is built from its NamedTuple's fields (see _record). Parse
     problems raise NetworkFormatError carrying the line or the array/field
     locus, and a document nested too deeply to parse raises it too;
     references to undefined ids raise NetworkFormatError naming the

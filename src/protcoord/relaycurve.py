@@ -12,7 +12,7 @@ families are available by name, and arbitrary constants via "custom".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "CurveConstants",
@@ -22,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurveConstants:
+class CurveConstants(NamedTuple):
     """Constants (a, b, c) of the inverse-time characteristic."""
 
     a: float

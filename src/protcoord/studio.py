@@ -34,7 +34,7 @@ import io
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -58,8 +58,7 @@ class ScenarioError(RuntimeError):
     """A scenario could not be run against the given network."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     id: str
     dg_in_service: frozenset[str] = frozenset()
     ufcl_enabled: bool = False
@@ -139,9 +138,9 @@ def build_scenario_net(net: Network, scenario: Scenario) -> Network:
             if s.id not in scenario.dg_in_service:
                 continue
             if s.id in scenario.induction:
-                s = replace(s, kind="induction_dg")
+                s = s._replace(kind="induction_dg")
         kept.append(s)
-    return replace(net, sources=tuple(kept))
+    return net._replace(sources=tuple(kept))
 
 
 def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
@@ -307,7 +306,7 @@ def _run_cmd(opts: argparse.Namespace) -> int:
     net = _load_net(opts.network)
     scenario = SCENARIOS[opts.scenario]
     if opts.fault_bus:
-        scenario = replace(scenario, fault_buses=tuple(opts.fault_bus))
+        scenario = scenario._replace(fault_buses=tuple(opts.fault_bus))
     report = run_scenario(net, scenario)
     if opts.debug_csv:
         Path(opts.debug_csv).write_text(_debug_dump(

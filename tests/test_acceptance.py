@@ -8,7 +8,6 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -103,7 +102,7 @@ def test_criterion_1_recorded_verdicts(bundled_net, announce):
 def _oracle_states(net, scenario, buses):
     """The limiter ohms the study itself applies at each bus, read from
     its fault tables with every bus faulted."""
-    report = run_scenario(net, replace(scenario, fault_buses=tuple(buses)))
+    report = run_scenario(net, scenario._replace(fault_buses=tuple(buses)))
     return {t.fault_bus: t.ufcl_state_ohm for t in report.fault_tables}
 
 
@@ -171,7 +170,7 @@ def test_criterion_4_sizing_restores_level(bundled_net, expected, announce,
         # 100 random radial nets with one DG behind a tie
         for seed in range(100):
             net, bus = random_tie_net(seed)
-            bare = replace(net, sources=tuple(
+            bare = net._replace(sources=tuple(
                 s for s in net.sources if s.kind == "infinite_grid"))
             target = abs(solve_fault(bare, FaultSpec(bus)).fault_current_a)
             r = size_ufcl(net, bus)
@@ -258,7 +257,7 @@ def test_criterion_6_curve_properties(announce):
 
             # dial scales exactly
             t = operate_time(relay, 250.0)
-            t2 = operate_time(replace(relay, tds=2.0 * tds), 250.0)
+            t2 = operate_time(relay._replace(tds=2.0 * tds), 250.0)
             assert t2 == 2.0 * t
 
 
@@ -294,10 +293,10 @@ def _grid(lo, step, hi):
 def _feasible(net, res, tds):
     for p in net.pairs:
         cur = res[p.fault_bus]
-        tm = operate_time(replace(net.relay_by_id(p.main), tds=tds[p.main]),
+        tm = operate_time(net.relay_by_id(p.main)._replace(tds=tds[p.main]),
                           cur[p.main])
-        tb = operate_time(replace(net.relay_by_id(p.backup),
-                                  tds=tds[p.backup]), cur[p.backup])
+        tb = operate_time(net.relay_by_id(p.backup)._replace(
+            tds=tds[p.backup]), cur[p.backup])
         if tm is None:
             continue
         if tb is None or tb - tm < 0.3:

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -135,7 +134,7 @@ def test_optimize_tds_two_relay_example(tds_min, want_r1):
     got = optimize_tds(*args)
     assert got == brute_force(*args)
     assert got == {"r0": tds_min, "r1": pytest.approx(want_r1)}
-    tuned = replace(net, relays=tuple(replace(r, tds=got[r.id])
+    tuned = net._replace(relays=tuple(r._replace(tds=got[r.id])
                                       for r in net.relays))
     rows = check_pairs(tuned.pairs, curve_times(tuned, res)).rows
     assert [r.verdict for r in rows] == ["ok"]
@@ -196,7 +195,7 @@ def brute_force(net, res, tds_min, tds_max):
 
 
 def _time(net, rid, tds, amps):
-    return operate_time(replace(net.relay_by_id(rid), tds=tds), amps)
+    return operate_time(net.relay_by_id(rid)._replace(tds=tds), amps)
 
 
 def test_optimize_tds_matches_brute_force_on_random_chains():
@@ -239,8 +238,8 @@ def test_optimize_tds_backup_below_pickup_infeasible():
 
 
 def test_optimize_tds_needs_currents_for_every_pair():
-    net = replace(chain_net(2),
-                  pairs=(CoordinationPair("r0", "r1", "bus3"),))
+    net = chain_net(2)._replace(
+        pairs=(CoordinationPair("r0", "r1", "bus3"),))
     with pytest.raises(ValueError, match="no fault currents for bus 'bus3'"):
         optimize_tds(net, {"f0": {"r0": 200.0, "r1": 200.0}})
 

@@ -1,6 +1,5 @@
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,7 +204,7 @@ def test_fault_result_covers_all_relays(bundled_net):
 def test_dg_never_decreases_fault_current(seed):
     net = random_radial_net(seed, with_dg=False)
     dg = Source("dg", net.buses[-1].id, "sync_dg", 2 + 15j)
-    with_dg = replace(net, sources=net.sources + (dg,))
+    with_dg = net._replace(sources=net.sources + (dg,))
     for b in net.buses:
         base = solve_fault(net, FaultSpec(b.id)).fault_current_a
         boosted = solve_fault(with_dg, FaultSpec(b.id)).fault_current_a
@@ -255,11 +254,11 @@ def assert_batch_matches(net, r_ohm):
 def sized_ohms(net, bus):
     """The limiter resistance that restores the bare-grid level at bus,
     the designated sizing bus."""
-    bare = replace(net, sources=tuple(
+    bare = net._replace(sources=tuple(
         s for s in net.sources if s.kind == "infinite_grid"))
     target = solve_fault(bare, FaultSpec(bus)).fault_current_a
-    r_star = size_ufcl(replace(net, ufcl=replace(
-        net.ufcl, sizing_reference_a=target)), bus).r_star
+    r_star = size_ufcl(net._replace(ufcl=net.ufcl._replace(
+        sizing_reference_a=target)), bus).r_star
     assert r_star > 0
     return r_star
 
@@ -285,7 +284,7 @@ def test_batch_equals_single_and_oracle_on_connected_networks():
 def with_relays(net):
     """net with a relay on every third branch, the first included."""
     curve = curve_family("iec_standard_inverse")
-    return replace(net, relays=tuple(
+    return net._replace(relays=tuple(
         RelaySpec(f"relay_{br.id}", br.id, 100.0, 0.1, curve)
         for br in net.branches[::3]))
 
@@ -400,7 +399,7 @@ def meshed(net):
     """net with a branch from bus4 back to bus1, closing the upstream
     chain bus1-bus2-bus3-bus4 into a loop: eliminating bus1, bus3 or bus4
     first fills in a branch across the loop."""
-    return replace(net, branches=(
+    return net._replace(branches=(
         *net.branches, Branch("b41", "bus4", "bus1", "line", 3 + 2j)))
 
 
@@ -423,10 +422,10 @@ def test_an_unearthed_island_is_singular_on_both_routes(bundled_net,
     # validate does not run; a resistive island branch leaves a pivot at
     # round-off rather than zero, which must not pass for a solution
     net = PATTERNS[pattern](bundled_net)
-    net = replace(net, buses=(*net.buses, Bus("x1", 20000.0),
+    net = net._replace(buses=(*net.buses, Bus("x1", 20000.0),
                               Bus("x2", 20000.0)),
-                  branches=(*net.branches,
-                            Branch("x12", "x1", "x2", "line", z_island)))
+                       branches=(*net.branches,
+                                 Branch("x12", "x1", "x2", "line", z_island)))
     assert validate(net)
     with pytest.raises(ValueError, match="^Singular matrix: bus 'x1'"):
         solve_fault(net, FaultSpec("bus3"))
@@ -444,7 +443,7 @@ def test_a_zero_pivot_is_singular():
 def test_a_branch_looping_on_one_bus_changes_nothing(bundled_net, pattern):
     # validate rejects it; through the API it carries no current
     base = PATTERNS[pattern](bundled_net)
-    net = replace(base, branches=(
+    net = base._replace(branches=(
         *base.branches, Branch("loop", "bus4", "bus4", "line", 3 + 7j)))
     for bus in base.bus_ids():
         got = solve_fault(net, FaultSpec(bus))
@@ -532,7 +531,7 @@ def test_limiter_states_read_only_their_buses(bundled_net, read):
 def assert_grid_level_matches(net):
     # the bare-grid level read from the DG network's own solve, at every
     # bus: against a solve of the bare network and against the oracle
-    bare = replace(net, sources=tuple(
+    bare = net._replace(sources=tuple(
         s for s in net.sources if s.kind == "infinite_grid"))
     states = LimiterStates(net, net.bus_ids())
     for bus in net.bus_ids():
@@ -564,7 +563,7 @@ def test_grid_level_on_feeders():
 def test_grid_level_two_dgs_on_one_bus_and_none(bundled_net):
     s6 = build_scenario_net(bundled_net, SCENARIOS["s6_induction_dg1_ufcl"])
     extra = Source("dg3", "dgbus", "sync_dg", 3 + 25j)
-    assert_grid_level_matches(replace(s6, sources=(*s6.sources, extra)))
+    assert_grid_level_matches(s6._replace(sources=(*s6.sources, extra)))
     assert_grid_level_matches(
         build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"]))
 
@@ -622,7 +621,7 @@ def test_thevenin_series_chain():
 def test_adding_dg_never_raises_thevenin(seed):
     net = random_connected_net(seed)
     dg = Source("extra_dg", net.buses[-1].id, "sync_dg", 3 + 20j)
-    with_dg = replace(net, sources=net.sources + (dg,))
+    with_dg = net._replace(sources=net.sources + (dg,))
     z0, z1 = thevenin(net), thevenin(with_dg)
     for b in net.buses:
         assert abs(z1[b.id]) <= abs(z0[b.id]) * (1 + 1e-12)
@@ -639,8 +638,8 @@ def test_per_source_contributions_sum_to_total(seed):
     total = np.array(solve_fault(net, FaultSpec(bus)).bus_voltages_pu)
     parts = 0j
     for s in net.sources:
-        solo = replace(net, sources=tuple(
-            src if src.id == s.id else replace(src, emf_pu=0.0)
+        solo = net._replace(sources=tuple(
+            src if src.id == s.id else src._replace(emf_pu=0.0)
             for src in net.sources))
         parts += np.array(solve_fault(solo, FaultSpec(bus)).bus_voltages_pu)
     assert np.abs(parts - total).max() <= \

@@ -4,7 +4,7 @@ import inspect
 import re
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy
@@ -196,18 +196,32 @@ def test_every_loaded_field_is_read():
                   if isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)
                   and id(node) not in checks}
-    fields_of = {cls: [f.name for f in fields(cls)] for cls in (
-        *_RECORDS.values(), UfclSpec, CurveConstants, Network)}
-    fields_of[FaultResult] = FaultResult._fields
-    unread = [f"{cls.__name__}.{name}" for cls, names in fields_of.items()
-              for name in names if name not in reads]
+    records = (*_RECORDS.values(), UfclSpec, CurveConstants, Network,
+               FaultResult)
+    unread = [f"{cls.__name__}.{name}" for cls in records
+              for name in cls._fields if name not in reads]
     assert unread == []
 
 
-# records that nothing rebuilds with dataclasses.replace, reads through
-# dataclasses.fields or caches a value on are NamedTuples, cheaper to
-# build and to define; each keeps its field names in this order
+# records that nothing rebuilds with dataclasses.replace or caches a value
+# on are NamedTuples, cheaper to build and to define; each keeps its field
+# names in this order, which positional constructions such as
+# CurveConstants(0.14, 0.0, 0.02) and Bus("x1", 20000.0) rely on
 VALUE_RECORDS = {
+    "netmodel.Bus": ("id", "nominal_voltage"),
+    "netmodel.Branch": ("id", "from_bus", "to_bus", "kind", "impedance",
+                        "referred_side"),
+    "netmodel.Source": ("id", "bus", "kind", "internal_impedance", "emf_pu"),
+    "netmodel.ShuntLoad": ("id", "bus", "impedance"),
+    "netmodel.RelaySpec": ("id", "branch", "pickup_a", "tds", "curve"),
+    "netmodel.CoordinationPair": ("main", "backup", "fault_bus"),
+    "netmodel.UfclSpec": ("tie_branch", "r_normal", "sizing_fault_bus",
+                          "sizing_reference_a"),
+    "netmodel.Network": ("buses", "branches", "sources", "loads", "relays",
+                         "pairs", "ufcl", "s_base_va"),
+    "relaycurve.CurveConstants": ("a", "b", "c"),
+    "studio.Scenario": ("id", "dg_in_service", "ufcl_enabled", "fault_buses",
+                        "induction"),
     "studio.RelayReading": ("relay", "current_a", "time_s"),
     "coordination.CoordinationRow": (
         "fault_bus", "main", "backup", "i_main_a", "i_backup_a", "t_main_s",
@@ -226,16 +240,11 @@ VALUE_RECORDS = {
                            "source_z_pu", "load_z_pu"),
     "netmodel.Violation": ("rule", "subject", "message"),
 }
-# records the loader builds from their fields, that cache a value, or that
-# studio, the tests or the bench rebuild with dataclasses.replace: the
-# bench rebuilds FaultTable and StudyReport, and FaultTable caches its
-# voltage profile, which a FaultResult makes anew on each read
-DATACLASS_RECORDS = {
-    "netmodel.Bus", "netmodel.Branch", "netmodel.Source", "netmodel.ShuntLoad",
-    "netmodel.RelaySpec", "netmodel.CoordinationPair", "netmodel.UfclSpec",
-    "relaycurve.CurveConstants", "netmodel.Network", "studio.Scenario",
-    "studio.FaultTable", "studio.StudyReport",
-}
+# records the bench rebuilds with dataclasses.replace: its self-check,
+# perfbench/worker.bump_first_current, rebuilds FaultTable and StudyReport.
+# FaultTable also caches its voltage profile, which a FaultResult makes
+# anew on each read
+DATACLASS_RECORDS = {"studio.FaultTable", "studio.StudyReport"}
 
 
 def test_record_kinds():
@@ -255,6 +264,32 @@ def test_record_kinds():
         assert record._fields == names
         with pytest.raises(AttributeError):
             setattr(record, names[0], None)
+
+
+# a fresh interpreter that imports every module but the studio, says which
+# of dataclasses and inspect that loaded, then names the dataclasses the
+# studio defines
+RECORD_PROBE = """\
+import sys
+import protcoord.coordination, protcoord.faultcalc, protcoord.netmodel
+import protcoord.relaycurve, protcoord.ufcl
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+import dataclasses, protcoord.studio as studio
+print(sorted(n for n, cls in vars(studio).items() if isinstance(cls, type)
+             and cls.__module__ == studio.__name__
+             and dataclasses.is_dataclass(cls)))
+"""
+
+
+def test_only_the_studio_imports_dataclasses():
+    # defining a dataclass, and importing dataclasses and the inspect it
+    # imports, cost a `protcoord run` process milliseconds a NamedTuple
+    # does not
+    proc = subprocess.run([sys.executable, "-c", RECORD_PROBE],
+                          capture_output=True, text=True, check=True,
+                          env=package_env())
+    assert proc.stdout.splitlines() == [
+        "[]", str(sorted(n.split(".")[1] for n in DATACLASS_RECORDS))]
 
 
 def test_readme_python_example_runs(capsys):

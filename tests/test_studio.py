@@ -58,16 +58,16 @@ def test_default_fault_buses(bundled_net):
                                                 "dgbus"]
     # the declared pairs' fault buses, in file order, each once
     pairs = bundled_net.pairs
-    net = replace(bundled_net, pairs=(pairs[3], pairs[0], pairs[3]))
+    net = bundled_net._replace(pairs=(pairs[3], pairs[0], pairs[3]))
     assert default_fault_buses(net) == ["dgbus", "bus3"]
     with pytest.raises(ValueError, match="no default fault buses"):
-        default_fault_buses(replace(bundled_net, pairs=()))
+        default_fault_buses(bundled_net._replace(pairs=()))
 
 
 def test_run_scenario_without_default_fault_buses(bundled_net, tmp_path):
     with pytest.raises(ScenarioError, match="^scenario s0_no_dg: network has "
                                             "no default fault buses"):
-        run_scenario(replace(bundled_net, pairs=()), SCENARIOS["s0_no_dg"])
+        run_scenario(bundled_net._replace(pairs=()), SCENARIOS["s0_no_dg"])
 
     doc = json.loads(bundled_dataset_path().read_text())
     del doc["pairs"]
@@ -100,7 +100,7 @@ def test_build_scenario_net_rejections(bundled_net):
     with pytest.raises(ScenarioError, match="dg9"):
         build_scenario_net(bundled_net,
                            Scenario("x", frozenset({"dg9"})))
-    bare = replace(bundled_net, ufcl=None)
+    bare = bundled_net._replace(ufcl=None)
     with pytest.raises(ScenarioError, match="UFCL"):
         build_scenario_net(bare, Scenario("x", frozenset({"dg1"}),
                                           ufcl_enabled=True))
@@ -115,8 +115,8 @@ def test_run_scenario_deterministic(bundled_net):
 
 def test_run_scenario_grades_only_requested_buses(bundled_net):
     report = run_scenario(bundled_net,
-                          replace(SCENARIOS["s2_dg1_ufcl"],
-                                  fault_buses=("bus3",)))
+                          SCENARIOS["s2_dg1_ufcl"]._replace(
+                              fault_buses=("bus3",)))
     assert [t.fault_bus for t in report.fault_tables] == ["bus3"]
     assert [r.fault_bus for r in report.coordination.rows] == ["bus3"]
     assert report.coordination.all_ok
@@ -126,7 +126,7 @@ def _undesignated(seed):
     """A random tie network whose ufcl block names no sizing bus, and its
     upstream and downstream buses."""
     net, _ = random_tie_net(seed)
-    net = replace(net, ufcl=replace(net.ufcl, sizing_fault_bus=None))
+    net = net._replace(ufcl=net.ufcl._replace(sizing_fault_bus=None))
     up, down = partition_by_tie(net, "tie")
     return (net, [b for b in net.bus_ids() if b in up],
             [b for b in net.bus_ids() if b in down])
@@ -140,7 +140,7 @@ def test_run_scenario_sizes_at_first_upstream_fault_bus():
         report = run_scenario(net, Scenario("x", frozenset({"dg"}),
                                             ufcl_enabled=True,
                                             fault_buses=buses))
-        bare = replace(net, sources=tuple(
+        bare = net._replace(sources=tuple(
             s for s in net.sources if s.kind == "infinite_grid"))
         target = solve_fault(bare, FaultSpec(up[-1])).fault_current_a
         # the target is read from the study's own solve: the bare-grid
@@ -149,9 +149,8 @@ def test_run_scenario_sizes_at_first_upstream_fault_bus():
         assert close(got, target, rel=1e-11, floor=0.0), seed
         assert close(got, oracle_solve(bare, FaultSpec(up[-1]))
                      .fault_current_a, floor=0.0), seed
-        assert report.sizing == size_ufcl(replace(net, ufcl=replace(
-            net.ufcl, sizing_fault_bus=up[-1], sizing_reference_a=got)),
-            up[-1]), seed
+        assert report.sizing == size_ufcl(net._replace(ufcl=net.ufcl._replace(
+            sizing_fault_bus=up[-1], sizing_reference_a=got)), up[-1]), seed
         states = {t.fault_bus: t.ufcl_state_ohm for t in report.fault_tables}
         assert states == {b: 0.0 if b in down else report.sizing.r_star
                           for b in buses}, seed
@@ -162,7 +161,7 @@ def test_run_scenario_sizes_at_first_upstream_fault_bus():
 def test_downstream_faults_see_r_normal(bundled_net, sid):
     # a limiter that keeps 5 ohm in the tie for downstream faults: those
     # tables are the direct solve at 5 ohm, the upstream ones at R*
-    net = replace(bundled_net, ufcl=replace(bundled_net.ufcl, r_normal=5.0))
+    net = bundled_net._replace(ufcl=bundled_net.ufcl._replace(r_normal=5.0))
     report = run_scenario(net, SCENARIOS[sid])
     snet = build_scenario_net(net, SCENARIOS[sid])
     down = partition_by_tie(net, net.ufcl.tie_branch)[1]
@@ -237,8 +236,8 @@ def test_factorisations_per_undesignated_study(monkeypatch):
 
 def test_run_scenario_names_a_pair_relay_the_network_lacks(bundled_net):
     pairs = list(bundled_net.pairs)
-    pairs[0] = replace(pairs[0], backup="relayX")
-    net = replace(bundled_net, pairs=tuple(pairs))
+    pairs[0] = pairs[0]._replace(backup="relayX")
+    net = bundled_net._replace(pairs=tuple(pairs))
     with pytest.raises(ScenarioError) as err:
         run_scenario(net, SCENARIOS["s1_dg1"])
     assert err.type is ScenarioError
@@ -252,8 +251,8 @@ def test_an_unknown_tie_branch_is_named_on_every_route(bundled_net, sid):
     # out meets the tie in faultcalc, one with it in partitions the network
     # first, and both word it as partition_by_tie does, with no quotes
     # from a KeyError around it
-    net = replace(bundled_net, ufcl=replace(bundled_net.ufcl,
-                                            tie_branch="nosuch"))
+    net = bundled_net._replace(ufcl=bundled_net.ufcl._replace(
+        tie_branch="nosuch"))
     with pytest.raises(ScenarioError) as err:
         run_scenario(net, SCENARIOS[sid])
     assert str(err.value) == f"scenario {sid}: unknown tie branch 'nosuch'"
@@ -285,7 +284,7 @@ def test_a_bus_with_two_pairs_reads_each_relay_once(bundled_net):
     # backup and each once, then the rest in network order; the rows keep
     # file order, the new pair last
     extra = CoordinationPair("relay5", "relay2", "bus3")
-    net = replace(bundled_net, pairs=(*bundled_net.pairs, extra))
+    net = bundled_net._replace(pairs=(*bundled_net.pairs, extra))
     report = run_scenario(net, SCENARIOS["s1_dg1"])
     bus3 = next(t for t in report.fault_tables if t.fault_bus == "bus3")
     assert [r.relay for r in bus3.readings] == [
@@ -532,7 +531,7 @@ def test_cli_size_ufcl_away_from_sizing_bus(bundled_net):
     lines = dict(ln.split(" = ") for ln in result.output.strip().splitlines())
     assert lines["r_star_ohm"] == "1280.0"
     assert lines["iterations"] == "9"
-    bare = replace(bundled_net, sources=tuple(
+    bare = bundled_net._replace(sources=tuple(
         s for s in bundled_net.sources if s.kind == "infinite_grid"))
     # read from the sizing's own solve, so equal to round-off only
     target = float(lines["target_a"])

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -42,7 +41,7 @@ def solve_path(monkeypatch):
 def at_target(net, target_a):
     """net with target_a recorded as the pre-DG level at its designated
     sizing bus, the target size_ufcl then sizes to there."""
-    return replace(net, ufcl=replace(net.ufcl, sizing_reference_a=target_a))
+    return net._replace(ufcl=net.ufcl._replace(sizing_reference_a=target_a))
 
 
 def test_classify_bundled_sides(bundled_net):
@@ -148,7 +147,7 @@ def test_sizing_when_the_level_does_not_depend_on_r(bundled_net):
     # level does not depend on R and the map is flat
     snet = build_scenario_net(bundled_net, SCENARIOS["s0_no_dg"])
     down = downstream_buses(snet)
-    snet = replace(snet, loads=tuple(ld for ld in snet.loads
+    snet = snet._replace(loads=tuple(ld for ld in snet.loads
                                      if ld.bus not in down))
     assert validate(snet) == []
     base = solve_fault(snet, FaultSpec("bus3")).fault_current_a
@@ -205,10 +204,10 @@ def test_level_map_is_flat_where_the_tie_is_idle():
     for seed in range(100):
         net, _ = random_tie_net(seed)
         up, down = partition_by_tie(net, "tie")
-        net = replace(net, loads=tuple(ld for ld in net.loads
+        net = net._replace(loads=tuple(ld for ld in net.loads
                                        if ld.bus not in down),
-                      sources=tuple(s for s in net.sources
-                                    if s.kind == "infinite_grid"))
+                           sources=tuple(s for s in net.sources
+                                         if s.kind == "infinite_grid"))
         buses = [b for b in net.bus_ids() if b in up]
         states = LimiterStates(net, buses)
         for bus in buses:
@@ -280,7 +279,7 @@ def test_sizing_restores_target_on_random_networks():
     for seed in range(10):
         net, sizing_bus = random_tie_net(seed)
         # target: same net with the DG removed entirely
-        bare = replace(net, sources=tuple(s for s in net.sources
+        bare = net._replace(sources=tuple(s for s in net.sources
                                           if s.kind == "infinite_grid"))
         target = abs(solve_fault(bare, FaultSpec(bus=sizing_bus))
                      .fault_current_a)
