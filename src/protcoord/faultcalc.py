@@ -22,8 +22,8 @@ removes a shunt and an injection at its bus, rank-one changes too, so the
 same solve, which also carries a column for every DG's bus, gives each
 bus's bare-grid fault level, with only the infinite_grid sources in
 service (LimiterStates.grid_level). A batch of faults at one resistance R
-is LimiterStates(net, buses, R).solve(buses, R); solve_fault is that read
-for one FaultSpec, and with oracle_solve the one-shot entry.
+is LimiterStates(net, R).solve(buses, R); solve_fault is that read for one
+FaultSpec, and with oracle_solve the one-shot entry.
 
 _nodal stamps Y sparse: its diagonal and one dict of off-diagonal entries
 per row. There is one solution route at every size, in pure Python: an
@@ -309,8 +309,8 @@ class LimiterStates:
     when it has one. The columns past v are substituted on their first
     read and kept, so states read only at their base solve for e only
     when a relay sits on the tie, and only grid_level solves for the DG
-    buses. None of it depends on the buses asked for, so a batch reads
-    bit for bit what a single solve reads.
+    buses. All of it comes from the network alone, so the states read any
+    of its buses, and a batch reads bit for bit what a single solve reads.
 
     Any other R changes the tie admittance by dy: with
     c = dy / (1 + dy e^T w), v_R[i] = v[i] - w[i] c (v_f - v_t) and
@@ -322,23 +322,18 @@ class LimiterStates:
     its fault current, each relay's current from the post-fault voltage
     across its branch and the branch's tap, and its voltage profile, one
     substitution made on each read. The stamps are read only by the
-    ground check, before _factor consumes them. Raises ValueError for a
-    bus the network lacks, on reading a bus that is not among its buses,
-    and, naming it, for a bus that no source or load reaches, before any
-    solve.
+    ground check, before _factor consumes them. Raises ValueError, naming
+    it, for a bus that no source or load reaches, before any solve, and
+    for a bus the network lacks, on its read.
     """
 
-    def __init__(self, net: Network, buses: Iterable[str],
-                 ufcl_state_ohm: float = 0.0) -> None:
+    def __init__(self, net: Network, ufcl_state_ohm: float = 0.0) -> None:
         self._base_ohm = ufcl_state_ohm
         self._pu = pu = to_per_unit(net)
         self._index, self._taps, y, injection = _nodal(pu, ufcl_state_ohm)
         self._tie, self._z0 = _tie_z(pu, ufcl_state_ohm)
         if self._tie is not None:
             self._f, self._t, _ = self._taps[self._tie.id]
-        self._buses = dict.fromkeys(buses)
-        if unknown := [b for b in self._buses if b not in self._index]:
-            raise ValueError(f"unknown fault bus {unknown[0]!r}")
         # a component with neither a source nor a load has no path to
         # ground, and its block of Y is singular however it rounds
         grounded = reachable(y[1], [self._index[e.bus] for e in (
@@ -353,11 +348,10 @@ class LimiterStates:
         self._cols: dict[tuple[int, int | None], list[complex]] = {}
 
     def _row(self, bus: str) -> int:
-        """The bus's index, for a bus among the states' buses."""
-        if bus not in self._buses:
-            raise ValueError(f"fault bus {bus!r}: the limiter states were "
-                             f"not built for it")
-        return self._index[bus]
+        """The bus's index, for a bus of the network."""
+        if (k := self._index.get(bus)) is None:
+            raise ValueError(f"unknown fault bus {bus!r}")
+        return k
 
     def _col(self, i: int, j: int | None = None) -> list[complex]:
         """Z (e_i - e_j), or Z e_i without j: Z's column of the bus i, or
@@ -381,8 +375,8 @@ class LimiterStates:
 
     def solve(self, buses: Iterable[str],
               r_ohm: float) -> list[FaultResult]:
-        """A fault at each of buses, each among the states' buses, solved
-        with the limiter at r_ohm; results are in the order of buses."""
+        """A fault at each of buses, solved with the limiter at r_ohm;
+        results are in the order of buses."""
         v, zd, taps, pu = self._v, self._zdiag, self._taps, self._pu
         profile = self._profile  # one bound method for every fault's partial
         c, cv, w = 0j, 0j, [0j] * len(v)  # at the base: no update
@@ -475,10 +469,10 @@ def solve_fault(net: Network, fault: FaultSpec,
                 ufcl_state_ohm: float = 0.0) -> FaultResult:
     """Solve one fault by Thevenin superposition, with the limiter at
     ufcl_state_ohm: the prefault voltages and the fault bus's Thevenin
-    impedance come from one factorisation of Y (LimiterStates over the one
-    bus), so load and DG contributions are inherently superposed, and the
-    post-fault voltages feed every reported current."""
-    return LimiterStates(net, [fault.bus], ufcl_state_ohm).solve(
+    impedance come from one factorisation of Y (LimiterStates read at the
+    one bus), so load and DG contributions are inherently superposed, and
+    the post-fault voltages feed every reported current."""
+    return LimiterStates(net, ufcl_state_ohm).solve(
         [fault.bus], ufcl_state_ohm)[0]
 
 

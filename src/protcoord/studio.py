@@ -12,11 +12,10 @@ is what upstream faults then see; downstream faults see r_normal. Sizing
 runs at the designated sizing bus, else at the first upstream fault bus;
 size_ufcl works out its target there (the recorded pre-DG level at the
 designated bus, the bare-grid level at any other). One factorisation of
-the scenario network (faultcalc.LimiterStates, built over the fault bus
-ids and the sizing bus, to which it adds by itself the DG buses the
-bare-grid level needs) reads the sizing map, the bare-grid target and
-every fault table, each group of buses at the resistance it sees. The
-sizing adds one solve of its own, to confirm R*.
+the scenario network (faultcalc.LimiterStates, which reads any of its
+buses) reads the sizing map, the bare-grid target and every fault table,
+each group of buses at the resistance it sees. The sizing adds one solve
+of its own, to confirm R*.
 One pass over the declared pairs picks the graded ones, those at the
 fault buses, in file order, and checks that each names relays the
 network has. A fault table reads the relays of its bus's pairs first,
@@ -164,6 +163,7 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
                 pair_relays[p.fault_bus] += (p.main, p.backup)
 
         # one factorisation reads the sizing and every fault table
+        states = LimiterStates(snet)
         sizing, ohms = None, dict.fromkeys(buses, 0.0)
         if scenario.ufcl_enabled:
             down = downstream_buses(snet)
@@ -174,12 +174,9 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
                     raise ValueError("no upstream fault bus to size the "
                                      "limiter against")
                 sizing_bus = upstream[0]
-            states = LimiterStates(snet, [*buses, sizing_bus])
             sizing = size_ufcl(snet, sizing_bus, states=states)
             ohms = {bus: snet.ufcl.r_normal if bus in down else sizing.r_star
                     for bus in buses}
-        else:
-            states = LimiterStates(snet, buses)
         # fault buses grouped by limiter ohms: one read of the states each
         groups: dict[float, list[str]] = {}
         for bus, r_ohm in ohms.items():
@@ -355,7 +352,8 @@ def _parse_times_csv(text: str,
         lines[bus, relay] = reader.line_num
         raw = row["t_s"].strip()
         try:
-            t = None if raw in ("", "none", "no_trip") else float(raw)
+            # + 0.0 makes a -0 read as 0, which the report prints unsigned
+            t = None if raw in ("", "none", "no_trip") else float(raw) + 0.0
         except ValueError:
             t = math.nan  # not a number: rejected with the other bad times
         if t is not None and not 0 <= t < math.inf:

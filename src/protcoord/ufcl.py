@@ -75,14 +75,13 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, *,
     and the limiter at R, first at R=0, then doubling R from R_HI_SEED
     until the current drops to the target, then bisecting. Relative
     current error <= SIZING_TOL terminates. Each evaluation reads the
-    LevelMap of states, the limiter states of net_with_dg with fault_bus
-    among their buses (built here when not given); the result's current
-    is solved directly at the accepted R. Raises SizingError when the R=0
-    current is already below the target (no resistance can raise a
-    current), when the tie-open level is above it (no finite resistance
-    lowers the current that far), when the evaluation budget of 200 runs
-    out, or when the solution at the accepted R misses the target that
-    the read met.
+    LevelMap of states, the limiter states of net_with_dg (built here
+    when not given); the result's current is solved directly at the
+    accepted R. Raises SizingError when the R=0 current is already below
+    the target (no resistance can raise a current), when the tie-open
+    level is above it (no finite resistance lowers the current that far),
+    when the evaluation budget of 200 runs out, or when the solution at
+    the accepted R misses the target that the read met.
     """
     u = net_with_dg.ufcl
     if u is not None and fault_bus in downstream_buses(net_with_dg):
@@ -90,7 +89,7 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, *,
             f"fault bus {fault_bus!r} is downstream of the limiter; "
             f"sizing needs an upstream bus")
     if states is None:
-        states = LimiterStates(net_with_dg, [fault_bus])
+        states = LimiterStates(net_with_dg)
     target_a = (u.sizing_reference_a if u is not None
                 and u.sizing_reference_a is not None
                 and fault_bus == u.sizing_fault_bus

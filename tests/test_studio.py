@@ -718,6 +718,20 @@ STUDY_TIMES = ("fault_bus,relay,t_s\n"
                "dgbus,relay5,0.4521\ndgbus,relay4,0.083\n")
 
 
+@pytest.mark.parametrize("full", [[], ["--full-precision"]],
+                         ids=["rounded", "full_precision"])
+@pytest.mark.parametrize("t_s", ["-0", "-0.0"])
+def test_cli_check_reads_negative_zero_as_zero(tmp_path, t_s, full):
+    # -0 passes the >= 0 rule; the report shows it as 0, not -0
+    zero, signed = tmp_path / "zero.csv", tmp_path / "signed.csv"
+    zero.write_text(STUDY_TIMES.replace("relay5,0.4521", "relay5,0"))
+    signed.write_text(STUDY_TIMES.replace("relay5,0.4521", f"relay5,{t_s}"))
+    want = CliRunner().invoke(cli, ["check", "--times", str(zero), *full])
+    got = CliRunner().invoke(cli, ["check", "--times", str(signed), *full])
+    assert got.exit_code == want.exit_code == 2, got.output
+    assert got.output == want.output
+
+
 @pytest.mark.parametrize("extra, shown", [
     ("bus3,relay1,0.5\n",
      "times csv line 10: bus3 relay1 is already on line 3"),
@@ -774,6 +788,24 @@ def test_cli_reads_network_with_bom(tmp_path, command):
     got = CliRunner().invoke(cli, [*command, "--network", str(path)])
     assert got.exit_code == want.exit_code, got.output
     assert got.output == want.output
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--scenario", "s0_no_dg", "--fault-bus", "nosuch"],
+    ["run", "--scenario", "s2_dg1_ufcl", "--fault-bus", "nosuch"],
+    ["size-ufcl", "--fault-bus", "nosuch"],
+], ids=["run", "run_with_limiter", "size_ufcl"])
+def test_cli_unknown_fault_bus_is_one_error_line(args):
+    # the limiter states name a bus the network lacks when it is read
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    errors = [ln for ln in result.stderr.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1, result.stderr
+    assert "unknown fault bus 'nosuch'" in errors[0], result.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -209,7 +209,7 @@ def test_level_map_is_flat_where_the_tie_is_idle():
                            sources=tuple(s for s in net.sources
                                          if s.kind == "infinite_grid"))
         buses = [b for b in net.bus_ids() if b in up]
-        states = LimiterStates(net, buses)
+        states = LimiterStates(net)
         for bus in buses:
             level = states.level(bus)
             base = level.amps(0.0)
@@ -222,7 +222,7 @@ def test_level_map_is_flat_where_the_tie_is_idle():
 def _assert_map_matches_solutions(net, bus):
     # from a factorisation at R = 0, as a study makes, and at another R
     for base in (0.0, 37.0):
-        level = LimiterStates(net, [bus], base).level(bus)
+        level = LimiterStates(net, base).level(bus)
         for r in CHECK_OHMS:
             want = solve_fault(net, FaultSpec(bus), ufcl_state_ohm=r)
             assert level.amps(r) == pytest.approx(want.fault_current_a,
@@ -248,7 +248,7 @@ def test_level_map_tie_open_level(bundled_net):
     # the R -> infinity limit is the level with the tie branch removed
     snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
     far = solve_fault(snet, FaultSpec("bus3"), ufcl_state_ohm=1e9)
-    level = LimiterStates(snet, ["bus3"]).level("bus3")
+    level = LimiterStates(snet).level("bus3")
     assert level.tie_open_a() == pytest.approx(far.fault_current_a,
                                                rel=1e-6)
 
