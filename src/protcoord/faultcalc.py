@@ -11,7 +11,7 @@ and to bus index and i_base[from] / z, keyed by branch id), and a fault
 reads its relay currents at those taps, so a study pays only for the
 relay branches.
 build_ybus returns the admittance matrix of the state with the limiter at
-R = 0: the matrix that `run --debug-csv` prints.
+R = 0, as rows of complex: the matrix that `run --debug-csv` prints.
 
 The limiter changes one branch admittance, a rank-one change of Y, so one
 factorisation gives every limiter state (the compensation method, Tinney
@@ -23,36 +23,35 @@ same solve, which also carries a column for every DG's bus, gives each
 bus's bare-grid fault level, with only the infinite_grid sources in
 service (LimiterStates.grid_level). A batch of faults at one resistance R
 is LimiterStates(net, R).solve(buses, R); solve_fault is that read for one
-FaultSpec, and with oracle_solve the one-shot entry.
+FaultSpec, and with oracle_solve the one-shot entry. A FaultResult holds
+numbers only; a fault's post-fault voltage profile is read from the states
+on request (LimiterStates.profile), and no study reads one.
 
 _nodal stamps Y sparse: its diagonal and one dict of off-diagonal entries
 per row. There is one solution route at every size, in pure Python: an
 LDL^T of the sparse Y in minimum-degree order (Tinney and Walker, Proc.
 IEEE 55(11), 1967), whose cost grows with Y's nonzeros rather than with
 n^3, substitutions against a few narrow columns, and Z = Y^-1's diagonal
-read from the factors (Takahashi, Fagan and Chen, 8th PICA, 1973). A
-study never imports numpy; build_ybus and oracle_solve import it on call.
+read from the factors (Takahashi, Fagan and Chen, 8th PICA, 1973). Only
+oracle_solve imports numpy, on call.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
 the first. The two routes share only to_per_unit. The oracle's record,
 OracleResult, is not a FaultResult: it holds FaultResult's fields first,
-in the same order, then the complex fault current and every branch's
-current, so code that reads a FaultResult reads it the same way.
+in the same order, then the voltage profile, the complex fault current
+and every branch's current, so code that reads a FaultResult reads it
+the same way.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable
-from functools import partial
-from typing import TYPE_CHECKING, NamedTuple
+from collections.abc import Iterable
+from typing import NamedTuple
 
 from .netmodel import (Branch, Network, PuNetwork, Source, reachable,
                        to_per_unit)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FaultSpec", "FaultResult", "OracleResult", "LevelMap", "LimiterStates",
@@ -68,6 +67,8 @@ IDLE_TIE_TOL = 1e-9
 
 # Y as stamped: its diagonal, and per row a dict of column -> entry
 _Stamps = tuple[list[complex], list[dict[int, complex]]]
+# a tap per branch id: (from index, to index, i_base[from] / z)
+_Taps = dict[str, tuple[int, int, complex]]
 # Y = L D L^T: per elimination step (k, [(i, L[i, k]) for each neighbour
 # i]), in order; the same flat, [(k, i, L[i, k])]; and 1 / D
 _Factors = tuple[list[tuple[int, list]], list[tuple], list[complex]]
@@ -91,40 +92,32 @@ class FaultSpec(NamedTuple):
 
 
 class FaultResult(NamedTuple):
-    """Solved fault: what a study reads of it.
+    """Solved fault: what a study reads of it, numbers only.
 
     fault_current_a is |I_f| in amps on the fault bus's base, and
     relay_currents the magnitude each relay sees (relays act on |I|), in
-    amps on its branch's from-side base. bus_voltages_pu is the post-fault
-    voltage profile in per-unit, in net.buses order, made by profile on
-    each read: a study that reads only currents never pays for it, and a
-    reader that wants it twice keeps it (studio.FaultTable caches it).
+    amps on its branch's from-side base. The post-fault voltage profile
+    is no part of it: LimiterStates.profile reads it on request.
     """
 
     fault_bus: str | None
     fault_current_a: float
     relay_currents: dict[str, float]
-    profile: Callable[[], list[complex]]
-
-    @property
-    def bus_voltages_pu(self) -> list[complex]:
-        return self.profile()
 
 
 class OracleResult(NamedTuple):
-    """oracle_solve's record: FaultResult's fields, then the complex fault
-    current and every branch's complex current, in amps on its from-side
+    """oracle_solve's record: FaultResult's fields, then the post-fault
+    voltage profile in per-unit, in net.buses order, the complex fault
+    current, and every branch's complex current, in amps on its from-side
     base, in net.branches order. The oracle also solves the unfaulted
     network: fault_bus None, no fault current."""
 
     fault_bus: str | None
     fault_current_a: float
     relay_currents: dict[str, float]
-    profile: Callable[[], list[complex]]
+    bus_voltages_pu: list[complex]
     fault_current_c: complex
     branch_currents: dict[str, complex]
-
-    bus_voltages_pu = FaultResult.bus_voltages_pu
 
 
 def _tie_z(pu: PuNetwork, r_ohm: float) -> tuple[Branch | None, complex]:
@@ -150,8 +143,7 @@ def _source_z(pu: PuNetwork, s: Source) -> complex:
 
 
 def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
-           ) -> tuple[dict[str, int], dict[str, tuple[int, int, complex]],
-                      _Stamps, list[complex]]:
+           ) -> tuple[dict[str, int], _Taps, _Stamps, list[complex]]:
     """One operating state, with the limiter at ufcl_state_ohm and the
     induction multiplier applied: the bus index, a tap per id of a relay's
     branch or of the tie (from index, to index, i_base[from] / z) that
@@ -267,16 +259,13 @@ def _z_diagonal(factors: _Factors) -> list[complex]:
     return diag
 
 
-def build_ybus(net: Network) -> tuple[np.ndarray, dict[str, int]]:
+def build_ybus(net: Network) -> tuple[list[list[complex]], dict[str, int]]:
     """Assemble the nodal admittance matrix (sources as shunt admittances)
-    with the limiter at R = 0. Returns (Y, bus index map); imports numpy.
-    """
-    import numpy as np
+    with the limiter at R = 0. Returns (Y, bus index map), Y as rows of
+    complex."""
     index, _, (diag, off), _ = _nodal(to_per_unit(net))
-    ybus = np.diag(np.array(diag, dtype=complex))
-    for i, row in enumerate(off):
-        ybus[i, list(row)] = list(row.values())
-    return ybus, index
+    return [[diag[i] if j == i else row.get(j, 0j) for j in range(len(diag))]
+            for i, row in enumerate(off)], index
 
 
 class LevelMap(NamedTuple):
@@ -319,12 +308,13 @@ class LimiterStates:
     compensation takes the DGs out: grid_level reads a bus's fault level
     with only the infinite_grid sources in service by removing each other
     source's shunt and injection. A fault read by solve is a FaultResult:
-    its fault current, each relay's current from the post-fault voltage
-    across its branch and the branch's tap, and its voltage profile, one
-    substitution made on each read. The stamps are read only by the
-    ground check, before _factor consumes them. Raises ValueError, naming
-    it, for a bus that no source or load reaches, before any solve, and
-    for a bus the network lacks, on its read.
+    its fault current and each relay's current from the post-fault
+    voltage across its branch and the branch's tap. profile reads a
+    fault's whole post-fault voltage profile, with the same update, on
+    request. The stamps are read only by the ground check, before _factor
+    consumes them. Raises ValueError, naming it, for a bus that no source
+    or load reaches, before any solve, and for a bus the network lacks,
+    on its read.
     """
 
     def __init__(self, net: Network, ufcl_state_ohm: float = 0.0) -> None:
@@ -356,7 +346,7 @@ class LimiterStates:
     def _col(self, i: int, j: int | None = None) -> list[complex]:
         """Z (e_i - e_j), or Z e_i without j: Z's column of the bus i, or
         of the branch from i to j, substituted on its first read and
-        kept: a profile's read keeps its fault bus's column too."""
+        kept: profile keeps its fault bus's column too."""
         if (col := self._cols.get((i, j))) is None:
             e = [0j] * len(self._v)
             e[i] = 1 + 0j
@@ -365,11 +355,30 @@ class LimiterStates:
             col = self._cols[i, j] = _substitute(self._factors, e)
         return col
 
-    def _profile(self, k: int, i_f: complex, c: complex,
-                 cv: complex) -> list[complex]:
-        """The post-fault profile of the fault at bus index k, its current
-        i_f in per-unit, with the limiter's update (c, cv) applied."""
-        w = self._col(self._f, self._t) if c else [0j] * len(self._v)
+    def _update(self, r_ohm: float,
+                ) -> tuple[complex, complex, list[complex], _Taps]:
+        """The limiter's update from the base to r_ohm: c, c (v_f - v_t),
+        the tie's column w and the taps with the tie's at r_ohm. At the
+        base there is no update: c = 0 and w is zero."""
+        v, taps, pu = self._v, self._taps, self._pu
+        if r_ohm == self._base_ohm:
+            return 0j, 0j, [0j] * len(v), taps
+        tie, z = _tie_z(pu, r_ohm)
+        f, t, w = self._f, self._t, self._col(self._f, self._t)
+        dy = 1.0 / z - 1.0 / self._z0
+        c = dy / (1.0 + dy * (w[f] - w[t]))
+        return c, c * (v[f] - v[t]), w, {
+            **taps, tie.id: (f, t, pu.i_base[tie.from_bus] / z)}
+
+    def profile(self, bus: str, r_ohm: float) -> list[complex]:
+        """The post-fault voltage profile of a fault at bus with the
+        limiter at r_ohm, in per-unit, in net.buses order: one substitution
+        against the bus's unit column, which the states then keep. Its
+        fault current is the one solve reads, bit for bit."""
+        k = self._row(bus)
+        c, cv, w, _ = self._update(r_ohm)
+        ck = c * w[k]  # as solve reads it, to the same bits
+        i_f = (self._v[k] - w[k] * cv) / (self._zdiag[k] - w[k] * ck)
         return [v - wi * cv - i_f * (zi - wi * c * w[k])
                 for v, wi, zi in zip(self._v, w, self._col(k))]
 
@@ -377,16 +386,8 @@ class LimiterStates:
               r_ohm: float) -> list[FaultResult]:
         """A fault at each of buses, solved with the limiter at r_ohm;
         results are in the order of buses."""
-        v, zd, taps, pu = self._v, self._zdiag, self._taps, self._pu
-        profile = self._profile  # one bound method for every fault's partial
-        c, cv, w = 0j, 0j, [0j] * len(v)  # at the base: no update
-        if r_ohm != self._base_ohm:
-            tie, z = _tie_z(pu, r_ohm)
-            f, t, w = self._f, self._t, self._col(self._f, self._t)
-            dy = 1.0 / z - 1.0 / self._z0
-            c = dy / (1.0 + dy * (w[f] - w[t]))
-            cv = c * (v[f] - v[t])
-            taps = {**taps, tie.id: (f, t, pu.i_base[tie.from_bus] / z)}
+        v, zd, pu = self._v, self._zdiag, self._pu
+        c, cv, w, taps = self._update(r_ohm)
         # per relay: its branch's column, the prefault voltage across the
         # branch at r_ohm, e_b^T w with e_b = e_from - e_to, and its tap
         relays = [(r.id, self._col(a, b), v[a] - v[b] - (w[a] - w[b]) * cv,
@@ -400,13 +401,12 @@ class LimiterStates:
             i_f_amps = complex(i_f * pu.i_base[bus])
             # a relay current within the solution's round-off of zero is 0
             floor = 1e-9 * max(1.0, abs(i_f_amps))
-            # fault_bus, fault_current_a, relay_currents, profile
+            # fault_bus, fault_current_a, relay_currents
             results.append(FaultResult(
                 bus, abs(i_f_amps),
                 {rid: a if (a := abs(
                     (dv - i_f * (col[k] - dw * ck)) * s)) > floor else 0.0
-                 for rid, col, dv, dw, s in relays},
-                partial(profile, k, i_f, c, cv)))
+                 for rid, col, dv, dw, s in relays}))
         return results
 
     def level(self, bus: str) -> LevelMap:
@@ -557,6 +557,6 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
         fault_current_a=abs(i_fault_a),
         relay_currents={r.id: abs(branch_currents[r.branch])
                         for r in net.relays},
-        profile=x[:n_bus].tolist,
+        bus_voltages_pu=x[:n_bus].tolist(),
         fault_current_c=i_fault_a,
         branch_currents=branch_currents)

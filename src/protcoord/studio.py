@@ -15,7 +15,9 @@ designated bus, the bare-grid level at any other). One factorisation of
 the scenario network (faultcalc.LimiterStates, which reads any of its
 buses) reads the sizing map, the bare-grid target and every fault table,
 each group of buses at the resistance it sees. The sizing adds one solve
-of its own, to confirm R*.
+of its own, to confirm R*. A report holds numbers only and keeps no
+states alive; `run --debug-csv` reads each table's post-fault voltage
+profile from states it builds again from the same network.
 One pass over the declared pairs picks the graded ones, those at the
 fault buses, in file order, and checks that each names relays the
 network has. A fault table reads the relays of its bus's pairs first,
@@ -32,9 +34,7 @@ import gc
 import io
 import math
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -89,19 +89,12 @@ class RelayReading(NamedTuple):
 
 @dataclass(frozen=True)
 class FaultTable:
-    """One fault's readings. bus_voltages_pu is the solve's post-fault
-    profile in per-unit, in net.buses order, made by profile on its first
-    read: what `run --debug-csv` prints."""
+    """One fault's readings, with the limiter at ufcl_state_ohm."""
 
     fault_bus: str
     fault_current_a: float
     ufcl_state_ohm: float
     readings: tuple[RelayReading, ...]
-    profile: Callable[[], list[complex]] = field(compare=False, repr=False)
-
-    @cached_property
-    def bus_voltages_pu(self) -> list[complex]:
-        return self.profile()
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,7 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
                 times[bus] = {r.relay: r.time_s for r in readings}
                 currents[bus] = amps
             tables.append(FaultTable(bus, res.fault_current_a, ohms[bus],
-                                     tuple(readings), res.profile))
+                                     tuple(readings)))
 
         coordination = check_pairs(graded, times, currents)
     except (ValueError, KeyError, RuntimeError) as exc:
@@ -266,7 +259,7 @@ def _fail(message: str):
 
 
 def _read_net(path: str | None) -> tuple[Path, Network]:
-    file = Path(path) if path else bundled_dataset_path()
+    file = bundled_dataset_path() if path is None else Path(path)
     # ValueError covers NetworkFormatError and a file that is not UTF-8
     try:
         return file, load_network(file.read_text(encoding="utf-8-sig"))
@@ -287,13 +280,16 @@ def _debug_dump(snet: Network, report: StudyReport) -> str:
     """Ybus entries and post-fault voltages as row,col,re,im.
 
     Matrix entries use their bus indices, with no limiter resistance; the
-    voltage profile of the report's fault table number k (1-based) appears
-    as rows (i, -k, re, im).
+    voltage profile of the report's fault table number k (1-based), read
+    from limiter states of the scenario network at the table's limiter
+    resistance, appears as rows (i, -k, re, im).
     """
-    cells = [(i, j, y) for i, row in enumerate(build_ybus(snet)[0].tolist())
+    states = LimiterStates(snet)
+    cells = [(i, j, y) for i, row in enumerate(build_ybus(snet)[0])
              for j, y in enumerate(row) if y]  # row by row
     cells += [(i, -k, v) for k, t in enumerate(report.fault_tables, start=1)
-              for i, v in enumerate(t.bus_voltages_pu)]
+              for i, v in enumerate(states.profile(t.fault_bus,
+                                                   t.ufcl_state_ohm))]
     return "row,col,re,im\n" + "".join(
         f"{i},{j},{y.real!r},{y.imag!r}\n" for i, j, y in cells)
 
@@ -302,14 +298,14 @@ def _run_cmd(opts: argparse.Namespace) -> int:
     """Run one study scenario and report currents, times and verdicts."""
     net = _load_net(opts.network)
     scenario = SCENARIOS[opts.scenario]
-    if opts.fault_bus:
+    if opts.fault_bus is not None:
         scenario = scenario._replace(fault_buses=tuple(opts.fault_bus))
     report = run_scenario(net, scenario)
-    if opts.debug_csv:
+    if opts.debug_csv is not None:
         Path(opts.debug_csv).write_text(_debug_dump(
             build_scenario_net(net, scenario), report))
     text = emit_report(report, opts.format, opts.full_precision)
-    if opts.out:
+    if opts.out is not None:
         Path(opts.out).write_text(text)
     else:
         sys.stdout.write(text)

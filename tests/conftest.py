@@ -11,6 +11,7 @@ import pytest
 
 import protcoord
 from protcoord import bundled_dataset_path
+from protcoord.faultcalc import LimiterStates
 from protcoord.netmodel import (Branch, Bus, Network, ShuntLoad, Source,
                                 UfclSpec, load_network, to_per_unit)
 
@@ -55,6 +56,14 @@ def branch_amps(net, bus_voltages_pu, r_ohm=0.0):
         amps[br.id] = complex((v[br.from_bus] - v[br.to_bus]) / z
                               * pu.i_base[br.from_bus])
     return amps
+
+
+def fault_voltages(net, bus, r_ohm=0.0):
+    """The post-fault voltage profile in per-unit, in net.buses order, of a
+    fault at bus with the limiter resistance r_ohm, read from states
+    factorised at r_ohm: the states that solve_fault(net, FaultSpec(bus),
+    r_ohm) reads, to the same bits."""
+    return LimiterStates(net, r_ohm).profile(bus, r_ohm)
 
 
 def bench_module(name):

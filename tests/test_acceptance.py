@@ -19,7 +19,8 @@ from protcoord.relaycurve import CurveConstants, operate_time
 from protcoord.studio import SCENARIOS, build_scenario_net, run_scenario
 from protcoord.ufcl import size_ufcl
 
-from conftest import branch_amps, random_connected_net, random_tie_net
+from conftest import (branch_amps, fault_voltages, random_connected_net,
+                      random_tie_net)
 
 
 @pytest.fixture
@@ -110,7 +111,8 @@ def _routes_agree(net, fault_bus, state=0.0):
     a = solve_fault(net, FaultSpec(fault_bus), ufcl_state_ohm=state)
     b = oracle_solve(net, FaultSpec(fault_bus), ufcl_state_ohm=state)
     assert close(abs(a.fault_current_a), abs(b.fault_current_a))
-    for br, amps in branch_amps(net, a.bus_voltages_pu, state).items():
+    volts = fault_voltages(net, fault_bus, state)
+    for br, amps in branch_amps(net, volts, state).items():
         assert close(abs(amps), abs(b.branch_currents[br])), (fault_bus, br)
 
 
@@ -217,8 +219,9 @@ def test_criterion_5_downstream_invariance(bundled_net, announce):
                              abs(b.fault_current_a), rel=1e-12)
                 for rid, amps in a.relay_currents.items():
                     assert close(amps, b.relay_currents[rid], rel=1e-12)
-                before = branch_amps(plain, a.bus_voltages_pu)
-                after = branch_amps(limited, b.bus_voltages_pu, state)
+                before = branch_amps(plain, fault_voltages(plain, bus))
+                after = branch_amps(
+                    limited, fault_voltages(limited, bus, state), state)
                 for br, amps in before.items():
                     assert abs(amps - after[br]) <= \
                         1e-12 * max(1.0, abs(amps))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (branch_amps, feeder_net, random_connected_net,
-                      random_radial_net, random_tie_net)
+from conftest import (branch_amps, fault_voltages, feeder_net,
+                      random_connected_net, random_radial_net,
+                      random_tie_net)
 from protcoord import faultcalc
 from protcoord.faultcalc import (FaultResult, FaultSpec, LimiterStates,
                                  OracleResult, build_ybus, oracle_solve,
@@ -44,13 +45,13 @@ def test_ybus_hand_stamp_single_branch():
     # z = j20 ohm on a 40 ohm base: j0.5 pu, y = -2j
     ybus, ix = build_ybus(two_bus(20j))
     want = np.array([[-2j, 2j], [2j, -2j]])
-    assert np.allclose(ybus, want, atol=1e-15)
+    assert np.allclose(np.array(ybus), want, atol=1e-15)
     assert ix == {"a": 0, "b": 1}
 
 
 def test_ybus_hand_stamp_with_source():
     # grid z = j4 ohm: j0.1 pu, adds 1/(j0.1) = -10j on its diagonal
-    ybus, _ = build_ybus(two_bus(20j, with_source=True))
+    ybus = np.array(build_ybus(two_bus(20j, with_source=True))[0])
     assert ybus[0, 0] == pytest.approx(-12j, abs=1e-12)
     assert ybus[1, 1] == pytest.approx(-2j, abs=1e-12)
 
@@ -67,6 +68,7 @@ def dense(stamps):
 
 def test_ybus_ufcl_state_touches_only_tie_entries(bundled_net):
     y0, ix = build_ybus(bundled_net)
+    y0 = np.array(y0)
     _, _, stamps, _ = faultcalc._nodal(to_per_unit(bundled_net), 184.0)
     y1 = dense(stamps)
     tie = bundled_net.branch_by_id(bundled_net.ufcl.tie_branch)
@@ -101,7 +103,7 @@ def test_two_tie_branches_without_ufcl_solve_at_zero_limiter():
         got = solve_fault(net, FaultSpec(bus))
         ref = oracle_solve(net, FaultSpec(bus))
         assert close(got.fault_current_a, ref.fault_current_a), bus
-        currents = branch_amps(net, got.bus_voltages_pu)
+        currents = branch_amps(net, fault_voltages(net, bus))
         for br in net.branches:
             assert close(currents[br.id], ref.branch_currents[br.id]), (
                 bus, br.id)
@@ -196,7 +198,19 @@ def test_unknown_fault_bus(bundled_net):
 def test_fault_result_covers_all_relays(bundled_net):
     res = solve_fault(bundled_net, FaultSpec("bus4"))
     assert set(res.relay_currents) == {r.id for r in bundled_net.relays}
-    assert len(res.bus_voltages_pu) == len(bundled_net.buses)
+    assert len(fault_voltages(bundled_net, "bus4")) == len(bundled_net.buses)
+
+
+def test_equal_solves_give_equal_fault_results(bundled_net):
+    # a FaultResult is its numbers: two solves of one fault compare equal,
+    # and it holds no voltage profile
+    assert FaultResult._fields == ("fault_bus", "fault_current_a",
+                                   "relay_currents")
+    states = LimiterStates(bundled_net)
+    for r_ohm in (0.0, 200.0):
+        first = states.solve(["bus3"], r_ohm)[0]
+        assert first == states.solve(["bus3"], r_ohm)[0]
+        assert first == LimiterStates(bundled_net).solve(["bus3"], r_ohm)[0]
 
 
 @settings(deadline=None)
@@ -226,29 +240,31 @@ def test_induction_multiplier_one_equals_sync(bundled_net, monkeypatch):
 # --- batches of faults -----------------------------------------------------
 
 
-def numbers(res):
-    """What a study reads of a fault solution, comparable bit for bit: the
-    voltages by their reprs, which tell -0.0 from 0.0."""
-    return (res.fault_bus, res.fault_current_a, res.relay_currents,
-            repr(res.bus_voltages_pu))
+def numbers(net, bus, r_ohm=0.0):
+    """A single solve of the fault at bus and its voltage profile,
+    comparable bit for bit: the voltages by their reprs, which tell -0.0
+    from 0.0."""
+    return (solve_fault(net, FaultSpec(bus), ufcl_state_ohm=r_ohm),
+            repr(fault_voltages(net, bus, r_ohm)))
 
 
 def assert_batch_matches(net, r_ohm):
-    """An all-bus batch equals its single solves bit for bit and the
-    oracle to 1e-9: the fault current, and each branch's current from the
-    batch's voltage profile."""
-    faults = [FaultSpec(b.id) for b in net.buses]
-    batch = solve_batch(net, faults, r_ohm)
-    assert [res.fault_bus for res in batch] == [f.bus for f in faults]
-    for fault, res in zip(faults, batch):
-        one = solve_fault(net, fault, ufcl_state_ohm=r_ohm)
-        assert numbers(res) == numbers(one), fault
-        ref = oracle_solve(net, fault, ufcl_state_ohm=r_ohm)
-        assert close(res.fault_current_a, ref.fault_current_a), fault
-        currents = branch_amps(net, res.bus_voltages_pu, r_ohm)
+    """An all-bus batch and its states' voltage profiles equal the single
+    solves bit for bit, and the oracle to 1e-9: the fault current, and
+    each branch's current from the batch states' voltage profile."""
+    buses = net.bus_ids()
+    states = LimiterStates(net, r_ohm)
+    batch = states.solve(buses, r_ohm)
+    assert [res.fault_bus for res in batch] == buses
+    for bus, res in zip(buses, batch):
+        volts = states.profile(bus, r_ohm)
+        assert (res, repr(volts)) == numbers(net, bus, r_ohm), bus
+        ref = oracle_solve(net, FaultSpec(bus), ufcl_state_ohm=r_ohm)
+        assert close(res.fault_current_a, ref.fault_current_a), bus
+        currents = branch_amps(net, volts, r_ohm)
         for br in net.branches:
             assert close(currents[br.id], ref.branch_currents[br.id]), (
-                fault, br.id)
+                bus, br.id)
 
 
 def sized_ohms(net, bus):
@@ -348,10 +364,12 @@ def assert_sparse_route_matches(net, r_ohm, rel=1e-12):
     equals its single solves bit for bit."""
     assert_batch_matches(net, r_ohm)
     dense_route = lapack_faults(net, r_ohm)
-    for res in solve_batch(net, [FaultSpec(b.id) for b in net.buses], r_ohm):
+    states = LimiterStates(net, r_ohm)
+    for res in states.solve(net.bus_ids(), r_ohm):
         amps, volts = dense_route[res.fault_bus]
         assert close(res.fault_current_a, amps, rel=rel)
-        assert np.abs(np.array(res.bus_voltages_pu) - volts).max() <= rel
+        assert np.abs(np.array(states.profile(res.fault_bus, r_ohm))
+                      - volts).max() <= rel
 
 
 def test_sparse_route_on_random_networks():
@@ -446,9 +464,7 @@ def test_a_branch_looping_on_one_bus_changes_nothing(bundled_net, pattern):
     net = base._replace(branches=(
         *base.branches, Branch("loop", "bus4", "bus4", "line", 3 + 7j)))
     for bus in base.bus_ids():
-        got = solve_fault(net, FaultSpec(bus))
-        want = solve_fault(base, FaultSpec(bus))
-        assert numbers(got) == numbers(want)
+        assert numbers(net, bus) == numbers(base, bus)
 
 
 def assert_update_matches_oracle(net, r_star, base=0.0):
@@ -461,7 +477,7 @@ def assert_update_matches_oracle(net, r_star, base=0.0):
             ref = oracle_solve(net, FaultSpec(bus), ufcl_state_ohm=r_ohm)
             assert close(res.fault_current_a, ref.fault_current_a), (
                 bus, r_ohm)
-            currents = branch_amps(net, res.bus_voltages_pu, r_ohm)
+            currents = branch_amps(net, states.profile(bus, r_ohm), r_ohm)
             for br in net.branches:
                 assert close(currents[br.id], ref.branch_currents[br.id]), (
                     bus, br.id)
@@ -492,7 +508,8 @@ def test_limiter_update_matches_oracle_on_bundled(bundled_net, pattern):
                 ref = oracle_solve(snet, FaultSpec(bus), ufcl_state_ohm=r_ohm)
                 assert close(res.fault_current_a, ref.fault_current_a), (
                     sid, bus, r_ohm)
-                currents = branch_amps(snet, res.bus_voltages_pu, r_ohm)
+                currents = branch_amps(snet, states.profile(bus, r_ohm),
+                                       r_ohm)
                 for br in snet.branches:
                     assert close(currents[br.id],
                                  ref.branch_currents[br.id]), (
@@ -563,7 +580,7 @@ def thevenin(net):
     """Driving-point impedance of every bus in per-unit (EMFs shorted):
     the diagonal of the inverse of Y."""
     ybus, ix = build_ybus(net)
-    zbus = np.linalg.inv(ybus)
+    zbus = np.linalg.inv(np.array(ybus))
     return {bus: complex(zbus[k, k]) for bus, k in ix.items()}
 
 
@@ -604,13 +621,13 @@ def test_adding_dg_never_raises_thevenin(seed):
 def test_per_source_contributions_sum_to_total(seed):
     net = random_connected_net(seed)
     bus = net.buses[seed % len(net.buses)].id
-    total = np.array(solve_fault(net, FaultSpec(bus)).bus_voltages_pu)
+    total = np.array(fault_voltages(net, bus))
     parts = 0j
     for s in net.sources:
         solo = net._replace(sources=tuple(
             src if src.id == s.id else src._replace(emf_pu=0.0)
             for src in net.sources))
-        parts += np.array(solve_fault(solo, FaultSpec(bus)).bus_voltages_pu)
+        parts += np.array(fault_voltages(solo, bus))
     assert np.abs(parts - total).max() <= \
         1e-9 * max(1.0, np.abs(total).max())
 
@@ -660,13 +677,15 @@ def kcl_residuals(net, bus_voltages_pu, r_ohm=0.0):
 
 def test_an_oracle_result_reads_as_a_fault_result(bundled_net):
     # OracleResult is no FaultResult subclass: it leads with the same
-    # fields, so unpacking or indexing either reads the same four values
-    assert OracleResult._fields[:4] == FaultResult._fields
+    # fields, so unpacking or indexing either reads the same three values;
+    # the voltage profile, a list, follows them
+    assert OracleResult._fields[:3] == FaultResult._fields
     ref = oracle_solve(bundled_net, FaultSpec("bus3"))
-    bus, amps, relays, profile = ref[:4]
+    bus, amps, relays, volts = ref[:4]
     assert (bus, amps, relays) == ("bus3", ref.fault_current_a,
                                    ref.relay_currents)
-    assert profile() == ref.bus_voltages_pu
+    assert volts is ref.bus_voltages_pu
+    assert type(volts) is list and len(volts) == len(bundled_net.buses)
 
 
 def test_oracle_agrees_on_bundled_everywhere(bundled_net):
@@ -678,7 +697,8 @@ def test_oracle_agrees_on_bundled_everywhere(bundled_net):
                 b = oracle_solve(snet, FaultSpec(bus), ufcl_state_ohm=state)
                 assert close(a.fault_current_a, b.fault_current_a), \
                     (sid, bus, state)
-                currents = branch_amps(snet, a.bus_voltages_pu, state)
+                currents = branch_amps(
+                    snet, fault_voltages(snet, bus, state), state)
                 for br in snet.branches:
                     assert close(abs(currents[br.id]),
                                  abs(b.branch_currents[br.id])), \
@@ -702,9 +722,10 @@ def assert_reported_kcl(net, r_ohm=0.0):
     """Every bus of an all-bus batch solve balances on its reported
     voltages, the faulted bus by the reported fault current."""
     pu = to_per_unit(net)
-    faults = [FaultSpec(b.id) for b in net.buses]
-    for res in solve_batch(net, faults, r_ohm):
-        residuals = kcl_residuals(net, res.bus_voltages_pu, r_ohm)
+    states = LimiterStates(net, r_ohm)
+    for res in states.solve(net.bus_ids(), r_ohm):
+        residuals = kcl_residuals(net, states.profile(res.fault_bus, r_ohm),
+                                  r_ohm)
         i_f = abs(residuals.pop(res.fault_bus))
         assert abs(i_f - res.fault_current_a / pu.i_base[res.fault_bus]) \
             < 1e-9, (res.fault_bus, r_ohm)

@@ -34,16 +34,22 @@ finally:
 
 
 @pytest.mark.parametrize("case", ["run_s2_dg1_ufcl_md", "run_s2_dg1_ufcl_csv",
-                                  "size_ufcl_bus3", "validate", "check"])
-def test_cli_never_imports_numpy(case):
-    # only `run --debug-csv`, through build_ybus, reaches numpy
+                                  "size_ufcl_bus3", "validate", "check",
+                                  "run_s2_dg1_ufcl_md_debug_csv"])
+def test_cli_never_imports_numpy(case, tmp_path):
+    # only oracle_solve imports numpy, so no command reaches it; a case
+    # ending in _debug_csv is its golden case plus a --debug-csv dump
+    name = case.removesuffix("_debug_csv")
+    dump = tmp_path / "dump.csv"
+    extra = [] if name == case else ["--debug-csv", str(dump)]
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE,
-                           *golden.cases()[case]], capture_output=True,
-                          text=True, env=package_env())
-    want = (golden.GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+                           *golden.cases()[name], *extra],
+                          capture_output=True, text=True, env=package_env())
+    want = (golden.GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert want.startswith(f"exit {proc.returncode}\n--- stdout\n"
                            f"{proc.stdout}--- stderr\n")
     assert proc.stderr.endswith("\nnumpy loaded: False, click loaded: False\n")
+    assert dump.exists() == bool(extra)
 
 
 # the console script's own call, as pip writes it, which then says whether

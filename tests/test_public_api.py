@@ -232,18 +232,16 @@ VALUE_RECORDS = {
     "faultcalc.LevelMap": ("a", "b", "d"),
     "faultcalc.FaultSpec": ("bus",),
     "faultcalc.FaultResult": ("fault_bus", "fault_current_a",
-                              "relay_currents", "profile"),
+                              "relay_currents"),
     "faultcalc.OracleResult": ("fault_bus", "fault_current_a",
-                               "relay_currents", "profile", "fault_current_c",
-                               "branch_currents"),
+                               "relay_currents", "bus_voltages_pu",
+                               "fault_current_c", "branch_currents"),
     "netmodel.PuNetwork": ("net", "z_base", "i_base", "branch_z_pu",
                            "source_z_pu", "load_z_pu"),
     "netmodel.Violation": ("rule", "subject", "message"),
 }
 # records the bench rebuilds with dataclasses.replace: its self-check,
-# perfbench/worker.bump_first_current, rebuilds FaultTable and StudyReport.
-# FaultTable also caches its voltage profile, which a FaultResult makes
-# anew on each read
+# perfbench/worker.bump_first_current, rebuilds FaultTable and StudyReport
 DATACLASS_RECORDS = {"studio.FaultTable", "studio.StudyReport"}
 
 

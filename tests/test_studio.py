@@ -1,14 +1,16 @@
+import gc
 import json
-from dataclasses import replace
+import weakref
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import feeder_net, random_tie_net
 from protcoord import bundled_dataset_path, faultcalc, studio
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
-from protcoord.faultcalc import (FaultSpec, build_ybus, oracle_solve,
-                                 solve_fault)
+from protcoord.faultcalc import (FaultSpec, LimiterStates, build_ybus,
+                                 oracle_solve, solve_fault)
 from protcoord.netmodel import CoordinationPair, partition_by_tie
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
@@ -226,6 +228,18 @@ def test_factorisations_per_feeder_study(monkeypatch):
     assert calls == [200, 200]
 
 
+@pytest.mark.parametrize("sid", ["s1_dg1", "s2_dg1_ufcl"])
+def test_factorisations_per_cli_debug_csv(tmp_path, monkeypatch, sid):
+    # the dump reads the voltage profiles from one factorisation more
+    calls = count_factorisations(monkeypatch)
+    run = ["run", "--scenario", sid]
+    assert CliRunner().invoke(cli, run).exit_code == 2
+    plain = len(calls)
+    dump = ["--debug-csv", str(tmp_path / "dump.csv")]
+    assert CliRunner().invoke(cli, [*run, *dump]).exit_code == 2
+    assert len(calls) - plain == plain + 1
+
+
 def test_factorisations_per_undesignated_study(monkeypatch):
     net, up, down = _undesignated(0)
     calls = count_factorisations(monkeypatch)
@@ -260,22 +274,21 @@ def test_an_unknown_tie_branch_is_named_on_every_route(bundled_net, sid):
         solve_fault(net, FaultSpec("bus3"))
 
 
-def test_a_fault_table_reads_its_profile_once(bundled_net):
-    # the table keeps the profile it reads; the solve's record makes it
-    # anew on each read, from the same solve, to the same bits
-    snet = build_scenario_net(bundled_net, SCENARIOS["s1_dg1"])
-    table = run_scenario(bundled_net, SCENARIOS["s1_dg1"]).fault_tables[0]
-    calls = []
+def test_a_report_keeps_no_limiter_states_alive(bundled_net, monkeypatch):
+    # a report holds numbers only: once run_scenario returns, nothing
+    # refers to the states it factorised
+    built = []
 
-    def profile():
-        calls.append(None)
-        return table.profile()
-    counted = replace(table, profile=profile)
-    first = counted.bus_voltages_pu
-    assert counted.bus_voltages_pu is first
-    assert len(calls) == 1
-    res = solve_fault(snet, FaultSpec(table.fault_bus))
-    assert repr(first) == repr(res.bus_voltages_pu)
+    def spy(net, *args):
+        states = LimiterStates(net, *args)
+        built.append(weakref.ref(states))
+        return states
+    monkeypatch.setattr(studio, "LimiterStates", spy)
+    report = run_scenario(bundled_net, SCENARIOS["s2_dg1_ufcl"])
+    gc.collect()
+    assert len(built) == 1
+    assert built[0]() is None
+    assert report.fault_tables  # the report itself is still alive
 
 
 def test_a_bus_with_two_pairs_reads_each_relay_once(bundled_net):
@@ -422,7 +435,7 @@ def test_cli_run_debug_csv_values(tmp_path, bundled_net):
     rows = [tuple(float(cell) for cell in ln.split(",")) for ln in lines[1:]]
 
     snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
-    ybus, _ = build_ybus(snet)
+    ybus = np.array(build_ybus(snet)[0])
     matrix = {(int(i), int(j)): complex(re, im)
               for i, j, re, im in rows if j >= 0}
     assert matrix == {(i, j): ybus[i, j] for i in range(len(ybus))
@@ -467,7 +480,10 @@ def test_cli_run_runs_one_study(tmp_path, monkeypatch, debug):
 
 
 def test_cli_run_debug_csv_prints_the_reports_voltages(tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       bundled_net):
+    # each table's profile, at the table's limiter resistance, bit for bit
+    # as limiter states of the scenario network read it
     reports = spy_run_scenario(monkeypatch)
     dump = tmp_path / "dump.csv"
     buses = [arg for bus in ("bus1", "bus3", "bus6", "dgbus")
@@ -476,13 +492,17 @@ def test_cli_run_debug_csv_prints_the_reports_voltages(tmp_path,
                                       *buses, "--debug-csv", str(dump)])
     assert result.exit_code in (0, 2), result.output
     rows = [ln.split(",") for ln in dump.read_text().splitlines()[1:]]
+    snet = build_scenario_net(bundled_net, SCENARIOS["s4_dg1_dg2_ufcl"])
     tables = reports[0].fault_tables
+    assert {t.ufcl_state_ohm for t in tables} == {0.0,
+                                                 reports[0].sizing.r_star}
     for k, table in enumerate(tables, start=1):
         got = [complex(float(re), float(im))
                for _, j, re, im in rows if int(j) == -k]
-        assert got == table.bus_voltages_pu, table.fault_bus
+        assert got == LimiterStates(snet).profile(
+            table.fault_bus, table.ufcl_state_ohm), table.fault_bus
     assert sum(int(j) < 0 for _, j, _, _ in rows) == \
-        len(tables) * len(tables[0].bus_voltages_pu)
+        len(tables) * len(snet.buses)
 
 
 def test_cli_check_reproduces_verdicts(tmp_path, bundled_net):
@@ -552,6 +572,31 @@ def test_cli_size_ufcl_needs_a_limiter(tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert result.output == ("error: no tie branch to carry the limiter "
                              "resistance\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--scenario", "s0_no_dg", "--network", ""],
+    ["validate", "--network", ""],
+    ["size-ufcl", "--fault-bus", "bus3", "--network", ""],
+    ["check", "--times", "times.csv", "--network", ""],
+    ["run", "--scenario", "s0_no_dg", "--out", ""],
+    ["run", "--scenario", "s0_no_dg", "--debug-csv", ""],
+], ids=["run_network", "validate_network", "size_ufcl_network",
+        "check_network", "run_out", "run_debug_csv"])
+def test_cli_an_empty_path_is_an_error(tmp_path, monkeypatch, args):
+    # an empty path is given, not absent: it names no file, so neither the
+    # bundled grid nor stdout stands in for it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "times.csv").write_text(STUDY_TIMES)
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    errors = [ln for ln in result.stderr.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1, result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["times.csv"]
 
 
 def test_cli_validate_ok():
