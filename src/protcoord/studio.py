@@ -15,9 +15,14 @@ designated bus, the bare-grid level at any other). One factorisation of
 the scenario network (faultcalc.LimiterStates, which reads any of its
 buses) reads the sizing map, the bare-grid target and every fault table,
 each group of buses at the resistance it sees. The sizing adds one solve
-of its own, to confirm R*. A report holds numbers only and keeps no
-states alive; `run --debug-csv` reads each table's post-fault voltage
-profile from states it builds again from the same network.
+of its own, to confirm R*, on a copy of the network without relays, which
+reads the same fault current. A study partitions the graph at the tie
+once: the one set of downstream buses gives each fault bus its
+resistance and rejects a designated sizing bus on the downstream side,
+so size_ufcl, handed the states, does not partition again. A report
+holds numbers only and keeps no states alive; `run --debug-csv` reads
+each table's post-fault voltage profile from states it builds again from
+the same network.
 One pass over the declared pairs picks the graded ones, those at the
 fault buses, in file order, and checks that each names relays the
 network has. A fault table reads the relays of its bus's pairs first,
@@ -167,6 +172,10 @@ def run_scenario(net: Network, scenario: Scenario) -> StudyReport:
                     raise ValueError("no upstream fault bus to size the "
                                      "limiter against")
                 sizing_bus = upstream[0]
+            elif sizing_bus in down:
+                raise ValueError(
+                    f"fault bus {sizing_bus!r} is downstream of the "
+                    f"limiter; sizing needs an upstream bus")
             sizing = size_ufcl(snet, sizing_bus, states=states)
             ohms = {bus: snet.ufcl.r_normal if bus in down else sizing.r_star
                     for bus in buses}
@@ -449,7 +458,8 @@ class _Cli:
     main() parses, runs one command and ends in sys.exit: 0 or 2 by the
     verdicts of `run` and `check`, 1 for an error. It is also the
     commands' one error boundary: an OSError, ValueError or RuntimeError
-    from any of them ends in one error line and exit 1. Calling the object
+    from any of them ends in one error line and exit 1, and so does an
+    empty path option, named before the command runs. Calling the object
     itself is the process entry (the console script and `python -m
     protcoord.studio`): it first moves every object the imports made to
     the collector's permanent generation, so neither a collection during
@@ -465,6 +475,10 @@ class _Cli:
 
     def main(self, args=None, prog_name=None):
         opts = _parser(prog_name or self.name).parse_args(args)
+        # an empty path names no file, not the working directory
+        for dest in ("network", "out", "debug_csv", "times"):
+            if getattr(opts, dest, None) == "":
+                _fail(f"--{dest.replace('_', '-')}: empty path")
         try:
             sys.exit(opts.command(opts))  # None: exit 0
         except (OSError, ValueError, RuntimeError) as exc:

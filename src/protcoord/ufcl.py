@@ -24,7 +24,15 @@ admittance, a rank-one change of Y, so the fault current at a bus is
 I_f(R) = (a + b R) / (1 + d R), and faultcalc.LimiterStates gives that
 LevelMap in closed form from the one factorisation a study already makes.
 The search reads the map; one direct fault solution at the accepted R
-checks the read and gives the reported current.
+checks the read and gives the reported current. That confirm solves a
+copy of the network without relays: relays stamp nothing into Y or the
+injections, so its fault current is the full network's, bit for bit,
+and it substitutes no relay branch's column.
+
+Which side of the tie a bus lies on needs a partition of the graph
+(downstream_buses). A study partitions once and passes size_ufcl its
+states; size_ufcl partitions only when it builds its own states, called
+alone, to reject a downstream fault bus.
 """
 
 from __future__ import annotations
@@ -68,27 +76,32 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, *,
     """Resistance restoring the upstream fault level at fault_bus to its
     pre-DG value.
 
-    The target is net_with_dg.ufcl.sizing_reference_a when fault_bus is
-    the designated sizing_fault_bus and a reference is recorded, else the
-    bare-grid level at fault_bus, states.grid_level; a target that is not
-    > 0 raises ValueError. Evaluates |fault current| with the DG network
+    fault_bus must lie upstream of the limiter. When states is not given,
+    size_ufcl builds them and first partitions the network to check that,
+    raising ValueError for a downstream bus; a caller that passes states
+    has made that check itself. The target is
+    net_with_dg.ufcl.sizing_reference_a when fault_bus is the designated
+    sizing_fault_bus and a reference is recorded, else the bare-grid level
+    at fault_bus, states.grid_level; a target that is not > 0 raises
+    ValueError. Evaluates |fault current| with the DG network
     and the limiter at R, first at R=0, then doubling R from R_HI_SEED
     until the current drops to the target, then bisecting. Relative
     current error <= SIZING_TOL terminates. Each evaluation reads the
     LevelMap of states, the limiter states of net_with_dg (built here
     when not given); the result's current is solved directly at the
-    accepted R. Raises SizingError when the R=0 current is already below
-    the target (no resistance can raise a current), when the tie-open
+    accepted R, on a copy of net_with_dg without relays. Raises
+    SizingError when the R=0 current is already below the target (no
+    resistance can raise a current), when the tie-open
     level is above it (no finite resistance lowers the current that far),
     when the evaluation budget of 200 runs out, or when the solution at
     the accepted R misses the target that the read met.
     """
     u = net_with_dg.ufcl
-    if u is not None and fault_bus in downstream_buses(net_with_dg):
-        raise ValueError(
-            f"fault bus {fault_bus!r} is downstream of the limiter; "
-            f"sizing needs an upstream bus")
     if states is None:
+        if u is not None and fault_bus in downstream_buses(net_with_dg):
+            raise ValueError(
+                f"fault bus {fault_bus!r} is downstream of the limiter; "
+                f"sizing needs an upstream bus")
         states = LimiterStates(net_with_dg)
     target_a = (u.sizing_reference_a if u is not None
                 and u.sizing_reference_a is not None
@@ -126,7 +139,10 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, *,
         raise SizingError(f"no convergence within {EVALUATION_CAP} "
                           f"evaluations (tol {SIZING_TOL})")
 
-    achieved = solve_fault(net_with_dg, FaultSpec(fault_bus),
+    # relays stamp nothing into Y: without them the confirm reads the same
+    # fault current and substitutes no relay branch's column
+    achieved = solve_fault(net_with_dg._replace(relays=()),
+                           FaultSpec(fault_bus),
                            ufcl_state_ohm=r_ohm).fault_current_a
     if abs(achieved - target_a) / target_a > SIZING_TOL:
         raise SizingError(

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import feeder_net, random_tie_net
-from protcoord import bundled_dataset_path, faultcalc, studio
+from protcoord import bundled_dataset_path, faultcalc, studio, ufcl
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, LimiterStates, build_ybus,
                                  oracle_solve, solve_fault)
@@ -194,7 +194,8 @@ def count_factorisations(monkeypatch):
     ("s0_no_dg", 1), ("s1_dg1", 1), ("s2_dg1_ufcl", 2),
     ("s4_dg1_dg2_ufcl", 2), ("s6_induction_dg1_ufcl", 2)])
 def test_factorisations_per_study(bundled_net, monkeypatch, sid, want):
-    # one for the study's limiter states, one to confirm the sized R*
+    # one for the study's limiter states, one to confirm the sized R* on
+    # a copy of the network without relays
     calls = count_factorisations(monkeypatch)
     run_scenario(bundled_net, SCENARIOS[sid])
     assert len(calls) == want
@@ -219,7 +220,7 @@ def test_factorisations_per_cli_sizing_off_the_recorded_bus(monkeypatch,
 
 def test_factorisations_per_feeder_study(monkeypatch):
     # the benchmark's 200-bus feeder: the study's limiter states, and the
-    # confirm at the sized R*
+    # confirm at the sized R*, which solves a copy without relays
     net = feeder_net(200, 1)
     dgs = frozenset(s.id for s in net.sources if s.kind != "infinite_grid")
     calls = count_factorisations(monkeypatch)
@@ -246,6 +247,58 @@ def test_factorisations_per_undesignated_study(monkeypatch):
     run_scenario(net, Scenario("x", frozenset({"dg"}), ufcl_enabled=True,
                                fault_buses=(*down, *up)))
     assert len(calls) == 2
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, passed through."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("sid, subs, parts", [
+    ("s1_dg1", 7, 0), ("s2_dg1_ufcl", 8, 1), ("s4_dg1_dg2_ufcl", 8, 1),
+    ("s6_induction_dg1_ufcl", 8, 1)])
+def test_substitutions_and_partitions_per_study(bundled_net, monkeypatch,
+                                                sid, subs, parts):
+    # the study's states substitute the injections and the 6 relay
+    # branches' columns, and a sizing the tie's column; the confirm, on a
+    # copy without relays, substitutes the injections only. A limiter
+    # study partitions the graph once, and size_ufcl, handed the states,
+    # does not partition again
+    substitutions = count_calls(monkeypatch, faultcalc, "_substitute")
+    partitions = count_calls(monkeypatch, ufcl, "partition_by_tie")
+    run_scenario(bundled_net, SCENARIOS[sid])
+    assert (len(substitutions), len(partitions)) == (subs, parts)
+
+
+def test_substitutions_and_partitions_per_feeder_study(monkeypatch):
+    # the benchmark's seed-1 200-bus feeder: its relay branches' columns
+    # are substituted once, for the study's states only
+    net = feeder_net(200, 1)
+    dgs = frozenset(s.id for s in net.sources if s.kind != "infinite_grid")
+    substitutions = count_calls(monkeypatch, faultcalc, "_substitute")
+    partitions = count_calls(monkeypatch, ufcl, "partition_by_tie")
+    run_scenario(net, Scenario("feeder", dgs, ufcl_enabled=True,
+                               fault_buses=tuple(net.bus_ids())))
+    assert (len(substitutions), len(partitions)) == (15, 1)
+
+
+def test_run_scenario_rejects_a_downstream_sizing_bus(bundled_net):
+    # through the API, which does not validate: the study's one partition
+    # finds the designated sizing bus on the downstream side
+    net = bundled_net._replace(ufcl=bundled_net.ufcl._replace(
+        sizing_fault_bus="bus6"))
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(net, SCENARIOS["s2_dg1_ufcl"])
+    assert str(err.value) == ("scenario s2_dg1_ufcl: fault bus 'bus6' is "
+                              "downstream of the limiter; sizing needs an "
+                              "upstream bus")
 
 
 def test_run_scenario_names_a_pair_relay_the_network_lacks(bundled_net):
@@ -581,21 +634,20 @@ def test_cli_size_ufcl_needs_a_limiter(tmp_path):
     ["check", "--times", "times.csv", "--network", ""],
     ["run", "--scenario", "s0_no_dg", "--out", ""],
     ["run", "--scenario", "s0_no_dg", "--debug-csv", ""],
+    ["check", "--times", ""],
 ], ids=["run_network", "validate_network", "size_ufcl_network",
-        "check_network", "run_out", "run_debug_csv"])
+        "check_network", "run_out", "run_debug_csv", "check_times"])
 def test_cli_an_empty_path_is_an_error(tmp_path, monkeypatch, args):
     # an empty path is given, not absent: it names no file, so neither the
-    # bundled grid nor stdout stands in for it
+    # bundled grid nor stdout stands in for it, and the one error line
+    # names the option, not the working directory it would resolve to
     monkeypatch.chdir(tmp_path)
     (tmp_path / "times.csv").write_text(STUDY_TIMES)
     result = CliRunner().invoke(cli, args)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
     assert result.stdout == ""
-    errors = [ln for ln in result.stderr.splitlines()
-              if ln.startswith("error:")]
-    assert len(errors) == 1, result.stderr
+    assert result.stderr == f"error: {args[-2]}: empty path\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["times.csv"]
 
 
