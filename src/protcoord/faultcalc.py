@@ -21,9 +21,11 @@ current as a closed-form LevelMap of R. Taking a DG out of service
 removes a shunt and an injection at its bus, rank-one changes too, so the
 same solve, which also carries a column for every DG's bus, gives each
 bus's bare-grid fault level, with only the infinite_grid sources in
-service (LimiterStates.grid_level). A batch of faults at one resistance R
-is LimiterStates(net, R).solve(buses, R); solve_fault is that read for one
-FaultSpec, and with oracle_solve the one-shot entry. A FaultResult holds
+service (LimiterStates.grid_level). Y is factorised with the limiter at
+R = 0 only: a batch of faults at one resistance R is
+LimiterStates(net).solve(buses, R), and solve_fault, with oracle_solve
+the one-shot entry, is that read for one FaultSpec, so a fault read at R
+is the same bits on every production route. A FaultResult holds
 numbers only; a fault's post-fault voltage profile is read from the states
 on request (LimiterStates.profile), and no study reads one.
 
@@ -142,10 +144,10 @@ def _source_z(pu: PuNetwork, s: Source) -> complex:
     return z * INDUCTION_Z_MULT if s.kind == "induction_dg" else z
 
 
-def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
+def _nodal(pu: PuNetwork,
            ) -> tuple[dict[str, int], _Taps, _Stamps, list[complex]]:
-    """One operating state, with the limiter at ufcl_state_ohm and the
-    induction multiplier applied: the bus index, a tap per id of a relay's
+    """The operating state with the limiter at R = 0 and the induction
+    multiplier applied: the bus index, a tap per id of a relay's
     branch or of the tie (from index, to index, i_base[from] / z) that
     turns a voltage profile in per-unit into the branch's current in amps,
     and Y and the Norton source injections in per-unit. LimiterStates
@@ -157,10 +159,10 @@ def _nodal(pu: PuNetwork, ufcl_state_ohm: float = 0.0,
     off = [{} for _ in range(n)]
     injection = [0j] * n
 
-    tie, tie_z = _tie_z(pu, ufcl_state_ohm)
+    tie, _ = _tie_z(pu, 0.0)
     relayed, taps = {r.branch for r in pu.net.relays}, {}
     for br in pu.net.branches:
-        z = tie_z if br is tie else pu.branch_z_pu[br.id]
+        z = pu.branch_z_pu[br.id]
         y = 1.0 / z
         f, t = index[br.from_bus], index[br.to_bus]
         if br is tie or br.id in relayed:
@@ -288,18 +290,18 @@ class LevelMap(NamedTuple):
 class LimiterStates:
     """Fault solutions at every limiter resistance from one factorisation.
 
-    One LDL^T of Y with the limiter at ufcl_state_ohm (the base), solved
-    against narrow columns: the injections, whose solution v is the
-    prefault voltages; e_from - e_to of each relay branch, so that a
-    column's entry at k is the voltage across the branch per unit
-    current injected at k; and a unit column per bus of a source that is
-    not an infinite_grid. Z's diagonal comes from the factors. The
-    limiter's tie has the column w = Z e, e = e_from - e_to, its relay's
-    when it has one. The columns past v are substituted on their first
-    read and kept, so states read only at their base solve for e only
-    when a relay sits on the tie, and only grid_level solves for the DG
-    buses. All of it comes from the network alone, so the states read any
-    of its buses, and a batch reads bit for bit what a single solve reads.
+    One LDL^T of Y with the limiter at R = 0, solved against narrow
+    columns: the injections, whose solution v is the prefault voltages;
+    e_from - e_to of each relay branch, so that a column's entry at k is
+    the voltage across the branch per unit current injected at k; and a
+    unit column per bus of a source that is not an infinite_grid. Z's
+    diagonal comes from the factors. The limiter's tie has the column
+    w = Z e, e = e_from - e_to, its relay's when it has one. The columns
+    past v are substituted on their first read and kept, so states read
+    only at R = 0 solve for e only when a relay sits on the tie, and only
+    grid_level solves for the DG buses. All of it comes from the network
+    alone, so the states read any of its buses, and a batch reads bit for
+    bit what a single solve reads.
 
     Any other R changes the tie admittance by dy: with
     c = dy / (1 + dy e^T w), v_R[i] = v[i] - w[i] c (v_f - v_t) and
@@ -317,11 +319,10 @@ class LimiterStates:
     on its read.
     """
 
-    def __init__(self, net: Network, ufcl_state_ohm: float = 0.0) -> None:
-        self._base_ohm = ufcl_state_ohm
+    def __init__(self, net: Network) -> None:
         self._pu = pu = to_per_unit(net)
-        self._index, self._taps, y, injection = _nodal(pu, ufcl_state_ohm)
-        self._tie, self._z0 = _tie_z(pu, ufcl_state_ohm)
+        self._index, self._taps, y, injection = _nodal(pu)
+        self._tie, self._z0 = _tie_z(pu, 0.0)
         if self._tie is not None:
             self._f, self._t, _ = self._taps[self._tie.id]
         # a component with neither a source nor a load has no path to
@@ -357,11 +358,12 @@ class LimiterStates:
 
     def _update(self, r_ohm: float,
                 ) -> tuple[complex, complex, list[complex], _Taps]:
-        """The limiter's update from the base to r_ohm: c, c (v_f - v_t),
-        the tie's column w and the taps with the tie's at r_ohm. At the
-        base there is no update: c = 0 and w is zero."""
+        """The limiter's update from R = 0, where Y is factorised, to
+        r_ohm: c, c (v_f - v_t), the tie's column w and the taps with the
+        tie's at r_ohm. At R = 0 there is no update: c = 0 and w is
+        zero."""
         v, taps, pu = self._v, self._taps, self._pu
-        if r_ohm == self._base_ohm:
+        if r_ohm == 0.0:
             return 0j, 0j, [0j] * len(v), taps
         tie, z = _tie_z(pu, r_ohm)
         f, t, w = self._f, self._t, self._col(self._f, self._t)
@@ -412,13 +414,14 @@ class LimiterStates:
     def level(self, bus: str) -> LevelMap:
         """The fault current at bus against the limiter resistance, exact.
 
-        With z0 the tie's per-unit impedance at the base, h = e^T w - z0
-        and s the per-unit resistance added to the base,
-        c = s / (s h - z0^2). The prefault voltage at bus and its
-        driving-point impedance each lose a multiple of c, so I_f is a
-        Moebius map of s and so of R. Where the tie carries no current in
-        the faulted base state (IDLE_TIE_TOL) R changes nothing: the map
-        is flat, since its R terms would be ratios of round-off.
+        With z0 the tie's per-unit impedance at R = 0, h = e^T w - z0 and
+        s the limiter resistance in per-unit, c = s / (s h - z0^2). The
+        prefault voltage at bus and its driving-point impedance each lose
+        a multiple of c, so I_f is a Moebius map of s and so of R, whose
+        value at R = 0 is the factorised state's own read. Where the tie
+        carries no current in the faulted state at R = 0 (IDLE_TIE_TOL) R
+        changes nothing: the map is flat, since its R terms would be
+        ratios of round-off.
         """
         if self._tie is None:
             raise ValueError("no tie branch to carry the limiter resistance")
@@ -434,13 +437,11 @@ class LimiterStates:
         q = self._z0 ** 2 * self._pu.z_base[self._tie.from_bus]
         alpha = (w_k * p - v_k * h) / (q * v_k)
         beta = (w_k * w_k - z_kk * h) / (q * z_kk)
-        m = 1.0 - beta * self._base_ohm
-        return LevelMap(i0 * (1.0 - alpha * self._base_ohm) / m,
-                        i0 * alpha / m, beta / m)
+        return LevelMap(i0, i0 * alpha, beta)
 
     def grid_level(self, bus: str) -> float:
         """|I_f| at bus, in amps, with only the infinite_grid sources in
-        service and the limiter at the base resistance.
+        service and the limiter at R = 0.
 
         Taking a source out removes its shunt y = 1 / z and its Norton
         injection EMF y at its bus b, so Z gains the rank-one term
@@ -469,11 +470,12 @@ def solve_fault(net: Network, fault: FaultSpec,
                 ufcl_state_ohm: float = 0.0) -> FaultResult:
     """Solve one fault by Thevenin superposition, with the limiter at
     ufcl_state_ohm: the prefault voltages and the fault bus's Thevenin
-    impedance come from one factorisation of Y (LimiterStates read at the
-    one bus), so load and DG contributions are inherently superposed, and
-    the post-fault voltages feed every reported current."""
-    return LimiterStates(net, ufcl_state_ohm).solve(
-        [fault.bus], ufcl_state_ohm)[0]
+    impedance come from one factorisation of Y at R = 0, read at
+    ufcl_state_ohm by the compensation update (LimiterStates read at the
+    one bus), so load and DG contributions are inherently superposed, the
+    post-fault voltages feed every reported current, and a study's table
+    of the same fault holds the same bits."""
+    return LimiterStates(net).solve([fault.bus], ufcl_state_ohm)[0]
 
 
 def oracle_solve(net: Network, fault: FaultSpec | None,
@@ -486,7 +488,9 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     inversion, once per fault, of a matrix with a row per bus and two per
     source; imports numpy. Kept simple and slow on purpose, not small: it
     takes a network of any size, and exists to disagree with solve_fault
-    if either route is wrong.
+    if either route is wrong. Like solve_fault, raises ValueError for a
+    nonzero ufcl_state_ohm that no tie can carry: a network without a
+    ufcl block, or whose tie_branch it lacks.
     """
     import numpy as np
     pu = to_per_unit(net)
@@ -502,6 +506,11 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     rhs = np.zeros(dim, dtype=complex)
 
     tie = None if net.ufcl is None else net.ufcl.tie_branch
+    # a resistance that no tie carries is refused, as the production route
+    # refuses it, not dropped
+    if ufcl_state_ohm != 0.0 and tie not in pu.branch_z_pu:
+        raise ValueError("no tie branch to carry the limiter resistance"
+                         if tie is None else f"unknown tie branch {tie!r}")
 
     def stamp(i: int, j: int, y: complex) -> None:
         a[i, i] += y

@@ -479,7 +479,9 @@ def to_per_unit(net: Network) -> PuNetwork:
     The voltage base of each bus is its nominal voltage. Transformer ohms
     are interpreted on their declared referred_side; any other branch must
     join buses of equal nominal voltage. Raises ValueError when it does not,
-    or when a bus's impedance base is not a positive float.
+    when a bus's impedance base is not a positive float, or when a branch,
+    source or load names a bus the network lacks: every solution route
+    looks its buses up here first.
     """
     v_base = {b.id: b.nominal_voltage for b in net.buses}
     z_base, i_base = {}, {}
@@ -491,20 +493,32 @@ def to_per_unit(net: Network) -> PuNetwork:
         i_base[bus_id] = net.s_base_va / (math.sqrt(3.0) * v)
 
     branch_z = {}
-    for br in net.branches:
-        if br.kind == "transformer":
-            ref_bus = br.from_bus if br.referred_side == "from" else br.to_bus
-            branch_z[br.id] = br.impedance / z_base[ref_bus]
-        else:
-            if v_base[br.from_bus] != v_base[br.to_bus]:
-                raise ValueError(
-                    f"inconsistent voltage zones across branch {br.id!r}: "
-                    f"{v_base[br.from_bus]} V vs {v_base[br.to_bus]} V")
-            branch_z[br.id] = br.impedance / z_base[br.from_bus]
+    try:
+        for br in net.branches:
+            # both ends, a transformer's unreferred one too
+            v_from, v_to = v_base[br.from_bus], v_base[br.to_bus]
+            if br.kind == "transformer":
+                ref = br.from_bus if br.referred_side == "from" else br.to_bus
+                branch_z[br.id] = br.impedance / z_base[ref]
+            else:
+                if v_from != v_to:
+                    raise ValueError(
+                        f"inconsistent voltage zones across branch "
+                        f"{br.id!r}: {v_from} V vs {v_to} V")
+                branch_z[br.id] = br.impedance / z_base[br.from_bus]
 
-    source_z = {s.id: s.internal_impedance / z_base[s.bus]
-                for s in net.sources}
-    load_z = {l.id: l.impedance / z_base[l.bus] for l in net.loads}
+        source_z = {s.id: s.internal_impedance / z_base[s.bus]
+                    for s in net.sources}
+        load_z = {l.id: l.impedance / z_base[l.bus] for l in net.loads}
+    except KeyError as exc:
+        # name the first element at the bus, in the order above: the one
+        # that failed
+        bus = exc.args[0]
+        kind, el = next((kind, el) for kind, els in (
+            ("branch", net.branches), ("source", net.sources),
+            ("load", net.loads)) for el in els if bus in (
+                (el.from_bus, el.to_bus) if kind == "branch" else (el.bus,)))
+        raise ValueError(f"{kind} {el.id!r}: unknown bus {bus!r}") from None
 
     return PuNetwork(net, z_base, i_base, branch_z, source_z, load_z)
 

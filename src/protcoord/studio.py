@@ -15,14 +15,15 @@ designated bus, the bare-grid level at any other). One factorisation of
 the scenario network (faultcalc.LimiterStates, which reads any of its
 buses) reads the sizing map, the bare-grid target and every fault table,
 each group of buses at the resistance it sees. The sizing adds one solve
-of its own, to confirm R*, on a copy of the network without relays, which
-reads the same fault current. A study partitions the graph at the tie
-once: the one set of downstream buses gives each fault bus its
-resistance and rejects a designated sizing bus on the downstream side,
-so size_ufcl, handed the states, does not partition again. A report
-holds numbers only and keeps no states alive; `run --debug-csv` reads
-each table's post-fault voltage profile from states it builds again from
-the same network.
+of its own, to confirm R*, on a copy of the network without relays; it
+too factorises at R = 0 and reads R* by the update, so the sizing's
+achieved current is the bits of the sizing bus's table, where the study
+faults that bus. A study partitions the graph at the tie once: the one
+set of downstream buses gives each fault bus its resistance and rejects
+a designated sizing bus on the downstream side, so size_ufcl, handed the
+states, does not partition again. A report holds numbers only and keeps
+no states alive; `run --debug-csv` reads each table's post-fault voltage
+profile from states it builds again from the same network.
 One pass over the declared pairs picks the graded ones, those at the
 fault buses, in file order, and checks that each names relays the
 network has. A fault table reads the relays of its bus's pairs first,

@@ -23,11 +23,14 @@ No evaluation solves the network. The limiter changes one branch
 admittance, a rank-one change of Y, so the fault current at a bus is
 I_f(R) = (a + b R) / (1 + d R), and faultcalc.LimiterStates gives that
 LevelMap in closed form from the one factorisation a study already makes.
-The search reads the map; one direct fault solution at the accepted R
-checks the read and gives the reported current. That confirm solves a
-copy of the network without relays: relays stamp nothing into Y or the
-injections, so its fault current is the full network's, bit for bit,
-and it substitutes no relay branch's column.
+The search reads the map; one fault solution at the accepted R
+(solve_fault) checks the read and gives the reported current. Like every
+production read at a limiter resistance, it factorises Y at R = 0 and
+reads R by the compensation update, so it gives the bits of the study's
+own table at the sizing bus. That confirm solves a copy of the network
+without relays: relays stamp nothing into Y or the injections, so its
+fault current is the full network's, bit for bit, and it substitutes the
+injections and the tie's column only, no relay branch's.
 
 Which side of the tie a bus lies on needs a partition of the graph
 (downstream_buses). A study partitions once and passes size_ufcl its
@@ -88,8 +91,9 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, *,
     until the current drops to the target, then bisecting. Relative
     current error <= SIZING_TOL terminates. Each evaluation reads the
     LevelMap of states, the limiter states of net_with_dg (built here
-    when not given); the result's current is solved directly at the
-    accepted R, on a copy of net_with_dg without relays. Raises
+    when not given); the result's current is solve_fault's at the
+    accepted R, on a copy of net_with_dg without relays, the bits that
+    states.solve reads there. Raises
     SizingError when the R=0 current is already below the target (no
     resistance can raise a current), when the tie-open
     level is above it (no finite resistance lowers the current that far),

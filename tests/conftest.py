@@ -60,10 +60,10 @@ def branch_amps(net, bus_voltages_pu, r_ohm=0.0):
 
 def fault_voltages(net, bus, r_ohm=0.0):
     """The post-fault voltage profile in per-unit, in net.buses order, of a
-    fault at bus with the limiter resistance r_ohm, read from states
-    factorised at r_ohm: the states that solve_fault(net, FaultSpec(bus),
-    r_ohm) reads, to the same bits."""
-    return LimiterStates(net, r_ohm).profile(bus, r_ohm)
+    fault at bus with the limiter resistance r_ohm, read at r_ohm from the
+    states factorised at R = 0: the states that solve_fault(net,
+    FaultSpec(bus), r_ohm) reads, to the same bits."""
+    return LimiterStates(net).profile(bus, r_ohm)
 
 
 def bench_module(name):

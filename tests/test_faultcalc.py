@@ -28,7 +28,7 @@ def close(a, b, rel=1e-9, floor=1.0):
 def solve_batch(net, faults, r_ohm=0.0):
     """Every fault of faults at one limiter resistance, from one solve."""
     buses = [f.bus for f in faults]
-    return LimiterStates(net, r_ohm).solve(buses, r_ohm)
+    return LimiterStates(net).solve(buses, r_ohm)
 
 
 # --- ybus stamping ----------------------------------------------------------
@@ -66,25 +66,18 @@ def dense(stamps):
     return ybus
 
 
-def test_ybus_ufcl_state_touches_only_tie_entries(bundled_net):
-    y0, ix = build_ybus(bundled_net)
-    y0 = np.array(y0)
-    _, _, stamps, _ = faultcalc._nodal(to_per_unit(bundled_net), 184.0)
-    y1 = dense(stamps)
-    tie = bundled_net.branch_by_id(bundled_net.ufcl.tie_branch)
-    touched = {(ix[tie.from_bus], ix[tie.from_bus]),
-               (ix[tie.from_bus], ix[tie.to_bus]),
-               (ix[tie.to_bus], ix[tie.from_bus]),
-               (ix[tie.to_bus], ix[tie.to_bus])}
-    diff = {(i, j) for i in range(len(ix)) for j in range(len(ix))
-            if y0[i, j] != y1[i, j]}
-    assert diff == touched
-
-
-def test_ufcl_state_without_tie_rejected():
-    net = two_bus(20j, with_source=True)
-    with pytest.raises(ValueError, match="tie"):
-        solve_fault(net, FaultSpec("b"), ufcl_state_ohm=10.0)
+def test_ufcl_state_without_tie_rejected(bundled_net):
+    # both routes refuse a resistance that no tie can carry, rather than
+    # answering at R = 0: no ufcl block, or a tie branch the network lacks
+    cases = [(two_bus(20j, with_source=True), "b",
+              "no tie branch to carry the limiter resistance"),
+             (bundled_net._replace(ufcl=bundled_net.ufcl._replace(
+                 tie_branch="nosuch")), "bus3", "unknown tie branch 'nosuch'")]
+    for net, bus, want in cases:
+        for route in (solve_fault, oracle_solve):
+            with pytest.raises(ValueError) as err:
+                route(net, FaultSpec(bus), ufcl_state_ohm=10.0)
+            assert str(err.value) == want, route
 
 
 def test_two_tie_branches_without_ufcl_solve_at_zero_limiter():
@@ -253,7 +246,7 @@ def assert_batch_matches(net, r_ohm):
     solves bit for bit, and the oracle to 1e-9: the fault current, and
     each branch's current from the batch states' voltage profile."""
     buses = net.bus_ids()
-    states = LimiterStates(net, r_ohm)
+    states = LimiterStates(net)
     batch = states.solve(buses, r_ohm)
     assert [res.fault_bus for res in batch] == buses
     for bus, res in zip(buses, batch):
@@ -344,11 +337,20 @@ def test_batch_equals_single_and_oracle_on_feeders():
 
 def lapack_faults(net, r_ohm):
     """Each bus's fault current in amps and post-fault voltage profile,
-    from LAPACK's inverse of the dense Y of _nodal's stamps: the dense
-    route that small networks once took, kept here as a reference."""
+    from LAPACK's inverse of the dense Y of _nodal's stamps with the tie
+    restamped at r_ohm: the dense route that small networks once took,
+    kept here as a reference that factorises Y at R itself."""
     pu = to_per_unit(net)
-    index, _, stamps, injection = faultcalc._nodal(pu, r_ohm)
-    z = np.linalg.inv(dense(stamps))
+    index, _, stamps, injection = faultcalc._nodal(pu)
+    ybus = dense(stamps)
+    if r_ohm:
+        tie = net.branch_by_id(net.ufcl.tie_branch)
+        z = pu.branch_z_pu[tie.id]
+        dy = 1.0 / (z + r_ohm / pu.z_base[tie.from_bus]) - 1.0 / z
+        f, t = index[tie.from_bus], index[tie.to_bus]
+        ybus[[f, t], [f, t]] += dy
+        ybus[[f, t], [t, f]] -= dy
+    z = np.linalg.inv(ybus)
     v = z @ np.array(injection)
     out = {}
     for bus, k in index.items():
@@ -364,7 +366,7 @@ def assert_sparse_route_matches(net, r_ohm, rel=1e-12):
     equals its single solves bit for bit."""
     assert_batch_matches(net, r_ohm)
     dense_route = lapack_faults(net, r_ohm)
-    states = LimiterStates(net, r_ohm)
+    states = LimiterStates(net)
     for res in states.solve(net.bus_ids(), r_ohm):
         amps, volts = dense_route[res.fault_bus]
         assert close(res.fault_current_a, amps, rel=rel)
@@ -467,11 +469,11 @@ def test_a_branch_looping_on_one_bus_changes_nothing(bundled_net, pattern):
         assert numbers(net, bus) == numbers(base, bus)
 
 
-def assert_update_matches_oracle(net, r_star, base=0.0):
-    """One factorisation at R = base, read at R* and far beyond by the
+def assert_update_matches_oracle(net, r_star):
+    """One factorisation at R = 0, read at R* and far beyond by the
     rank-one update, against the oracle's solve at each R."""
     buses = net.bus_ids()
-    states = LimiterStates(net, base)
+    states = LimiterStates(net)
     for r_ohm in (r_star, 1e4, 1e6):
         for bus, res in zip(buses, states.solve(buses, r_ohm)):
             ref = oracle_solve(net, FaultSpec(bus), ufcl_state_ohm=r_ohm)
@@ -489,9 +491,6 @@ def test_limiter_update_matches_oracle_on_tie_networks():
     for seed in range(100):
         net, bus = random_tie_net(seed)
         assert_update_matches_oracle(net, sized_ohms(net, bus))
-    # and from a state that already holds limiter resistance
-    net, bus = random_tie_net(0)
-    assert_update_matches_oracle(net, 0.0, base=37.0)
 
 
 @pytest.mark.parametrize("pattern", ["sparse", "dense"])
@@ -722,7 +721,7 @@ def assert_reported_kcl(net, r_ohm=0.0):
     """Every bus of an all-bus batch solve balances on its reported
     voltages, the faulted bus by the reported fault current."""
     pu = to_per_unit(net)
-    states = LimiterStates(net, r_ohm)
+    states = LimiterStates(net)
     for res in states.solve(net.bus_ids(), r_ohm):
         residuals = kcl_residuals(net, states.profile(res.fault_bus, r_ohm),
                                   r_ohm)

@@ -11,7 +11,8 @@ from protcoord import bundled_dataset_path, faultcalc, studio, ufcl
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, LimiterStates, build_ybus,
                                  oracle_solve, solve_fault)
-from protcoord.netmodel import CoordinationPair, partition_by_tie
+from protcoord.netmodel import (Branch, CoordinationPair, ShuntLoad, Source,
+                                partition_by_tie)
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
                               emit_report, run_scenario)
@@ -162,7 +163,8 @@ def test_run_scenario_sizes_at_first_upstream_fault_bus():
                                  "s6_induction_dg1_ufcl"])
 def test_downstream_faults_see_r_normal(bundled_net, sid):
     # a limiter that keeps 5 ohm in the tie for downstream faults: those
-    # tables are the direct solve at 5 ohm, the upstream ones at R*
+    # tables read the states at 5 ohm, the upstream ones at R*, the same
+    # bits that solve_fault reads
     net = bundled_net._replace(ufcl=bundled_net.ufcl._replace(r_normal=5.0))
     report = run_scenario(net, SCENARIOS[sid])
     snet = build_scenario_net(net, SCENARIOS[sid])
@@ -172,9 +174,9 @@ def test_downstream_faults_see_r_normal(bundled_net, sid):
         want_ohm = 5.0 if t.fault_bus in down else report.sizing.r_star
         assert t.ufcl_state_ohm == want_ohm
         res = solve_fault(snet, FaultSpec(t.fault_bus), want_ohm)
-        assert close(t.fault_current_a, res.fault_current_a), t.fault_bus
+        assert t.fault_current_a == res.fault_current_a, t.fault_bus
         for r in t.readings:
-            assert close(r.current_a, res.relay_currents[r.relay]), r.relay
+            assert r.current_a == res.relay_currents[r.relay], r.relay
 
 
 def count_factorisations(monkeypatch):
@@ -262,13 +264,14 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("sid, subs, parts", [
-    ("s1_dg1", 7, 0), ("s2_dg1_ufcl", 8, 1), ("s4_dg1_dg2_ufcl", 8, 1),
-    ("s6_induction_dg1_ufcl", 8, 1)])
+    ("s1_dg1", 7, 0), ("s2_dg1_ufcl", 9, 1), ("s4_dg1_dg2_ufcl", 9, 1),
+    ("s6_induction_dg1_ufcl", 9, 1)])
 def test_substitutions_and_partitions_per_study(bundled_net, monkeypatch,
                                                 sid, subs, parts):
     # the study's states substitute the injections and the 6 relay
     # branches' columns, and a sizing the tie's column; the confirm, on a
-    # copy without relays, substitutes the injections only. A limiter
+    # copy without relays, substitutes the injections and the tie's
+    # column, which its read at R* takes from R = 0. A limiter
     # study partitions the graph once, and size_ufcl, handed the states,
     # does not partition again
     substitutions = count_calls(monkeypatch, faultcalc, "_substitute")
@@ -279,14 +282,50 @@ def test_substitutions_and_partitions_per_study(bundled_net, monkeypatch,
 
 def test_substitutions_and_partitions_per_feeder_study(monkeypatch):
     # the benchmark's seed-1 200-bus feeder: its relay branches' columns
-    # are substituted once, for the study's states only
+    # are substituted once, for the study's states only; the confirm
+    # substitutes the injections and the tie's column
     net = feeder_net(200, 1)
     dgs = frozenset(s.id for s in net.sources if s.kind != "infinite_grid")
     substitutions = count_calls(monkeypatch, faultcalc, "_substitute")
     partitions = count_calls(monkeypatch, ufcl, "partition_by_tie")
     run_scenario(net, Scenario("feeder", dgs, ufcl_enabled=True,
                                fault_buses=tuple(net.bus_ids())))
-    assert (len(substitutions), len(partitions)) == (15, 1)
+    assert (len(substitutions), len(partitions)) == (16, 1)
+
+
+def one_number_studies():
+    """The bundled limiter studies, and the benchmark's 200-bus feeder
+    seeds 1-3 faulted at every bus."""
+    for sid in ("s2_dg1_ufcl", "s4_dg1_dg2_ufcl", "s6_induction_dg1_ufcl"):
+        yield pytest.param(lambda net, sid=sid: (net, SCENARIOS[sid]), id=sid)
+    for seed in (1, 2, 3):
+        def feeder(_, seed=seed):
+            net = feeder_net(200, seed)
+            return net, Scenario("feeder", frozenset(
+                s.id for s in net.sources if s.kind != "infinite_grid"),
+                ufcl_enabled=True, fault_buses=tuple(net.bus_ids()))
+        yield pytest.param(feeder, id=f"feeder_{seed}")
+
+
+@pytest.mark.parametrize("study", one_number_studies())
+def test_the_sizing_reads_the_study_table_bits(bundled_net, study):
+    # one number per fault: the sizing's confirm and the study's table
+    # read the same fault at R* from a factorisation at R = 0
+    net, scenario = study(bundled_net)
+    report = run_scenario(net, scenario)
+    table = next(t for t in report.fault_tables
+                 if t.fault_bus == net.ufcl.sizing_fault_bus)
+    assert table.ufcl_state_ohm == report.sizing.r_star
+    assert report.sizing.achieved_current_a == table.fault_current_a
+
+
+def test_cli_run_prints_one_number_per_fault():
+    result = CliRunner().invoke(
+        cli, ["run", "--scenario", "s2_dg1_ufcl", "--full-precision"])
+    assert result.exit_code == 2, result.output  # bus6's pair, by design
+    sizing = result.output.split("(achieved ")[1].split(" A ")[0]
+    bus3 = result.output.split("## Fault at bus3\n\nFault current: ")[1]
+    assert bus3.startswith(f"{sizing} A with 200.0 ohm limiter")
 
 
 def test_run_scenario_rejects_a_downstream_sizing_bus(bundled_net):
@@ -327,13 +366,47 @@ def test_an_unknown_tie_branch_is_named_on_every_route(bundled_net, sid):
         solve_fault(net, FaultSpec("bus3"))
 
 
+UNKNOWN_BUS_ELEMENTS = {
+    "branch_to": Branch("bx", "bus3", "nosuch", "line", 1 + 1j),
+    "branch_from": Branch("bx", "nosuch", "bus3", "line", 1 + 1j),
+    # the transformer's ohms are on the bus that exists: the unknown end
+    # is the one whose base the conversion never reads
+    "transformer_to": Branch("bx", "bus3", "nosuch", "transformer", 1 + 1j,
+                             "from"),
+    "transformer_from": Branch("bx", "nosuch", "bus3", "transformer",
+                               1 + 1j, "to"),
+    "source": Source("bx", "nosuch", "infinite_grid", 4j),
+    "load": ShuntLoad("bx", "nosuch", 300 + 40j),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_BUS_ELEMENTS))
+def test_an_unknown_bus_is_named_on_every_route(bundled_net, case):
+    # through the API, which does not validate: every route converts to
+    # per-unit first, and names the element and the bus it lacks
+    element = UNKNOWN_BUS_ELEMENTS[case]
+    kind, field = {Branch: ("branch", "branches"),
+                   Source: ("source", "sources"),
+                   ShuntLoad: ("load", "loads")}[type(element)]
+    net = bundled_net._replace(
+        **{field: (*getattr(bundled_net, field), element)})
+    want = f"{kind} 'bx': unknown bus 'nosuch'"
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(net, SCENARIOS["s0_no_dg"])
+    assert str(err.value) == f"scenario s0_no_dg: {want}"
+    for route in (solve_fault, oracle_solve):
+        with pytest.raises(ValueError) as err:
+            route(net, FaultSpec("bus3"))
+        assert err.type is ValueError and str(err.value) == want
+
+
 def test_a_report_keeps_no_limiter_states_alive(bundled_net, monkeypatch):
     # a report holds numbers only: once run_scenario returns, nothing
     # refers to the states it factorised
     built = []
 
-    def spy(net, *args):
-        states = LimiterStates(net, *args)
+    def spy(net):
+        states = LimiterStates(net)
         built.append(weakref.ref(states))
         return states
     monkeypatch.setattr(studio, "LimiterStates", spy)
