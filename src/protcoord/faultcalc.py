@@ -39,11 +39,14 @@ oracle_solve imports numpy, on call.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
-the first. The two routes share only to_per_unit. The oracle's record,
-OracleResult, is not a FaultResult: it holds FaultResult's fields first,
-in the same order, then the voltage profile, the complex fault current
-and every branch's current, so code that reads a FaultResult reads it
-the same way.
+the first. The two routes share only to_per_unit, where both refuse, in
+the same words and at every limiter resistance, a network naming a bus,
+a limiter tie or a relay branch that it lacks. Each refuses a nonzero
+resistance on a network without a ufcl block itself, with the same
+message. The oracle's record, OracleResult, is not a FaultResult: it
+holds FaultResult's fields first, in the same order, then the voltage
+profile, the complex fault current and every branch's current, so code
+that reads a FaultResult reads it the same way.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ import heapq
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .netmodel import (Branch, Network, PuNetwork, Source, reachable,
-                       to_per_unit)
+from .netmodel import Network, PuNetwork, Source, reachable, to_per_unit
 
 __all__ = [
     "FaultSpec", "FaultResult", "OracleResult", "LevelMap", "LimiterStates",
@@ -122,21 +124,6 @@ class OracleResult(NamedTuple):
     branch_currents: dict[str, complex]
 
 
-def _tie_z(pu: PuNetwork, r_ohm: float) -> tuple[Branch | None, complex]:
-    """The limiter's tie branch and its per-unit impedance with r_ohm in
-    series, converted in the tie's voltage zone; (None, 0j) for a network
-    without a limiter, where r_ohm must be 0."""
-    if pu.net.ufcl is None:
-        if r_ohm != 0.0:
-            raise ValueError("no tie branch to carry the limiter resistance")
-        return None, 0j
-    if (name := pu.net.ufcl.tie_branch) not in pu.branch_z_pu:
-        # worded as partition_by_tie words it
-        raise ValueError(f"unknown tie branch {name!r}")
-    tie = pu.net.branch_by_id(name)
-    return tie, pu.branch_z_pu[tie.id] + r_ohm / pu.z_base[tie.from_bus]
-
-
 def _source_z(pu: PuNetwork, s: Source) -> complex:
     """The source's per-unit internal impedance in the nodal model, the
     induction multiplier applied: _nodal stamps 1 / z and EMF / z."""
@@ -159,13 +146,13 @@ def _nodal(pu: PuNetwork,
     off = [{} for _ in range(n)]
     injection = [0j] * n
 
-    tie, _ = _tie_z(pu, 0.0)
+    tie = None if pu.net.ufcl is None else pu.net.ufcl.tie_branch
     relayed, taps = {r.branch for r in pu.net.relays}, {}
     for br in pu.net.branches:
         z = pu.branch_z_pu[br.id]
         y = 1.0 / z
         f, t = index[br.from_bus], index[br.to_bus]
-        if br is tie or br.id in relayed:
+        if br.id == tie or br.id in relayed:
             taps[br.id] = (f, t, complex(pu.i_base[br.from_bus] / z))
         if f == t:
             continue  # a branch looping on one bus carries no current
@@ -314,17 +301,29 @@ class LimiterStates:
     voltage across its branch and the branch's tap. profile reads a
     fault's whole post-fault voltage profile, with the same update, on
     request. The stamps are read only by the ground check, before _factor
-    consumes them. Raises ValueError, naming it, for a bus that no source
-    or load reaches, before any solve, and for a bus the network lacks,
-    on its read.
+    consumes them.
+
+    The states look the limiter's tie up once, when built, and keep its
+    ends, its per-unit impedance z0 at R = 0 and its zone's ohm base, so
+    a read at R takes the tie's impedance z0 + R / z_base with no lookup.
+    Raises ValueError: from to_per_unit, for a bus, a tie or a relay
+    branch the network lacks; naming it, for a bus that no source or load
+    reaches, before any solve; for a fault bus the network lacks, on its
+    read; and for a nonzero resistance on a network without a ufcl block,
+    on a read at it.
     """
 
     def __init__(self, net: Network) -> None:
         self._pu = pu = to_per_unit(net)
         self._index, self._taps, y, injection = _nodal(pu)
-        self._tie, self._z0 = _tie_z(pu, 0.0)
-        if self._tie is not None:
-            self._f, self._t, _ = self._taps[self._tie.id]
+        # the limiter's tie, looked up once; to_per_unit has refused an id
+        # the network lacks
+        self._tie = tie = None if net.ufcl is None else net.branch_by_id(
+            net.ufcl.tie_branch)
+        if tie is not None:
+            self._f, self._t, _ = self._taps[tie.id]
+            self._z0, self._z_base = (pu.branch_z_pu[tie.id],
+                                      pu.z_base[tie.from_bus])
         # a component with neither a source nor a load has no path to
         # ground, and its block of Y is singular however it rounds
         grounded = reachable(y[1], [self._index[e.bus] for e in (
@@ -360,17 +359,21 @@ class LimiterStates:
                 ) -> tuple[complex, complex, list[complex], _Taps]:
         """The limiter's update from R = 0, where Y is factorised, to
         r_ohm: c, c (v_f - v_t), the tie's column w and the taps with the
-        tie's at r_ohm. At R = 0 there is no update: c = 0 and w is
-        zero."""
-        v, taps, pu = self._v, self._taps, self._pu
+        tie's at r_ohm, whose impedance is z0 + r_ohm / z_base from the
+        tie the states looked up. At R = 0 there is no update: c = 0 and w
+        is zero. Raises ValueError for a nonzero r_ohm on a network
+        without a ufcl block."""
+        v, taps, tie = self._v, self._taps, self._tie
         if r_ohm == 0.0:
             return 0j, 0j, [0j] * len(v), taps
-        tie, z = _tie_z(pu, r_ohm)
+        if tie is None:
+            raise ValueError("no tie branch to carry the limiter resistance")
+        z = self._z0 + r_ohm / self._z_base
         f, t, w = self._f, self._t, self._col(self._f, self._t)
         dy = 1.0 / z - 1.0 / self._z0
         c = dy / (1.0 + dy * (w[f] - w[t]))
         return c, c * (v[f] - v[t]), w, {
-            **taps, tie.id: (f, t, pu.i_base[tie.from_bus] / z)}
+            **taps, tie.id: (f, t, self._pu.i_base[tie.from_bus] / z)}
 
     def profile(self, bus: str, r_ohm: float) -> list[complex]:
         """The post-fault voltage profile of a fault at bus with the
@@ -434,7 +437,7 @@ class LimiterStates:
         # the faulted tie's current, (p - w_k i_f) / z0, against i_f
         if abs(p - w_k * i_f) <= IDLE_TIE_TOL * abs(self._z0 * i_f):
             return LevelMap(i0, 0j, 0j)
-        q = self._z0 ** 2 * self._pu.z_base[self._tie.from_bus]
+        q = self._z0 ** 2 * self._z_base
         alpha = (w_k * p - v_k * h) / (q * v_k)
         beta = (w_k * w_k - z_kk * h) / (q * z_kk)
         return LevelMap(i0, i0 * alpha, beta)
@@ -489,8 +492,10 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     source; imports numpy. Kept simple and slow on purpose, not small: it
     takes a network of any size, and exists to disagree with solve_fault
     if either route is wrong. Like solve_fault, raises ValueError for a
-    nonzero ufcl_state_ohm that no tie can carry: a network without a
-    ufcl block, or whose tie_branch it lacks.
+    nonzero ufcl_state_ohm on a network without a ufcl block, which no
+    tie can carry, and, through to_per_unit, for a tie_branch, a relay's
+    branch or an element's bus that the network lacks, at every
+    ufcl_state_ohm.
     """
     import numpy as np
     pu = to_per_unit(net)
@@ -506,11 +511,10 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     rhs = np.zeros(dim, dtype=complex)
 
     tie = None if net.ufcl is None else net.ufcl.tie_branch
-    # a resistance that no tie carries is refused, as the production route
-    # refuses it, not dropped
-    if ufcl_state_ohm != 0.0 and tie not in pu.branch_z_pu:
-        raise ValueError("no tie branch to carry the limiter resistance"
-                         if tie is None else f"unknown tie branch {tie!r}")
+    # a resistance that no tie carries is refused, as LimiterStates refuses
+    # it, not dropped; to_per_unit has refused a tie the network lacks
+    if ufcl_state_ohm != 0.0 and tie is None:
+        raise ValueError("no tie branch to carry the limiter resistance")
 
     def stamp(i: int, j: int, y: complex) -> None:
         a[i, i] += y

@@ -479,9 +479,12 @@ def to_per_unit(net: Network) -> PuNetwork:
     The voltage base of each bus is its nominal voltage. Transformer ohms
     are interpreted on their declared referred_side; any other branch must
     join buses of equal nominal voltage. Raises ValueError when it does not,
-    when a bus's impedance base is not a positive float, or when a branch,
-    source or load names a bus the network lacks: every solution route
-    looks its buses up here first.
+    when a bus's impedance base is not a positive float, when a branch,
+    source or load names a bus the network lacks ("branch 'x': unknown bus
+    'y'"), then when the ufcl block names a tie branch the network lacks
+    ("unknown tie branch 'x'"), then when a relay does ("relay 'r': unknown
+    branch 'x'"). Every solution route converts here first, so each refuses
+    such a network in these words before it solves anything.
     """
     v_base = {b.id: b.nominal_voltage for b in net.buses}
     z_base, i_base = {}, {}
@@ -519,6 +522,12 @@ def to_per_unit(net: Network) -> PuNetwork:
             ("load", net.loads)) for el in els if bus in (
                 (el.from_bus, el.to_bus) if kind == "branch" else (el.bus,)))
         raise ValueError(f"{kind} {el.id!r}: unknown bus {bus!r}") from None
+    if net.ufcl is not None and (tie := net.ufcl.tie_branch) not in branch_z:
+        # worded as partition_by_tie words it
+        raise ValueError(f"unknown tie branch {tie!r}")
+    for r in net.relays:
+        if r.branch not in branch_z:
+            raise ValueError(f"relay {r.id!r}: unknown branch {r.branch!r}")
 
     return PuNetwork(net, z_base, i_base, branch_z, source_z, load_z)
 

@@ -11,8 +11,8 @@ from protcoord import bundled_dataset_path, faultcalc, studio, ufcl
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, LimiterStates, build_ybus,
                                  oracle_solve, solve_fault)
-from protcoord.netmodel import (Branch, CoordinationPair, ShuntLoad, Source,
-                                partition_by_tie)
+from protcoord.netmodel import (Branch, CoordinationPair, Network, ShuntLoad,
+                                Source, partition_by_tie)
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
                               emit_report, run_scenario)
@@ -293,6 +293,18 @@ def test_substitutions_and_partitions_per_feeder_study(monkeypatch):
     assert (len(substitutions), len(partitions)) == (16, 1)
 
 
+@pytest.mark.parametrize("sid, want", [
+    ("s1_dg1", 1), ("s2_dg1_ufcl", 3), ("s4_dg1_dg2_ufcl", 3),
+    ("s6_induction_dg1_ufcl", 3)])
+def test_tie_lookups_per_study(bundled_net, monkeypatch, sid, want):
+    # each build of limiter states looks the tie up once (a limiter study
+    # builds two: the study's and the confirm's), and a limiter study's
+    # one partition once more; no read at a resistance looks it up again
+    lookups = count_calls(monkeypatch, Network, "branch_by_id")
+    run_scenario(bundled_net, SCENARIOS[sid])
+    assert len(lookups) == want
+
+
 def one_number_studies():
     """The bundled limiter studies, and the benchmark's 200-bus feeder
     seeds 1-3 faulted at every bus."""
@@ -351,19 +363,47 @@ def test_run_scenario_names_a_pair_relay_the_network_lacks(bundled_net):
                               "relay 'relayX' is not in the network")
 
 
+def assert_every_route_refuses(net, want):
+    """LimiterStates, build_ybus, and solve_fault and oracle_solve at R = 0
+    and at 10 ohm each raise a plain ValueError worded want."""
+    routes = [lambda: LimiterStates(net), lambda: build_ybus(net), *(
+        lambda route=route, r_ohm=r_ohm: route(net, FaultSpec("bus3"), r_ohm)
+        for route in (solve_fault, oracle_solve) for r_ohm in (0.0, 10.0))]
+    for route in routes:
+        with pytest.raises(ValueError) as err:
+            route()
+        assert err.type is ValueError and str(err.value) == want
+
+
 @pytest.mark.parametrize("sid", ["s0_no_dg", "s2_dg1_ufcl"])
 def test_an_unknown_tie_branch_is_named_on_every_route(bundled_net, sid):
-    # through the API, which does not validate: a study with the limiter
-    # out meets the tie in faultcalc, one with it in partitions the network
-    # first, and both word it as partition_by_tie does, with no quotes
-    # from a KeyError around it
+    # through the API, which does not validate: every route converts to
+    # per-unit first, which words the tie as partition_by_tie does, with
+    # no quotes from a KeyError around it, at R = 0 as well
     net = bundled_net._replace(ufcl=bundled_net.ufcl._replace(
         tie_branch="nosuch"))
     with pytest.raises(ScenarioError) as err:
         run_scenario(net, SCENARIOS[sid])
     assert str(err.value) == f"scenario {sid}: unknown tie branch 'nosuch'"
-    with pytest.raises(ValueError, match="^unknown tie branch 'nosuch'$"):
-        solve_fault(net, FaultSpec("bus3"))
+    assert_every_route_refuses(net, "unknown tie branch 'nosuch'")
+
+
+@pytest.mark.parametrize("sid", ["s0_no_dg", "s2_dg1_ufcl"])
+def test_a_relay_on_an_unknown_branch_is_named_on_every_route(bundled_net,
+                                                              sid):
+    # through the API, which does not validate: the per-unit conversion
+    # names the relay and the branch it lacks, before any route taps it
+    net = bundled_net._replace(relays=tuple(
+        r._replace(branch="nosuch") if r.id == "relay6" else r
+        for r in bundled_net.relays))
+    want = "relay 'relay6': unknown branch 'nosuch'"
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(net, SCENARIOS[sid])
+    assert str(err.value) == f"scenario {sid}: {want}"
+    assert_every_route_refuses(net, want)
+    # with the tie missing too, the tie is named first
+    assert_every_route_refuses(net._replace(ufcl=net.ufcl._replace(
+        tie_branch="nosuch")), "unknown tie branch 'nosuch'")
 
 
 UNKNOWN_BUS_ELEMENTS = {
@@ -394,10 +434,7 @@ def test_an_unknown_bus_is_named_on_every_route(bundled_net, case):
     with pytest.raises(ScenarioError) as err:
         run_scenario(net, SCENARIOS["s0_no_dg"])
     assert str(err.value) == f"scenario s0_no_dg: {want}"
-    for route in (solve_fault, oracle_solve):
-        with pytest.raises(ValueError) as err:
-            route(net, FaultSpec("bus3"))
-        assert err.type is ValueError and str(err.value) == want
+    assert_every_route_refuses(net, want)
 
 
 def test_a_report_keeps_no_limiter_states_alive(bundled_net, monkeypatch):
