@@ -39,11 +39,11 @@ oracle_solve imports numpy, on call.
 
 oracle_solve is a deliberately separate second route (explicit EMF nodes,
 source-current unknowns, dense inversion) used by the test suite to check
-the first. The two routes share only to_per_unit, where both refuse, in
-the same words and at every limiter resistance, a network naming a bus,
-a limiter tie or a relay branch that it lacks. Each refuses a nonzero
-resistance on a network without a ufcl block itself, with the same
-message. The oracle's record, OracleResult, is not a FaultResult: it
+the first. The two routes share only to_per_unit, where both refuse, at
+every limiter resistance, a network that repeats an id or names anything
+it lacks, in the words validate lists the defect in. Each refuses a
+nonzero resistance on a network without a ufcl block itself, with the
+same message. The oracle's record, OracleResult, is not a FaultResult: it
 holds FaultResult's fields first, in the same order, then the voltage
 profile, the complex fault current and every branch's current, so code
 that reads a FaultResult reads it the same way.
@@ -306,11 +306,13 @@ class LimiterStates:
     The states look the limiter's tie up once, when built, and keep its
     ends, its per-unit impedance z0 at R = 0 and its zone's ohm base, so
     a read at R takes the tie's impedance z0 + R / z_base with no lookup.
-    Raises ValueError: from to_per_unit, for a bus, a tie or a relay
-    branch the network lacks; naming it, for a bus that no source or load
-    reaches, before any solve; for a fault bus the network lacks, on its
-    read; and for a nonzero resistance on a network without a ufcl block,
-    on a read at it.
+    Raises ValueError: from to_per_unit, for a repeated id or anything
+    else named that the network lacks (a bus, a tie, a relay's branch, a
+    pair's relay or bus, the sizing bus), worded as validate lists it;
+    naming it, for a bus that no source or load reaches, before any
+    solve; for a fault bus the network lacks, on its read; and for a
+    nonzero resistance on a network without a ufcl block, on a read at
+    it.
     """
 
     def __init__(self, net: Network) -> None:
@@ -493,9 +495,9 @@ def oracle_solve(net: Network, fault: FaultSpec | None,
     takes a network of any size, and exists to disagree with solve_fault
     if either route is wrong. Like solve_fault, raises ValueError for a
     nonzero ufcl_state_ohm on a network without a ufcl block, which no
-    tie can carry, and, through to_per_unit, for a tie_branch, a relay's
-    branch or an element's bus that the network lacks, at every
-    ufcl_state_ohm.
+    tie can carry, and, through to_per_unit, for a repeated id or a
+    reference to anything the network lacks, worded as validate lists it,
+    at every ufcl_state_ohm.
     """
     import numpy as np
     pu = to_per_unit(net)

@@ -303,6 +303,22 @@ def _dangling_references(net: Network) -> list[Violation]:
             for subject, kind, ref in refs if ref not in known[kind]]
 
 
+def _duplicate_ids(net: Network) -> list[Violation]:
+    """Every repeat of a bus, branch, source, load or relay id, in file
+    order, kind by kind."""
+    out = []
+    for what, records in (("bus", net.buses), ("branch", net.branches),
+                          ("source", net.sources), ("load", net.loads),
+                          ("relay", net.relays)):
+        seen = set()
+        for rec in records:
+            if rec.id in seen:
+                out.append(Violation("ids unique", rec.id,
+                                     f"duplicate {what} id"))
+            seen.add(rec.id)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -342,23 +358,10 @@ def validate(net: Network) -> list[Violation]:
     zones and bases, the smallest per-unit branch impedance) run only once
     every other rule holds.
     """
-    out: list[Violation] = []
+    out = _duplicate_ids(net)
 
     def bad(rule: str, subject: str, message: str):
         out.append(Violation(rule, subject, message))
-
-    def unique(ids: list[str], what: str):
-        seen = set()
-        for i in ids:
-            if i in seen:
-                bad("ids unique", i, f"duplicate {what} id")
-            seen.add(i)
-
-    unique([b.id for b in net.buses], "bus")
-    unique([b.id for b in net.branches], "branch")
-    unique([s.id for s in net.sources], "source")
-    unique([l.id for l in net.loads], "load")
-    unique([r.id for r in net.relays], "relay")
 
     for b in net.buses:
         if not b.nominal_voltage > 0:
@@ -478,12 +481,20 @@ def to_per_unit(net: Network) -> PuNetwork:
 
     The voltage base of each bus is its nominal voltage. Transformer ohms
     are interpreted on their declared referred_side; any other branch must
-    join buses of equal nominal voltage. Raises ValueError when it does not,
-    when a bus's impedance base is not a positive float, when a branch,
-    source or load names a bus the network lacks ("branch 'x': unknown bus
-    'y'"), then when the ufcl block names a tie branch the network lacks
-    ("unknown tie branch 'x'"), then when a relay does ("relay 'r': unknown
-    branch 'x'"). Every solution route converts here first, so each refuses
+    join buses of equal nominal voltage. Raises ValueError, in its own
+    words, for the first bus whose impedance base is not a positive
+    float, else for the first such branch that does not.
+
+    It also raises ValueError when the network repeats a bus, branch,
+    source, load or relay id, or names a bus, branch or relay that it
+    lacks: an element's bus, a relay's branch, a pair's relays or fault
+    bus, the ufcl block's tie or sizing bus. The text is the first such
+    violation that validate lists (and load_network raises, for a
+    reference): a repeated id before a dangling reference, each in file
+    order, e.g. "relay6: referential integrity (unknown branch 'x')". A
+    sound network is told from its own maps and one pass over the relays,
+    the pairs and the ufcl block; only a refused one is searched for its
+    violation. Every solution route converts here first, so each refuses
     such a network in these words before it solves anything.
     """
     v_base = {b.id: b.nominal_voltage for b in net.buses}
@@ -495,7 +506,7 @@ def to_per_unit(net: Network) -> PuNetwork:
         z_base[bus_id] = z
         i_base[bus_id] = net.s_base_va / (math.sqrt(3.0) * v)
 
-    branch_z = {}
+    branch_z, relays = {}, {r.id for r in net.relays}
     try:
         for br in net.branches:
             # both ends, a transformer's unreferred one too
@@ -513,21 +524,23 @@ def to_per_unit(net: Network) -> PuNetwork:
         source_z = {s.id: s.internal_impedance / z_base[s.bus]
                     for s in net.sources}
         load_z = {l.id: l.impedance / z_base[l.bus] for l in net.loads}
-    except KeyError as exc:
-        # name the first element at the bus, in the order above: the one
-        # that failed
-        bus = exc.args[0]
-        kind, el = next((kind, el) for kind, els in (
-            ("branch", net.branches), ("source", net.sources),
-            ("load", net.loads)) for el in els if bus in (
-                (el.from_bus, el.to_bus) if kind == "branch" else (el.bus,)))
-        raise ValueError(f"{kind} {el.id!r}: unknown bus {bus!r}") from None
-    if net.ufcl is not None and (tie := net.ufcl.tie_branch) not in branch_z:
-        # worded as partition_by_tie words it
-        raise ValueError(f"unknown tie branch {tie!r}")
-    for r in net.relays:
-        if r.branch not in branch_z:
-            raise ValueError(f"relay {r.id!r}: unknown branch {r.branch!r}")
+    except KeyError:  # a bus the network lacks
+        sound = False
+    else:
+        # a repeated id leaves its map shorter than its records
+        sound = all(len(ids) == len(records) for ids, records in (
+            (z_base, net.buses), (branch_z, net.branches),
+            (source_z, net.sources), (load_z, net.loads),
+            (relays, net.relays)))
+    u = net.ufcl
+    if not (sound and all(r.branch in branch_z for r in net.relays)
+            and all(p.main in relays and p.backup in relays
+                    and p.fault_bus in z_base for p in net.pairs)
+            and (u is None or u.tie_branch in branch_z and (
+                u.sizing_fault_bus is None or u.sizing_fault_bus in z_base))):
+        # named as validate lists it, without a search on a sound network
+        raise ValueError(str((_duplicate_ids(net)
+                              + _dangling_references(net))[0]))
 
     return PuNetwork(net, z_base, i_base, branch_z, source_z, load_z)
 

@@ -28,14 +28,17 @@ The search reads the map; one fault solution at the accepted R
 production read at a limiter resistance, it factorises Y at R = 0 and
 reads R by the compensation update, so it gives the bits of the study's
 own table at the sizing bus. That confirm solves a copy of the network
-without relays: relays stamp nothing into Y or the injections, so its
-fault current is the full network's, bit for bit, and it substitutes the
-injections and the tie's column only, no relay branch's.
+without relays, and so without the pairs that name them: relays stamp
+nothing into Y or the injections, so its fault current is the full
+network's, bit for bit, and it substitutes the injections and the tie's
+column only, no relay branch's.
 
 Which side of the tie a bus lies on needs a partition of the graph
 (downstream_buses). A study partitions once and passes size_ufcl its
 states; size_ufcl partitions only when it builds its own states, called
-alone, to reject a downstream fault bus.
+alone, to reject a downstream fault bus. It builds them first, so a
+network that repeats an id or names what it lacks is refused there, in
+validate's words, as on every other route.
 """
 
 from __future__ import annotations
@@ -80,9 +83,11 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, *,
     pre-DG value.
 
     fault_bus must lie upstream of the limiter. When states is not given,
-    size_ufcl builds them and first partitions the network to check that,
-    raising ValueError for a downstream bus; a caller that passes states
-    has made that check itself. The target is
+    size_ufcl builds them, which refuses a repeated id or a dangling
+    reference in validate's words (netmodel.to_per_unit), and then
+    partitions the network to check the bus, raising ValueError for a
+    downstream one; a caller that passes states has made that check
+    itself. The target is
     net_with_dg.ufcl.sizing_reference_a when fault_bus is the designated
     sizing_fault_bus and a reference is recorded, else the bare-grid level
     at fault_bus, states.grid_level; a target that is not > 0 raises
@@ -92,21 +97,21 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, *,
     current error <= SIZING_TOL terminates. Each evaluation reads the
     LevelMap of states, the limiter states of net_with_dg (built here
     when not given); the result's current is solve_fault's at the
-    accepted R, on a copy of net_with_dg without relays, the bits that
-    states.solve reads there. Raises
-    SizingError when the R=0 current is already below the target (no
-    resistance can raise a current), when the tie-open
-    level is above it (no finite resistance lowers the current that far),
-    when the evaluation budget of 200 runs out, or when the solution at
-    the accepted R misses the target that the read met.
+    accepted R, on a copy of net_with_dg without relays or pairs, the
+    bits that states.solve reads there. Raises SizingError when the R=0
+    current is already below the target (no resistance can raise a
+    current), when the tie-open level is above it (no finite resistance
+    lowers the current that far), when the evaluation budget of 200 runs
+    out, or when the solution at the accepted R misses the target that
+    the read met.
     """
     u = net_with_dg.ufcl
     if states is None:
+        states = LimiterStates(net_with_dg)
         if u is not None and fault_bus in downstream_buses(net_with_dg):
             raise ValueError(
                 f"fault bus {fault_bus!r} is downstream of the limiter; "
                 f"sizing needs an upstream bus")
-        states = LimiterStates(net_with_dg)
     target_a = (u.sizing_reference_a if u is not None
                 and u.sizing_reference_a is not None
                 and fault_bus == u.sizing_fault_bus
@@ -143,9 +148,10 @@ def size_ufcl(net_with_dg: Network, fault_bus: str, *,
         raise SizingError(f"no convergence within {EVALUATION_CAP} "
                           f"evaluations (tol {SIZING_TOL})")
 
-    # relays stamp nothing into Y: without them the confirm reads the same
-    # fault current and substitutes no relay branch's column
-    achieved = solve_fault(net_with_dg._replace(relays=()),
+    # relays stamp nothing into Y: without them (and the pairs that name
+    # them) the confirm reads the same fault current and substitutes no
+    # relay branch's column
+    achieved = solve_fault(net_with_dg._replace(relays=(), pairs=()),
                            FaultSpec(fault_bus),
                            ufcl_state_ohm=r_ohm).fault_current_a
     if abs(achieved - target_a) / target_a > SIZING_TOL:

@@ -72,7 +72,8 @@ def test_ufcl_state_without_tie_rejected(bundled_net):
     cases = [(two_bus(20j, with_source=True), "b",
               "no tie branch to carry the limiter resistance"),
              (bundled_net._replace(ufcl=bundled_net.ufcl._replace(
-                 tie_branch="nosuch")), "bus3", "unknown tie branch 'nosuch'")]
+                 tie_branch="nosuch")), "bus3",
+              "ufcl: referential integrity (unknown branch 'nosuch')")]
     for net, bus, want in cases:
         for route in (solve_fault, oracle_solve):
             with pytest.raises(ValueError) as err:

@@ -7,12 +7,13 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import feeder_net, random_tie_net
-from protcoord import bundled_dataset_path, faultcalc, studio, ufcl
+from protcoord import bundled_dataset_path, faultcalc, netmodel, studio, ufcl
 from protcoord.coordination import CSV_COLUMNS, CoordinationReport
 from protcoord.faultcalc import (FaultSpec, LimiterStates, build_ybus,
                                  oracle_solve, solve_fault)
 from protcoord.netmodel import (Branch, CoordinationPair, Network, ShuntLoad,
-                                Source, partition_by_tie)
+                                Source, load_network, partition_by_tie,
+                                validate)
 from protcoord.studio import (SCENARIOS, Scenario, ScenarioError, StudyReport,
                               build_scenario_net, cli, default_fault_buses,
                               emit_report, run_scenario)
@@ -359,8 +360,8 @@ def test_run_scenario_names_a_pair_relay_the_network_lacks(bundled_net):
     with pytest.raises(ScenarioError) as err:
         run_scenario(net, SCENARIOS["s1_dg1"])
     assert err.type is ScenarioError
-    assert str(err.value) == ("scenario s1_dg1: pair relay2/relayX at bus3: "
-                              "relay 'relayX' is not in the network")
+    assert str(err.value) == ("scenario s1_dg1: relay2/relayX: referential "
+                              "integrity (unknown relay 'relayX')")
 
 
 def assert_every_route_refuses(net, want):
@@ -378,14 +379,15 @@ def assert_every_route_refuses(net, want):
 @pytest.mark.parametrize("sid", ["s0_no_dg", "s2_dg1_ufcl"])
 def test_an_unknown_tie_branch_is_named_on_every_route(bundled_net, sid):
     # through the API, which does not validate: every route converts to
-    # per-unit first, which words the tie as partition_by_tie does, with
-    # no quotes from a KeyError around it, at R = 0 as well
+    # per-unit first, which words the tie as validate does, with no quotes
+    # from a KeyError around it, at R = 0 as well
     net = bundled_net._replace(ufcl=bundled_net.ufcl._replace(
         tie_branch="nosuch"))
+    want = "ufcl: referential integrity (unknown branch 'nosuch')"
     with pytest.raises(ScenarioError) as err:
         run_scenario(net, SCENARIOS[sid])
-    assert str(err.value) == f"scenario {sid}: unknown tie branch 'nosuch'"
-    assert_every_route_refuses(net, "unknown tie branch 'nosuch'")
+    assert str(err.value) == f"scenario {sid}: {want}"
+    assert_every_route_refuses(net, want)
 
 
 @pytest.mark.parametrize("sid", ["s0_no_dg", "s2_dg1_ufcl"])
@@ -396,14 +398,15 @@ def test_a_relay_on_an_unknown_branch_is_named_on_every_route(bundled_net,
     net = bundled_net._replace(relays=tuple(
         r._replace(branch="nosuch") if r.id == "relay6" else r
         for r in bundled_net.relays))
-    want = "relay 'relay6': unknown branch 'nosuch'"
+    want = "relay6: referential integrity (unknown branch 'nosuch')"
     with pytest.raises(ScenarioError) as err:
         run_scenario(net, SCENARIOS[sid])
     assert str(err.value) == f"scenario {sid}: {want}"
     assert_every_route_refuses(net, want)
-    # with the tie missing too, the tie is named first
+    # with the tie missing too, the relay is named first: it comes before
+    # the ufcl block in file order, as validate lists them
     assert_every_route_refuses(net._replace(ufcl=net.ufcl._replace(
-        tie_branch="nosuch")), "unknown tie branch 'nosuch'")
+        tie_branch="nosuch")), want)
 
 
 UNKNOWN_BUS_ELEMENTS = {
@@ -425,16 +428,83 @@ def test_an_unknown_bus_is_named_on_every_route(bundled_net, case):
     # through the API, which does not validate: every route converts to
     # per-unit first, and names the element and the bus it lacks
     element = UNKNOWN_BUS_ELEMENTS[case]
-    kind, field = {Branch: ("branch", "branches"),
-                   Source: ("source", "sources"),
-                   ShuntLoad: ("load", "loads")}[type(element)]
+    field = {Branch: "branches", Source: "sources",
+             ShuntLoad: "loads"}[type(element)]
     net = bundled_net._replace(
         **{field: (*getattr(bundled_net, field), element)})
-    want = f"{kind} 'bx': unknown bus 'nosuch'"
+    want = "bx: referential integrity (unknown bus 'nosuch')"
     with pytest.raises(ScenarioError) as err:
         run_scenario(net, SCENARIOS["s0_no_dg"])
     assert str(err.value) == f"scenario s0_no_dg: {want}"
     assert_every_route_refuses(net, want)
+
+
+def reference_defects(net):
+    """(case id, net with one defect): each reference site of net pointed
+    at an id it lacks, and each kind of record with an id repeated, by a
+    copy of its first record appended."""
+    def at(field, i, **change):
+        records = list(getattr(net, field))
+        records[i] = records[i]._replace(**change)
+        return net._replace(**{field: tuple(records)})
+    for i, br in enumerate(net.branches):
+        for end in ("from_bus", "to_bus"):
+            yield f"{br.id}.{end}", at("branches", i, **{end: "nosuch"})
+    for field in ("sources", "loads"):
+        for i, el in enumerate(getattr(net, field)):
+            yield f"{el.id}.bus", at(field, i, bus="nosuch")
+    for i, r in enumerate(net.relays):
+        yield f"{r.id}.branch", at("relays", i, branch="nosuch")
+    for i, p in enumerate(net.pairs):
+        for name in ("main", "backup", "fault_bus"):
+            yield f"pair{i}.{name}", at("pairs", i, **{name: "nosuch"})
+    for name in ("tie_branch", "sizing_fault_bus"):
+        yield f"ufcl.{name}", net._replace(
+            ufcl=net.ufcl._replace(**{name: "nosuch"}))
+    for field in ("buses", "branches", "sources", "loads", "relays"):
+        records = getattr(net, field)
+        yield f"repeated_{field}", net._replace(
+            **{field: (*records, records[0])})
+
+
+BUNDLED_DEFECTS = dict(reference_defects(
+    load_network(bundled_dataset_path().read_text())))
+
+
+@pytest.mark.parametrize("case", BUNDLED_DEFECTS)
+def test_one_defect_is_refused_alike_on_every_route(case):
+    # through the API, which does not validate: the one repeated id or
+    # dangling reference that validate lists is what every route raises.
+    # In s4 every source is in service, so the study keeps each defect
+    net = BUNDLED_DEFECTS[case]
+    listed = [v for v in validate(net)
+              if v.rule in ("ids unique", "referential integrity")]
+    assert len(listed) == 1
+    want = str(listed[0])
+    assert_every_route_refuses(net, want)
+    with pytest.raises(ValueError) as err:
+        size_ufcl(net, "bus3")
+    assert err.type is ValueError and str(err.value) == want
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(net, SCENARIOS["s4_dg1_dg2_ufcl"])
+    assert str(err.value) == f"scenario s4_dg1_dg2_ufcl: {want}"
+
+
+def test_a_sound_study_searches_for_no_defect(bundled_net, monkeypatch):
+    # the per-unit step tells a sound network from its own maps: the
+    # searches that word a refusal run on a refused network only
+    searches = [count_calls(monkeypatch, netmodel, name)
+                for name in ("_dangling_references", "_duplicate_ids")]
+    for scenario in SCENARIOS.values():
+        run_scenario(bundled_net, scenario)
+    net = feeder_net(200, 1)
+    run_scenario(net, Scenario("feeder", frozenset(
+        s.id for s in net.sources if s.kind != "infinite_grid"),
+        ufcl_enabled=True, fault_buses=tuple(net.bus_ids())))
+    assert searches == [[], []]
+    with pytest.raises(ScenarioError):
+        run_scenario(BUNDLED_DEFECTS["relay6.branch"], SCENARIOS["s0_no_dg"])
+    assert [len(calls) for calls in searches] == [1, 1]
 
 
 def test_a_report_keeps_no_limiter_states_alive(bundled_net, monkeypatch):

@@ -255,8 +255,10 @@ def test_level_map_tie_open_level(bundled_net):
 
 def test_sizing_rejects_downstream_bus(bundled_net):
     snet = build_scenario_net(bundled_net, SCENARIOS["s2_dg1_ufcl"])
-    with pytest.raises(ValueError, match="upstream"):
+    with pytest.raises(ValueError) as err:
         size_ufcl(snet, "bus6")
+    assert str(err.value) == ("fault bus 'bus6' is downstream of the "
+                              "limiter; sizing needs an upstream bus")
 
 
 def test_sizing_rejects_bad_target(bundled_net):
